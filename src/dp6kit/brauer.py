@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (OrderViolation, RealPlaceOrder, ReciprocityViolation)
 from .fields import is_prime
@@ -123,21 +124,7 @@ def power(u, n):
 
 
 def order(u):
-    return _lcm([f.denominator for _, f in u.primes] + [u.real.denominator])
-
-
-def _lcm(xs):
-    out = 1
-    for x in xs:
-        g = _gcd(out, x)
-        out = out // g * x
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return lcm(*(f.denominator for _, f in u.primes), u.real.denominator)
 
 
 def index(u):
@@ -371,10 +358,6 @@ def invariant_vector_K(K, real=None, primes=None):
         if any(slots):
             entries.append((int(p), slots))
     return InvariantVectorK(K=K, real=real, primes=tuple(entries))
-
-
-def zero_class_K(K):
-    return invariant_vector_K(K)
 
 
 def split_pair_K(c1, c2):

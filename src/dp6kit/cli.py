@@ -126,10 +126,9 @@ def _cmd_hexagon(args):
 
 def _surface_for(args):
     field = GF(*dp6._parse_prime_power(args.q))
-    twists = dp6.standard_twists(field)
-    if args.model not in twists:
+    if args.model not in dp6.TWIST_NAMES:
         raise Dp6kitError(f"unknown model {args.model}; choose from {dp6.TWIST_NAMES}")
-    return twists[args.model]
+    return dp6.standard_twists(field)[args.model]
 
 
 def _cmd_surface(args):

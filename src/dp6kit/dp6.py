@@ -14,7 +14,7 @@ hexagon element that drives every point-count prediction.
 
 from __future__ import annotations
 
-import numpy as np
+from math import lcm
 
 from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_split_exchange,
                        diagonal_cubic, m3_adjugate, split_normalize)
@@ -23,15 +23,10 @@ from .errors import (EnumerationBudgetExceeded, InconsistentObservation,
                      NotAnAutomorphism, WrongLineCount)
 from .fields import (FiniteField, GF, embed, field_arith, mat_solve,
                      poly_roots, rref)
-from .hexagon import HexAut
-from .intlattice import IntMat, mat_from_columns, solve_integer
+from .hexagon import HexAut, t_hat
+from .intlattice import IntMat
 
 DEFAULT_BUDGET = 600_000
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a // gcd(a, b) * b
 
 
 class DP6Surface:
@@ -150,7 +145,7 @@ def splitting_degree(surface):
     else:
         nroots = len(poly_roots(L.minpoly, surface.field))
         lpart = {3: 1, 1: 2, 0: 3}[nroots]
-    return _lcm(kpart, lpart)
+    return lcm(kpart, lpart)
 
 
 def expected_frobenius_type(surface):
@@ -356,6 +351,7 @@ _TABLE_CACHE = {}
 
 
 def _tables(E):
+    import numpy as np
     if E in _TABLE_CACHE:
         return _TABLE_CACHE[E]
     Q = E.size
@@ -375,6 +371,7 @@ def _tables(E):
 
 
 def _embed_table(src, tgt):
+    import numpy as np
     return np.array([embed(src.from_code(c), tgt).code() for c in range(src.size)],
                     dtype=np.int32)
 
@@ -411,7 +408,7 @@ def _count_field_and_entries(surface, k):
     F = surface.field
     ext = GF(F.p, F.k * k)
     if surface.algebra.kind == HERMITIAN:
-        E = GF(F.p, F.k * _lcm(k, 2))
+        E = GF(F.p, F.k * lcm(k, 2))
     else:
         E = ext
     sig = _sigma_matrices(surface, E)
@@ -427,6 +424,7 @@ def _count_field_and_entries(surface, k):
 def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
     """Exact number of points of the surface over F_{q^k} by enumeration of
     P^6, vectorized through exact integer multiplication tables."""
+    import numpy as np
     if not isinstance(surface.field, FiniteField):
         raise EnumerationBudgetExceeded("counting needs a finite base field")
     ext, E, emb, entries = _count_field_and_entries(surface, k)
@@ -486,7 +484,7 @@ def surface_points(surface, k=1, budget=DEFAULT_BUDGET):
     F = surface.field
     ext = GF(F.p, F.k * k)
     if surface.algebra.kind == HERMITIAN:
-        E = GF(F.p, F.k * _lcm(k, 2))
+        E = GF(F.p, F.k * lcm(k, 2))
     else:
         E = ext
     Qp = ext.size
@@ -646,7 +644,6 @@ def torus_count_check(surface, budget=DEFAULT_BUDGET):
     """|U(F_q)| against |det(q I - phi | T^)| for the complement U of the
     lines; torsors under a torus over a finite field are trivial, so the
     two numbers must agree exactly."""
-    from .hexagon import perm_kl
     F = surface.field
     q = F.size
     pts = surface_points(surface, 1, budget)
@@ -659,15 +656,7 @@ def torus_count_check(surface, budget=DEFAULT_BUDGET):
             on_lines += 1
     u_count = len(pts) - on_lines
     phi = frobenius_on_lines(surface)
-    B = _t_hat_basis_matrix()
-    P = perm_kl().action[phi.label]
-    cols = []
-    for j in range(B.cols):
-        img = P.apply(B.col(j))
-        x = solve_integer(B, img)
-        assert x is not None
-        cols.append(x)
-    A = mat_from_columns(cols, B.cols)
+    A = t_hat()[0].action[phi.label]
     qI = IntMat([[q if i == j else 0 for j in range(2)] for i in range(2)])
     det = (qI - A).det()
     return {
@@ -677,12 +666,6 @@ def torus_count_check(surface, budget=DEFAULT_BUDGET):
         "torus_count": abs(det),
         "ok": u_count == abs(det),
     }
-
-
-def _t_hat_basis_matrix():
-    from .hexagon import divisor_matrix
-    from .intlattice import kernel_basis
-    return kernel_basis(divisor_matrix())
 
 
 def lemma_number_check(K, B_class, observed):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -307,16 +308,6 @@ def GF(p, k=1):
     return _gf_cached(p, k)
 
 
-def field_of(x):
-    if isinstance(x, Fraction):
-        return QQ
-    if isinstance(x, FFElem):
-        return x.field
-    if isinstance(x, int):
-        return QQ
-    raise FieldMismatch(f"not a field element: {x!r}")
-
-
 def field_arith(a, b, op):
     """Single dispatch point for the basic field operations.
 
@@ -435,14 +426,6 @@ def poly_add(f, g, field):
                       for i in range(n)])
 
 
-def poly_neg(f):
-    return tuple(-c for c in f)
-
-
-def poly_sub(f, g, field):
-    return poly_add(f, poly_neg(g), field)
-
-
 def poly_scale(f, c):
     return poly_trim([c * a for a in f])
 
@@ -543,9 +526,7 @@ def poly_roots(f, field):
         return [x for c in range(field.size)
                 if not poly_eval(f, (x := field.from_code(c)), field)]
     # rationals: scale coefficients to integers, then p/q with p | a0, q | an
-    den = 1
-    for c in f:
-        den = den * Fraction(c).denominator // _gcd(den, Fraction(c).denominator)
+    den = lcm(*(Fraction(c).denominator for c in f))
     ints = [int(Fraction(c) * den) for c in f]
     a0, an = ints[0], ints[-1]
     roots = set()
@@ -563,29 +544,8 @@ def poly_roots(f, field):
     return sorted(roots)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # dense linear algebra over an exact field (rows are lists of elements)
-
-
-def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [[sum_prod(a[i], [b[t][j] for t in range(k)]) for j in range(m)]
-            for i in range(n)]
-
-
-def sum_prod(xs, ys):
-    it = iter(zip(xs, ys))
-    x0, y0 = next(it)
-    acc = x0 * y0
-    for x, y in it:
-        acc = acc + x * y
-    return acc
 
 
 def rref(rows, field):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .errors import Dp6kitError
 from .intlattice import (FiniteGroup, GLattice, IntMat, LatticeMap,
                          equivariant_iso_search, fixed_rank_by_traces,
                          fixed_submodule, h1, is_exact, kernel_basis,
@@ -224,8 +225,21 @@ def divisor_map(subgroup=None):
 
 
 @lru_cache(maxsize=None)
-def _t_hat_basis():
-    return kernel_basis(divisor_matrix())
+def _t_hat_full():
+    """Kernel basis B of the divisor map and T^ over the full group.
+
+    B has full column rank, so each image P b_j has exactly one coordinate
+    vector; the action is solved once per group element.
+    """
+    G = hexagon_group()
+    B = kernel_basis(divisor_matrix())
+    kl = perm_kl()
+    action = {}
+    for lbl in G.labels:
+        P = kl.action[lbl]
+        cols = [solve_integer(B, P.apply(B.col(j))) for j in range(B.cols)]
+        action[lbl] = mat_from_columns(cols, B.cols)
+    return GLattice(B.cols, G, action), B
 
 
 def t_hat(subgroup=None):
@@ -234,21 +248,9 @@ def t_hat(subgroup=None):
     Returns (lattice, inclusion map into Z[KL/F]).
     """
     G = subgroup if subgroup is not None else hexagon_group()
-    B = _t_hat_basis()
-    kl = perm_kl().restrict(G)
-    action = {}
-    for lbl in G.labels:
-        P = kl.action[lbl]
-        cols = []
-        for j in range(B.cols):
-            img = P.apply(B.col(j))
-            x = solve_integer(B, img)
-            assert x is not None
-            cols.append(x)
-        action[lbl] = mat_from_columns(cols, B.cols)
-    lat = GLattice(B.cols, G, action)
-    incl = LatticeMap(lat, kl, B)
-    return lat, incl
+    full, B = _t_hat_full()
+    lat = full.restrict(G)
+    return lat, LatticeMap(lat, perm_kl().restrict(G), B)
 
 
 def _zero_lattice(G):
@@ -339,7 +341,10 @@ def _verify_intertwiner(M, left, right, subgroup):
 
 def subgroup_report(index):
     """Per-subgroup record used in JSON reports and the acceptance suite."""
-    G = subgroups()[index]
+    subs = subgroups()
+    if not 0 <= index < len(subs):
+        raise Dp6kitError(f"subgroup {index} outside 0..{len(subs) - 1}")
+    G = subs[index]
     pic = pic_lattice().restrict(G)
     fixed = fixed_submodule(pic, G)
     first = is_exact(first_sequence(G))

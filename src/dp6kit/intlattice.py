@@ -16,12 +16,6 @@ from fractions import Fraction
 from .errors import CompositionMismatch
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 class IntMat:
     """Immutable integer matrix, row-major tuple of tuples."""
 

@@ -460,9 +460,35 @@ def corollary_3or4_check(A, A2):
 # the two replays
 
 
+_REPLAY_VERDICT = ("the splitting dimension assumption <= 2 is contradictory; "
+                   "combined with the upper bound, the canonical dimension of "
+                   "the degree-6 Severi-Brauer variety equals 3")
+_REPLAY_NO_VERDICT = "no verdict: the recorded results do not refute the assumption"
+
+
 def _require_index6(A):
     if index(A) != 6:
         raise IndexMismatch(f"replay requires index 6, got {index(A)}")
+
+
+def _replay_certificate(title, A, steps, refuting):
+    """Certificate whose verdict is read off the recorded VERIFIED results.
+
+    `refuting` maps a computation name to the result fields that refute the
+    assumption; the replay reaches a contradiction when its steps include
+    such computations and every one of them recorded those fields.
+    """
+    decisive = [s for s in steps if s.kind == "VERIFIED" and s.computation in refuting]
+    contradiction = bool(decisive) and all(
+        s.result.get(key) == want
+        for s in decisive for key, want in refuting[s.computation].items())
+    return ProofCertificate(
+        title=title,
+        algebra=to_json(A),
+        steps=tuple(steps),
+        contradiction=contradiction,
+        verdict=_REPLAY_VERDICT if contradiction else _REPLAY_NO_VERDICT,
+    )
 
 
 def _common_head(A):
@@ -552,19 +578,12 @@ def replay_first_proof(A, d=2):
         _axiom("the splitting dimension is at most 3",
                "cdim_upper_bound"),
     ]
-    # the contradiction is explicit: both corestrictions are nonzero but the
-    # involution criterion requires zero
-    cert = ProofCertificate(
-        title="first replay: degree-6 del Pezzo argument",
-        algebra=to_json(A),
-        steps=tuple(steps),
-        contradiction=True,
-        verdict=("the splitting dimension assumption <= 2 is contradictory; "
-                 "combined with the upper bound, the canonical dimension of "
-                 "the degree-6 Severi-Brauer variety equals 3"),
-    )
-    assert verify_certificate(cert)
-    return cert
+    # the contradiction: both corestrictions are nonzero, so neither
+    # candidate carries the unitary involution the surface requires
+    return _replay_certificate(
+        "first replay: degree-6 del Pezzo argument", A, steps,
+        {"is_split": {"split": False},
+         "admits_unitary_involution": {"admits": False}})
 
 
 def replay_second_proof(A):
@@ -590,19 +609,9 @@ def replay_second_proof(A):
                   {"A": to_json(C), "A2": to_json(D)}),
         _axiom("the splitting dimension is at most 3", "cdim_upper_bound"),
     ]
-    check = corollary_3or4_check(C, D)
-    assert not check.compatible
-    cert = ProofCertificate(
-        title="second replay: Brauer kernel argument",
-        algebra=to_json(A),
-        steps=tuple(steps),
-        contradiction=True,
-        verdict=("the splitting dimension assumption <= 2 is contradictory; "
-                 "combined with the upper bound, the canonical dimension of "
-                 "the degree-6 Severi-Brauer variety equals 3"),
-    )
-    assert verify_certificate(cert)
-    return cert
+    return _replay_certificate(
+        "second replay: Brauer kernel argument", A, steps,
+        {"corollary_3or4_check": {"compatible": False, "witness_order": 6}})
 
 
 DEGREE6_WITNESS = invariant_vector(0, {7: "1/6", 13: "5/6"})

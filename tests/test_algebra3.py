@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dp6kit.algebra3 import (AlgElem, adjoint_sharp, build_hermitian,
+from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem,
+                             adjoint_sharp, build_hermitian,
                              build_split_exchange, companion_matrix,
                              cubic_from_basis, cubic_from_generator,
                              diagonal_cubic, gram_matrix,
@@ -56,6 +57,53 @@ def test_involution_anti_multiplicative_random():
         x = AlgElem(B, _rand_matrix(K, rng))
         y = AlgElem(B, _rand_matrix(K, rng))
         assert B.involution(x * y) == B.involution(y) * B.involution(x)
+
+
+def _rand_scalar(A, rng):
+    """Random element of the coefficient ring of A's matrices."""
+    def base():
+        if A.field is QQ:
+            return F(rng.randint(-5, 5), rng.randint(1, 3))
+        return A.field.from_code(rng.randrange(A.field.size))
+    if A.kind == HERMITIAN:
+        return A.ctx.embed_base(base()) + A.ctx.embed_base(base()) * A.ctx.delta
+    return base()
+
+
+def _rand_elem(A, rng):
+    def m():
+        return tuple(tuple(_rand_scalar(A, rng) for _ in range(3)) for _ in range(3))
+    return AlgElem(A, (m(), m()) if A.kind == SPLIT_EXCHANGE else m())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(2, 2)], ids=["QQ", "F3", "F4"])
+@pytest.mark.parametrize("kind", [SPLIT_EXCHANGE, HERMITIAN])
+def test_model_identities(kind, field):
+    """The identities both models satisfy by construction: the involution
+    has order two, is anti-multiplicative and moves the center, the
+    symmetric basis has nine fixed elements, and the product is associative."""
+    if kind == SPLIT_EXCHANGE:
+        A = build_split_exchange(field)
+        o3 = A.one.data[0]
+        z3 = A.zero().data[0]
+        center = AlgElem(A, (o3, z3))
+    else:
+        A = build_hermitian(field, -1 if field is QQ else None)
+        center = AlgElem(A, tuple(tuple(A.ctx.delta * c for c in row)
+                                  for row in A.one.data))
+    inv = A.involution
+    for bi in A.basis:
+        assert inv(inv(bi)) == bi
+        for bj in A.basis:
+            assert inv(bi * bj) == inv(bj) * inv(bi)
+        assert center * bi == bi * center
+    assert inv(center) != center
+    assert len(A.sym_basis) == 9
+    assert all(A.is_symmetric(b) for b in A.sym_basis)
+    rng = random.Random(9)
+    for _ in range(20):
+        x, y, z = (_rand_elem(A, rng) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
 
 
 def test_trace_form_examples():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from dp6kit import dp6
 from dp6kit.cli import main
 
 
@@ -30,6 +34,34 @@ def test_hexagon_report_all(capsys):
     data = json.loads(out)
     assert len(data["reports"]) == 16
     assert all(r["h1"] == [] for r in data["reports"])
+
+
+@pytest.mark.parametrize("subgroup", ["-1", "16", "99"])
+def test_hexagon_subgroup_out_of_range(capsys, subgroup):
+    code, out = _run(capsys, ["hexagon", "--subgroup", subgroup])
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "Dp6kitError" and "outside 0..15" in data["message"]
+
+
+def test_surface_unknown_model_builds_nothing(capsys, monkeypatch):
+    def no_build(field):
+        raise AssertionError("twists built for an unknown model")
+    monkeypatch.setattr(dp6, "standard_twists", no_build)
+    code, out = _run(capsys, ["surface", "count", "--model", "nope", "--q", "7"])
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "dp6kit/1", "error": "Dp6kitError",
+        "message": f"unknown model nope; choose from {dp6.TWIST_NAMES}"}
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(dp6.__file__))
+    probe = "import sys, dp6kit.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_lattice_snf(capsys):

@@ -8,7 +8,7 @@ from dp6kit.algebra3 import (build_split_exchange, companion_matrix,
                              ideal_to_sym, split_exchange_sym)
 from dp6kit.brauer import (QuadField, invariant_vector_K, order3_class,
                            restriction)
-from dp6kit.dp6 import (build_surface, count_points, expected_frobenius_type,
+from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
                         find_lines, frobenius_on_lines, lemma_number_check,
                         predicted_count, raw_point_count, split_model_points,
                         splitting_degree, standard_twists, surface_points,
@@ -29,6 +29,10 @@ def twists2():
 @pytest.fixture(scope="module")
 def twists3():
     return standard_twists(GF(3))
+
+
+def test_twist_names_match_standard_twists(twists2):
+    assert tuple(twists2) == TWIST_NAMES
 
 
 def _split_surface_over_Q():

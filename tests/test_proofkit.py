@@ -136,6 +136,21 @@ def test_replay_second_proof():
     assert not step.result["compatible"]
 
 
+@pytest.mark.parametrize("replay, computation, result", [
+    (replay_first_proof, "admits_unitary_involution", {"admits": True}),
+    (replay_second_proof, "corollary_3or4_check", {"compatible": True}),
+])
+def test_replay_verdict_derived_from_results(monkeypatch, replay, computation,
+                                             result):
+    monkeypatch.setitem(COMPUTATIONS, computation, lambda inputs: result)
+    cert = replay(STANDING)
+    assert not cert.contradiction
+    assert cert.verdict.startswith("no verdict")
+    assert verify_certificate(cert)
+    wrapped = corollary_cdpgl(cert)
+    assert not wrapped.contradiction and "no verdict" in wrapped.verdict
+
+
 def test_replays_on_corpus():
     for A in index6_corpus(10, seed=4242):
         c1 = replay_first_proof(A)
