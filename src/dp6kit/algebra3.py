@@ -26,9 +26,9 @@ from math import isqrt
 
 from .errors import (DegenerateSubalgebra, FieldMismatch, NoQuadraticExtension,
                      NotSplitOverBase)
-from .fields import (FiniteField, GF, QQ, embed, field_arith, mat_det_field,
-                     mat_inv_field, mat_kernel, mat_solve, poly_is_squarefree,
-                     poly_roots, poly_trim, retract, rref)
+from .fields import (FiniteField, GF, QQ, embed, mat_det_field, mat_inv_field,
+                     mat_kernel, mat_solve, poly_is_squarefree, poly_roots,
+                     poly_trim, retract, rref)
 
 SPLIT_EXCHANGE = "split_exchange"
 HERMITIAN = "hermitian"
@@ -534,18 +534,18 @@ def cubic_from_generator(A, u):
     squarefree of degree 3."""
     if not A.is_symmetric(u):
         raise DegenerateSubalgebra("generator is not a symmetric element")
-    powers = [A.one, u, u * u]
-    if not _sym_independent(A, powers):
-        raise DegenerateSubalgebra("generator has degree < 3")
     t = A.trd_sym(u)
     s = A.s_sym(u)
     n = A.nrd_sym(u)
     f = A.field
     minpoly = poly_trim([-n, s, -t, f.one])
-    # degree 3 and independent powers: the characteristic polynomial is minimal
+    # the minimal polynomial divides the characteristic cubic and has all its
+    # roots; over a perfect field (finite or Q) a squarefree cubic therefore is
+    # the minimal polynomial, so 1, u, u^2 are independent.  A generator of
+    # degree < 3 has a repeated root and fails here.
     if not poly_is_squarefree(minpoly, f):
         raise DegenerateSubalgebra("minimal polynomial is not squarefree")
-    return CubicSub(algebra=A, basis=tuple(powers), generator=u, minpoly=minpoly)
+    return CubicSub(algebra=A, basis=(A.one, u, u * u), generator=u, minpoly=minpoly)
 
 
 def cubic_from_basis(A, elems):
@@ -707,7 +707,7 @@ def split_normalize(A, L):
     for s in spaces:
         v = s[0]
         pivot = next(i for i in range(3) if v[i])
-        pinv = field_arith(v[pivot], None, "inv")
+        pinv = field.one / v[pivot]
         v = [x * pinv for x in v]
         key = []
         for m in mats:

@@ -17,12 +17,11 @@ from __future__ import annotations
 from math import lcm
 
 from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_split_exchange,
-                       diagonal_cubic, m3_adjugate, split_normalize)
+                       diagonal_cubic, split_normalize)
 from .brauer import is_split_K
 from .errors import (EnumerationBudgetExceeded, InconsistentObservation,
                      NotAnAutomorphism, WrongLineCount)
-from .fields import (FiniteField, GF, embed, field_arith, mat_solve,
-                     poly_roots, rref)
+from .fields import FiniteField, GF, embed, mat_solve, poly_roots, rref
 from .hexagon import HexAut, t_hat
 from .intlattice import IntMat
 
@@ -246,7 +245,8 @@ def find_lines(surface, m=None):
     psi_rows = [[images[j][r][c] for j in range(7)]
                 for r in range(3) for c in range(3)]
     _, pivots = rref([list(r) for r in psi_rows], big)
-    assert len(pivots) == 7, "coordinate map must be injective"
+    if len(pivots) != 7:
+        raise WrongLineCount("coordinate map must be injective")
     lines = []
     for gens in _SPLIT_LINES:
         sol_rows = []
@@ -302,7 +302,8 @@ def _label_hexagon(lines, field):
     for k, i in enumerate(e_class):
         labels[i] = f"E{k + 1}"
         opp = [j for j in f_class if j not in adj[i]]
-        assert len(opp) == 1, "each line must have a unique opposite"
+        if len(opp) != 1:
+            raise WrongLineCount("each line must have a unique opposite")
         labels[opp[0]] = f"F{k + 1}"
     by_label = {labels[i]: lines[i] for i in range(n)}
     for lbl, ln in by_label.items():
@@ -402,39 +403,32 @@ class PointCountRecord:
                 f"predicted={self.predicted})")
 
 
-def _count_field_and_entries(surface, k):
-    """Counting field E, embedding table, and coefficient codes of the nine
-    entry linear forms of the point matrix."""
-    F = surface.field
-    ext = GF(F.p, F.k * k)
-    if surface.algebra.kind == HERMITIAN:
-        E = GF(F.p, F.k * lcm(k, 2))
-    else:
-        E = ext
-    sig = _sigma_matrices(surface, E)
-    emb = _embed_table(ext, E)
-    entries = []
-    for r in range(3):
-        for c in range(3):
-            terms = [(j, sig[j][r][c].code()) for j in range(7) if sig[j][r][c]]
-            entries.append(terms)
-    return ext, E, emb, entries
+def _rank_one_blocks(surface, k, budget):
+    """Walk P^6(F_{q^k}) once, one block per leading coordinate, through
+    exact integer multiplication tables.
 
-
-def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
-    """Exact number of points of the surface over F_{q^k} by enumeration of
-    P^6, vectorized through exact integer multiplication tables."""
+    Yields (ext, lead, mask): index i of the block is the point with zeros
+    before position lead, a 1 there, and the base-q^k digits of i (most
+    significant first) after it; mask[i] says whether its point matrix has
+    rank one, i.e. whether the point lies on the surface.
+    """
     import numpy as np
-    if not isinstance(surface.field, FiniteField):
+    F = surface.field
+    if not isinstance(F, FiniteField):
         raise EnumerationBudgetExceeded("counting needs a finite base field")
-    ext, E, emb, entries = _count_field_and_entries(surface, k)
+    ext = GF(F.p, F.k * k)
     Qp = ext.size
     total_pts = projective_count(Qp)
     if total_pts > budget:
         raise EnumerationBudgetExceeded(
             f"|P^6(F_{Qp})| = {total_pts} exceeds the budget {budget}")
+    # the point matrix lives over E, which must also contain K
+    E = GF(F.p, F.k * lcm(k, 2)) if surface.algebra.kind == HERMITIAN else ext
+    sig = _sigma_matrices(surface, E)
+    emb = _embed_table(ext, E)
+    entries = [[(j, sig[j][r][c].code()) for j in range(7) if sig[j][r][c]]
+               for r in range(3) for c in range(3)]
     add, mul, neg = _tables(E)
-    count = 0
     for lead in range(7):
         nfree = 6 - lead
         block = Qp ** nfree
@@ -450,14 +444,13 @@ def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
                 col = np.repeat(np.tile(np.arange(Qp, dtype=np.int64), tile), rep)
                 coords.append(col)
         coords = [emb[c] for c in coords]
-        ent_vals = []
+        mm = []
         for terms in entries:
             acc = np.zeros(block, dtype=np.int64)
             for j, code in terms:
                 prod = mul[code][coords[j]]
                 acc = add[acc, prod]
-            ent_vals.append(acc)
-        mm = [ent_vals[3 * i + j] for i in range(3) for j in range(3)]
+            mm.append(acc)
 
         def M(i, j):
             return mm[3 * i + j]
@@ -471,45 +464,31 @@ def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
                 good &= (minor == 0)
                 if not good.any():
                     break
-        count += int(good.sum())
-    return count
+        yield ext, lead, good
+
+
+def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
+    """Exact number of points of the surface over F_{q^k} by enumeration of
+    P^6."""
+    return sum(int(mask.sum()) for _, _, mask in _rank_one_blocks(surface, k, budget))
 
 
 def surface_points(surface, k=1, budget=DEFAULT_BUDGET):
-    """Explicit list of projective points over F_{q^k} (normalized leading 1).
+    """Explicit list of projective points over F_{q^k} (normalized leading 1),
+    in code order; the same enumeration as raw_point_count, decoded.
 
-    Scalar path for small fields; used for point-set work (line membership,
-    Segre comparison), with raw_point_count as the bulk counterpart.
+    Used for point-set work (line membership, Segre comparison).
     """
-    F = surface.field
-    ext = GF(F.p, F.k * k)
-    if surface.algebra.kind == HERMITIAN:
-        E = GF(F.p, F.k * lcm(k, 2))
-    else:
-        E = ext
-    Qp = ext.size
-    if projective_count(Qp) > budget:
-        raise EnumerationBudgetExceeded("point listing exceeds the budget")
-    sig = _sigma_matrices(surface, E)
-    emb = {c: embed(ext.from_code(c), E) for c in range(Qp)}
     pts = []
-    from itertools import product as iproduct
-    for lead in range(7):
-        for rest in iproduct(range(Qp), repeat=6 - lead):
-            coords = [ext.zero] * lead + [ext.one] + [ext.from_code(c) for c in rest]
-            ecoords = [emb[c.code()] for c in coords]
-            m = [[E.zero] * 3 for _ in range(3)]
-            for j in range(7):
-                cj = ecoords[j]
-                if cj:
-                    sj = sig[j]
-                    for r in range(3):
-                        for c in range(3):
-                            if sj[r][c]:
-                                m[r][c] = m[r][c] + sj[r][c] * cj
-            adj = m3_adjugate(tuple(tuple(row) for row in m))
-            if not any(adj[i][j] for i in range(3) for j in range(3)):
-                pts.append(tuple(coords))
+    for ext, lead, mask in _rank_one_blocks(surface, k, budget):
+        Qp = ext.size
+        head = [ext.zero] * lead + [ext.one]
+        for idx in mask.nonzero()[0].tolist():
+            rest = []
+            for _ in range(6 - lead):
+                idx, c = divmod(idx, Qp)
+                rest.append(ext.from_code(c))
+            pts.append(tuple(head + rest[::-1]))
     return pts
 
 
@@ -612,7 +591,7 @@ def verify_split_equivalence(surface, k=1):
     pts = surface_points(surface, k)
     normalized = set()
     for ptup in pts:
-        normalized.add(_proj_normalize(ptup, ext))
+        normalized.add(_proj_normalize(ptup))
     # Segre images of the biprojective model, in surface coordinates
     sig = _sigma_matrices(surface, ext)
     psi_rows = [[sig[j][r][c] for j in range(7)] for r in range(3) for c in range(3)]
@@ -626,13 +605,13 @@ def verify_split_equivalence(surface, k=1):
             sol = mat_solve([list(r) for r in psi_rows], target, ext)
             if sol is None:
                 return False
-            segre.add(_proj_normalize(tuple(sol), ext))
+            segre.add(_proj_normalize(tuple(sol)))
     return segre == normalized and len(segre) == len(pts)
 
 
-def _proj_normalize(coords, field):
+def _proj_normalize(coords):
     lead = next(i for i, c in enumerate(coords) if c)
-    inv = field_arith(coords[lead], None, "inv")
+    inv = coords[lead].inverse()
     return tuple((c * inv).code() for c in coords)
 
 

@@ -308,26 +308,6 @@ def GF(p, k=1):
     return _gf_cached(p, k)
 
 
-def field_arith(a, b, op):
-    """Single dispatch point for the basic field operations.
-
-    op is one of "add", "mul", "inv", "neg"; the unary ops ignore b.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        if isinstance(a, (Fraction, int)):
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return Fraction(1) / Fraction(a)
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def frobenius(x):
     """x -> x^p on a finite-field element; the k-th iterate is the identity."""
     if not isinstance(x, FFElem):
@@ -447,7 +427,7 @@ def poly_divmod(f, g, field):
     f = list(f)
     z = field.zero
     q = [z] * max(0, len(f) - len(g) + 1)
-    inv_lead = field_arith(g[-1], None, "inv")
+    inv_lead = field.one / g[-1]
     while len(poly_trim(f)) >= len(g):
         f = list(poly_trim(f))
         d = len(f) - len(g)
@@ -464,7 +444,7 @@ def poly_gcd_monic(f, g, field):
         f, g = g, poly_divmod(f, g, field)[1]
     if not f:
         return ()
-    return poly_scale(f, field_arith(f[-1], None, "inv"))
+    return poly_scale(f, field.one / f[-1])
 
 
 def poly_eval(f, x, field):
@@ -561,7 +541,7 @@ def rref(rows, field):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field_arith(m[r][c], None, "inv")
+        inv = field.one / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
@@ -635,7 +615,7 @@ def mat_det_field(rows, field):
             m[c], m[pr] = m[pr], m[c]
             det = -det
         det = det * m[c][c]
-        inv = field_arith(m[c][c], None, "inv")
+        inv = field.one / m[c][c]
         for i in range(c + 1, n):
             if m[i][c]:
                 f = m[i][c] * inv

@@ -1,16 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem,
-                             adjoint_sharp, build_hermitian,
+                             _sym_independent, adjoint_sharp, build_hermitian,
                              build_split_exchange, companion_matrix,
                              cubic_from_basis, cubic_from_generator,
                              diagonal_cubic, gram_matrix,
                              hermitian_cubic_generator, ideal_to_sym,
-                             m3_adjugate, m3_unit, orth_complement,
-                             split_exchange_sym, split_normalize, trace_form)
+                             m3_adjugate, m3_from_entries, m3_unit,
+                             orth_complement, split_exchange_sym,
+                             split_normalize, trace_form)
 from dp6kit.errors import (DegenerateSubalgebra, NoQuadraticExtension,
                            NotSplitOverBase)
 from dp6kit.fields import GF, QQ, mat_det_field, poly_roots
@@ -206,6 +208,42 @@ def test_cubic_from_generator_minpoly():
     L = cubic_from_generator(A, split_exchange_sym(A, cm))
     assert [c for c in L.minpoly] == [F(-6), F(11), F(-6), F(1)]
     assert poly_roots(L.minpoly, QQ) == [1, 2, 3]
+
+
+def _hermitian_candidates(B):
+    """Every candidate of hermitian_cubic_generator's search: Hermitian
+    matrices with base-field diagonal."""
+    ctx, f = B.ctx, B.field
+    for diag in itertools.product(f.elements(), repeat=3):
+        for off in itertools.product(ctx.K.elements(), repeat=3):
+            entries = {(i, i): ctx.embed_base(diag[i]) for i in range(3)}
+            for (i, j), x in zip(((0, 1), (0, 2), (1, 2)), off):
+                entries[(i, j)], entries[(j, i)] = x, ctx.conj(x)
+            yield AlgElem(B, m3_from_entries(entries, ctx.zero))
+
+
+def test_squarefree_charpoly_implies_independent_powers():
+    # the reason cubic_from_generator needs no separate rank check
+    B = build_hermitian(GF(2))
+    accepted = 0
+    for u in _hermitian_candidates(B):
+        assert B.is_symmetric(u)
+        try:
+            L = cubic_from_generator(B, u)
+        except DegenerateSubalgebra:
+            continue
+        accepted += 1
+        assert _sym_independent(B, [B.one, u, u * u])
+        assert L.basis == (B.one, u, u * u)
+    assert accepted
+
+
+def test_hermitian_degree_two_generator_rejected():
+    B = build_hermitian(GF(2))
+    e33 = AlgElem(B, m3_unit(2, 2, B.ctx.one, B.ctx.zero))  # (t - 1) t^2
+    assert B.is_symmetric(e33)
+    with pytest.raises(DegenerateSubalgebra):
+        cubic_from_generator(B, e33)
 
 
 def test_cubic_from_basis_diagonal_f2():

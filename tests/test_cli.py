@@ -55,6 +55,21 @@ def test_surface_unknown_model_builds_nothing(capsys, monkeypatch):
         "message": f"unknown model nope; choose from {dp6.TWIST_NAMES}"}
 
 
+def test_surface_lines_non_injective_coordinates(capsys, monkeypatch):
+    # two coordinates with the same image: a refusal, not an assert
+    real = dp6._sigma_matrices
+
+    def collapsed(surface, big):
+        sig = real(surface, big)
+        return [sig[0], sig[0]] + sig[2:]
+    monkeypatch.setattr(dp6, "_sigma_matrices", collapsed)
+    code, out = _run(capsys, ["surface", "lines", "--model", "split", "--q", "2"])
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "dp6kit/1", "error": "WrongLineCount",
+        "message": "coordinate map must be injective"}
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(dp6.__file__))
     probe = "import sys, dp6kit.cli; print('numpy' in sys.modules)"

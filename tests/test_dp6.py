@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -137,12 +138,26 @@ def test_count_examples(twists2):
     assert rec.raw == rec.predicted == 13
 
 
-def test_count_matches_point_list(twists2):
-    # vectorized counting against the scalar enumeration, both exact
-    for name in ("split", "ksplit-l21", "kinert-l3"):
-        s = twists2[name]
-        assert raw_point_count(s, 1) == len(surface_points(s, 1))
-    assert raw_point_count(twists2["split"], 2) == len(surface_points(twists2["split"], 2))
+def _quadric_zeros(surface):
+    """Independent oracle: every point of P^6(F_q) in code order (leading 1,
+    last coordinate fastest) at which all nine quadrics vanish."""
+    field = surface.field
+    pts = []
+    for lead in range(7):
+        for rest in itertools.product(field.elements(), repeat=6 - lead):
+            pt = (field.zero,) * lead + (field.one,) + rest
+            if not any(surface.evaluate(pt)):
+                pts.append(pt)
+    return pts
+
+
+def test_point_list_matches_quadric_oracle(twists2, twists3):
+    cases = [twists2[name] for name in TWIST_NAMES]
+    cases += [twists3["split"], twists3["kinert-l3"]]
+    for s in cases:
+        pts = surface_points(s, 1)
+        assert pts == _quadric_zeros(s)
+        assert raw_point_count(s, 1) == len(pts)
 
 
 def test_budget_exceeded(twists2):
