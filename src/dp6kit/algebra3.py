@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import (DegenerateSubalgebra, FieldMismatch, NoQuadraticExtension,
-                     NotSplitOverBase)
+from .errors import (DegenerateSubalgebra, FieldMismatch, InvariantViolation,
+                     NoQuadraticExtension, NotSplitOverBase)
 from .fields import (FiniteField, GF, QQ, embed, mat_det_field, mat_inv_field,
                      mat_kernel, mat_solve, poly_is_squarefree, poly_roots,
                      poly_trim, retract, rref)
@@ -582,7 +582,8 @@ def orth_complement(L):
         rows.append([trace_form(A, l, b) for b in A.sym_basis])
     basis_vecs = mat_kernel(rows, 9, A.field)
     out = [A.sym_from_coords(v) for v in basis_vecs]
-    assert len(out) == 6
+    if len(out) != 6:
+        raise InvariantViolation(f"Lperp has dimension {len(out)}, not 6")
     return out
 
 
@@ -687,7 +688,8 @@ def split_normalize(A, L):
                 img = [sum((m[i][t] * v[t] for t in range(3)), field.zero)
                        for i in range(3)]
                 sol = mat_solve(bmat, img, field)
-                assert sol is not None, "subspace not invariant under L"
+                if sol is None:
+                    raise InvariantViolation("subspace not invariant under L")
                 R_cols.append(sol)
             R = [[R_cols[j][i] for j in range(n)] for i in range(n)]
             for lam in _split_roots(_minpoly_square(R, n, field), field):
@@ -731,7 +733,7 @@ def split_normalize(A, L):
 def _elem_sort_key(x):
     from .fields import FFElem
     if isinstance(x, FFElem):
-        return (0, x.code())
+        return (0, x.code)
     return (1, Fraction(x))
 
 

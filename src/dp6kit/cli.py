@@ -39,67 +39,79 @@ def _quadfield(data):
         else brauer.QuadField.split()
 
 
+def _object(data, what):
+    if not isinstance(data, dict):
+        raise Dp6kitError(f"{what} must be a JSON object")
+    return data
+
+
+def _class(data, what="class"):
+    """A class payload: an object whose optional "primes" is an object."""
+    _object(_object(data, what).get("primes", {}), f'"primes" of the {what}')
+    return data
+
+
 def _cmd_brauer(args):
     op = args.op
+    data = _object(json.loads(args.payload), "payload")
     if op == "index":
-        u = brauer.from_json(json.loads(args.payload))
-        _emit({"index": brauer.index(u)})
+        _emit({"index": brauer.index(brauer.from_json(_class(data)))})
     elif op == "tensor":
-        data = json.loads(args.payload)
-        u = brauer.tensor(brauer.from_json(data["left"]), brauer.from_json(data["right"]))
+        u = brauer.tensor(brauer.from_json(_class(data["left"])),
+                          brauer.from_json(_class(data["right"])))
         _emit({"class": brauer.to_json(u)})
     elif op == "inverse":
-        u = brauer.inverse(brauer.from_json(json.loads(args.payload)))
+        u = brauer.inverse(brauer.from_json(_class(data)))
         _emit({"class": brauer.to_json(u)})
     elif op == "is-split":
-        u = brauer.from_json(json.loads(args.payload))
-        _emit({"split": brauer.is_split(u)})
+        _emit({"split": brauer.is_split(brauer.from_json(_class(data)))})
     elif op == "quaternion":
-        data = json.loads(args.payload)
         u = brauer.quaternion_class(Fraction(data["a"]), Fraction(data["b"]))
         _emit({"class": brauer.to_json(u)})
     elif op == "order3":
-        data = json.loads(args.payload)
         u = brauer.order3_class({int(p): Fraction(f)
-                                 for p, f in data["primes"].items()})
+                                 for p, f in _class(data)["primes"].items()})
         _emit({"class": brauer.to_json(u)})
     elif op == "hilbert":
-        data = json.loads(args.payload)
         v = data["place"]
         v = v if v == "inf" else int(v)
         _emit({"symbol": brauer.hilbert_symbol(Fraction(data["a"]),
                                                Fraction(data["b"]), v)})
     elif op == "splitting":
-        data = json.loads(args.payload)
         v = data["place"]
         v = v if v == "inf" else int(v)
         _emit({"splitting": brauer.splitting_in_quadratic(_quadfield(data), v)})
     elif op == "restriction":
-        data = json.loads(args.payload)
-        u = brauer.restriction(brauer.from_json(data["class"]), _quadfield(data))
+        u = brauer.restriction(brauer.from_json(_class(data["class"])), _quadfield(data))
         _emit({"classK": brauer.to_json_K(u)})
     elif op == "corestriction":
-        data = json.loads(args.payload)
-        u = brauer.corestriction(brauer.from_json_K(data["classK"]))
+        u = brauer.corestriction(brauer.from_json_K(_class(data["classK"])))
         _emit({"class": brauer.to_json(u)})
     elif op == "involution":
-        data = json.loads(args.payload)
-        u = brauer.from_json_K(data["classK"])
+        u = brauer.from_json_K(_class(data["classK"]))
         _emit({"admits": brauer.admits_unitary_involution(u)})
     elif op == "decompose":
-        u = brauer.from_json(json.loads(args.payload))
-        C, D = brauer.decompose_degree6(u)
+        C, D = brauer.decompose_degree6(brauer.from_json(_class(data)))
         _emit({"C": brauer.to_json(C), "D": brauer.to_json(D)})
     elif op == "chatelet":
-        u = brauer.from_json(json.loads(args.payload))
+        u = brauer.from_json(_class(data))
         _emit({"kernel": [brauer.to_json(v) for v in brauer.chatelet_kernel(u)]})
     else:
         raise Dp6kitError(f"unknown brauer op {op}")
     return 0
 
 
+def _int_matrix(text):
+    """A JSON array of rows of JSON integers (not floats, strings or booleans)."""
+    rows = json.loads(text)
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in rows)):
+        raise Dp6kitError("matrix must be a JSON array of rows of integers")
+    return intlattice.IntMat(rows)
+
+
 def _cmd_lattice(args):
-    M = intlattice.IntMat(json.loads(args.matrix))
+    M = _int_matrix(args.matrix)
     if args.op == "snf":
         S, U, V = intlattice.smith_normal_form(M)
         _emit({"S": _mat_json(S), "U": _mat_json(U), "V": _mat_json(V)})
@@ -164,7 +176,7 @@ def _cmd_surface(args):
 
 
 def _cmd_replay(args):
-    A = brauer.from_json(json.loads(args.algebra))
+    A = brauer.from_json(_class(json.loads(args.algebra), "algebra"))
     if args.proof == "first":
         cert = proofkit.replay_first_proof(A)
     elif args.proof == "second":

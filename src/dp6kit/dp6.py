@@ -16,13 +16,16 @@ from __future__ import annotations
 
 from math import lcm
 
-from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_split_exchange,
-                       diagonal_cubic, split_normalize)
+from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_exchange,
+                       companion_matrix, cubic_from_basis, cubic_from_generator,
+                       diagonal_cubic, hermitian_cubic_generator, orth_complement,
+                       split_exchange_sym, split_normalize)
 from .brauer import is_split_K
 from .errors import (EnumerationBudgetExceeded, InconsistentObservation,
                      NotAnAutomorphism, WrongLineCount)
-from .fields import FiniteField, GF, embed, mat_solve, poly_roots, rref
-from .hexagon import HexAut, t_hat
+from .fields import (FiniteField, GF, embed, format_element, is_prime, mat_solve,
+                     poly_is_squarefree, poly_roots, rref)
+from .hexagon import HexAut, hex_action, t_hat
 from .intlattice import IntMat
 
 DEFAULT_BUDGET = 600_000
@@ -35,9 +38,7 @@ class DP6Surface:
         self.algebra = algebra
         self.cubic = cubic
         self.field = algebra.field
-        perp = _orth(cubic)
-        self.coord_basis = [algebra.one] + perp
-        assert len(self.coord_basis) == 7
+        self.coord_basis = [algebra.one] + orth_complement(cubic)  # 1 + 6
         self.quadrics = self._quadrics()
         self.provenance = {
             "kind": algebra.kind,
@@ -93,7 +94,6 @@ class DP6Surface:
         return acc
 
     def descriptor_json(self):
-        from .fields import format_element
         return {
             "provenance": self.provenance,
             "quadrics": [{f"{i},{j}": format_element(c) for (i, j), c in form.items()}
@@ -102,11 +102,6 @@ class DP6Surface:
 
     def __repr__(self):
         return f"DP6Surface({self.provenance})"
-
-
-def _orth(cubic):
-    from .algebra3 import orth_complement
-    return orth_complement(cubic)
 
 
 def build_surface(algebra, cubic):
@@ -180,7 +175,7 @@ class LineOnSurface:
         self.label = label
 
     def key(self):
-        return tuple(x.code() for row in self.matrix for x in row)
+        return tuple(x.code for row in self.matrix for x in row)
 
     def __eq__(self, other):
         return isinstance(other, LineOnSurface) and other.matrix == self.matrix
@@ -232,7 +227,6 @@ def find_lines(surface, m=None):
     sig = _sigma_matrices(surface, big)
     # conjugate the transported L to the diagonal subalgebra
     Abig = build_split_exchange(big)
-    from .algebra3 import cubic_from_basis, split_exchange_sym
     Lmats = []
     for b in surface.cubic.basis:
         mdat = b.data[0] if surface.algebra.kind == SPLIT_EXCHANGE else b.data
@@ -352,29 +346,20 @@ _TABLE_CACHE = {}
 
 
 def _tables(E):
+    # code-indexed memo of FFElem's own + * - on the counting field E
     import numpy as np
-    if E in _TABLE_CACHE:
-        return _TABLE_CACHE[E]
-    Q = E.size
-    elems = E.elements()
-    add = np.zeros((Q, Q), dtype=np.int32)
-    mul = np.zeros((Q, Q), dtype=np.int32)
-    for a in range(Q):
-        ea = elems[a]
-        for b in range(a, Q):
-            s = (ea + elems[b]).code()
-            m = (ea * elems[b]).code()
-            add[a, b] = add[b, a] = s
-            mul[a, b] = mul[b, a] = m
-    neg = np.array([(-e).code() for e in elems], dtype=np.int32)
-    _TABLE_CACHE[E] = (add, mul, neg)
-    return add, mul, neg
+    if E not in _TABLE_CACHE:
+        elems = E.elements()
+        _TABLE_CACHE[E] = (
+            np.array([[(a + b).code for b in elems] for a in elems], dtype=np.int32),
+            np.array([[(a * b).code for b in elems] for a in elems], dtype=np.int32),
+            np.array([(-a).code for a in elems], dtype=np.int32))
+    return _TABLE_CACHE[E]
 
 
 def _embed_table(src, tgt):
     import numpy as np
-    return np.array([embed(src.from_code(c), tgt).code() for c in range(src.size)],
-                    dtype=np.int32)
+    return np.array([embed(x, tgt).code for x in src.elements()], dtype=np.int32)
 
 
 def projective_count(npoints_field):
@@ -416,17 +401,17 @@ def _rank_one_blocks(surface, k, budget):
     F = surface.field
     if not isinstance(F, FiniteField):
         raise EnumerationBudgetExceeded("counting needs a finite base field")
-    ext = GF(F.p, F.k * k)
-    Qp = ext.size
+    Qp = F.size ** k
     total_pts = projective_count(Qp)
-    if total_pts > budget:
+    if total_pts > budget:  # checked before any field of size Qp is built
         raise EnumerationBudgetExceeded(
             f"|P^6(F_{Qp})| = {total_pts} exceeds the budget {budget}")
+    ext = GF(F.p, F.k * k)
     # the point matrix lives over E, which must also contain K
     E = GF(F.p, F.k * lcm(k, 2)) if surface.algebra.kind == HERMITIAN else ext
     sig = _sigma_matrices(surface, E)
     emb = _embed_table(ext, E)
-    entries = [[(j, sig[j][r][c].code()) for j in range(7) if sig[j][r][c]]
+    entries = [[(j, sig[j][r][c].code) for j in range(7) if sig[j][r][c]]
                for r in range(3) for c in range(3)]
     add, mul, neg = _tables(E)
     for lead in range(7):
@@ -484,11 +469,8 @@ def surface_points(surface, k=1, budget=DEFAULT_BUDGET):
         Qp = ext.size
         head = [ext.zero] * lead + [ext.one]
         for idx in mask.nonzero()[0].tolist():
-            rest = []
-            for _ in range(6 - lead):
-                idx, c = divmod(idx, Qp)
-                rest.append(ext.from_code(c))
-            pts.append(tuple(head + rest[::-1]))
+            pts.append(tuple(head + [ext.from_code(idx // Qp ** i)
+                                     for i in range(5 - lead, -1, -1)]))
     return pts
 
 
@@ -503,7 +485,6 @@ def count_points(surface, k=1, budget=DEFAULT_BUDGET):
 
 
 def predicted_count(q, k, phi):
-    from .hexagon import hex_action
     power = HexAut.identity()
     for _ in range(k):
         power = phi.compose(power)
@@ -528,7 +509,6 @@ def zeta_check(surface, ks=None, budget=DEFAULT_BUDGET):
 
 
 def _parse_prime_power(q):
-    from .fields import is_prime
     for p in range(2, q + 1):
         if is_prime(p) and q % p == 0:
             e = 0
@@ -586,9 +566,9 @@ def verify_split_equivalence(surface, k=1):
     model through the Segre map, checked as equality of point sets."""
     if surface.provenance["kind"] != SPLIT_EXCHANGE:
         raise WrongLineCount("equivalence check applies to split provenance")
+    pts = surface_points(surface, k)
     F = surface.field
     ext = GF(F.p, F.k * k)
-    pts = surface_points(surface, k)
     normalized = set()
     for ptup in pts:
         normalized.add(_proj_normalize(ptup))
@@ -612,7 +592,7 @@ def verify_split_equivalence(surface, k=1):
 def _proj_normalize(coords):
     lead = next(i for i, c in enumerate(coords) if c)
     inv = coords[lead].inverse()
-    return tuple((c * inv).code() for c in coords)
+    return tuple((c * inv).code for c in coords)
 
 
 # ---------------------------------------------------------------------------
@@ -686,14 +666,9 @@ def lemma_number_check(K, B_class, observed):
 def _cubic_with_root_count(field, want):
     """Deterministic monic squarefree cubic over the field with the requested
     number of roots (code order search)."""
-    from .fields import poly_is_squarefree
     Q = field.size
     for code in range(Q ** 3):
-        c = code
-        coeffs = []
-        for _ in range(3):
-            coeffs.append(field.from_code(c % Q))
-            c //= Q
+        coeffs = [field.from_code(code // Q ** i) for i in range(3)]
         f = tuple(coeffs) + (field.one,)
         if not poly_is_squarefree(f, field):
             continue
@@ -704,9 +679,6 @@ def _cubic_with_root_count(field, want):
 
 def standard_twists(field):
     """The six (K, L) combinations over a finite field, as named surfaces."""
-    from .algebra3 import (build_hermitian, companion_matrix,
-                           cubic_from_generator, hermitian_cubic_generator,
-                           split_exchange_sym)
     out = {}
     A = build_split_exchange(field)
     out["split"] = build_surface(A, diagonal_cubic(A))

@@ -61,5 +61,9 @@ class IndexMismatch(Dp6kitError):
     """Proof replay requires an algebra class of index 6."""
 
 
+class InvariantViolation(Dp6kitError):
+    """A computed result breaks an identity that holds by theory (a bug)."""
+
+
 class MalformedCase(Dp6kitError):
     """Surface case payload violates its declared shape."""

@@ -7,6 +7,21 @@ field with one fixed defining polynomial per (p, k), chosen as the
 lexicographically smallest monic irreducible, so serialized elements are
 reproducible across runs.
 
+An element of F_{p^k} is an integer code in range(p^k): the coefficients
+(c0, ..., c_{k-1}) of its polynomial representative read as base-p digits,
+c0 least significant.  The code order is the canonical element order.  Each
+field builds three int tables once, by walking the powers of g, its
+smallest-code primitive element (Zech logarithms; K. Huber, "Some comments
+on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990):
+
+* ``exp[i]`` is the code of g^i, stored for 0 <= i < 2(Q - 1), twice over,
+  so the sum of two logarithms needs no reduction;
+* ``log[c]`` is the logarithm of the nonzero code c, the inverse of ``exp``;
+* ``zech[n]`` is log(1 + g^n), or -1 where 1 + g^n = 0.
+
+Then g^i * g^j = g^(i + j) and g^i + g^j = g^(i + zech[j - i]), so every
+operation on elements is a few list lookups and no polynomial arithmetic.
+
 The module also provides univariate polynomial helpers and dense linear
 algebra over any of these fields (elements only need +, -, *, / and ==).
 """
@@ -37,7 +52,8 @@ def is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# internal polynomial arithmetic on int-coefficient tuples modulo p
+# internal polynomial arithmetic on int-coefficient tuples modulo p: the
+# irreducibility search and the one-time walk that builds a field's tables
 
 
 def _ptrim(c):
@@ -45,12 +61,6 @@ def _ptrim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim((((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p)
-                  for i in range(n))
 
 
 def _pmul(a, b, p):
@@ -85,21 +95,6 @@ def _pmod(a, m, p):
     return _pdivmod(a, m, p)[1]
 
 
-def _pinv(a, m, p):
-    # inverse of a modulo the monic polynomial m, via extended Euclid
-    if not _ptrim(a):
-        raise DivisionByZero("inverse of zero")
-    r0, r1 = _ptrim(m), _ptrim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pmul(tuple(-c % p for c in q), s1, p), p)
-    # r0 is the gcd, a nonzero constant since m is irreducible
-    c_inv = pow(r0[0], p - 2, p)
-    return _ptrim(tuple((c_inv * c) % p for c in s0))
-
-
 def _int_poly_is_irreducible(f, p):
     """Trial division of the monic int-tuple poly f by all lower-degree monics."""
     deg = len(f) - 1
@@ -128,6 +123,39 @@ def _find_irreducible_ints(p, k):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _ppow(a, n, m, p):
+    out = (1,)
+    for bit in bin(n)[2:]:
+        out = _pmod(_pmul(out, out, p), m, p)
+        if bit == "1":
+            out = _pmod(_pmul(out, a, p), m, p)
+    return out
+
+
+def _log_tables(p, k, modulus):
+    """(exp, log, zech) of F_p[x]/(modulus) on its smallest-code primitive
+    element g: the first candidate in code order with g^((Q-1)/r) != 1 for
+    every prime r | Q - 1, whose powers are then walked once."""
+    Q = p ** k
+    weights = [p ** i for i in range(k)]
+    cofactors = [(Q - 1) // r for r in range(2, Q) if (Q - 1) % r == 0 and is_prime(r)]
+    for cand in range(1, Q):
+        g = tuple(cand // w % p for w in weights)
+        if all(_ppow(g, e, modulus, p) != (1,) for e in cofactors):
+            break
+    exp, power = [1], (1,)
+    for _ in range(Q - 2):
+        power = _pmod(_pmul(power, g, p), modulus, p)
+        exp.append(sum(c * w for c, w in zip(power, weights)))
+    log = [0] * Q
+    for i, c in enumerate(exp):
+        log[c] = i
+    # 1 + c only changes the lowest digit of c
+    plus_one = (c - c % p + (c + 1) % p for c in exp)
+    zech = [log[s] if s else -1 for s in plus_one]
+    return exp + exp, log, zech
+
+
 # ---------------------------------------------------------------------------
 # field objects
 
@@ -152,75 +180,69 @@ QQ = RationalField()
 
 
 class FFElem:
-    """Element of F_{p^k}, stored as a coefficient tuple over the prime field."""
+    """Element of F_{p^k}: its field and its integer code; every operation is
+    a few lookups in the field's exp/log/Zech tables."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, code):
         self.field = field
-        self.coeffs = coeffs  # trimmed-free fixed length k tuple
+        self.code = code
 
-    def _check(self, other):
-        if not isinstance(other, FFElem):
-            raise FieldMismatch(f"cannot combine {other!r} with {self!r}")
-        if other.field is not self.field:
-            raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
-
-    def _coerce(self, other):
+    def _code_of(self, other):
+        # the code of an operand: an element of the same field, or an int
+        if isinstance(other, FFElem):
+            if other.field is not self.field:
+                raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
+            return other.code
         if isinstance(other, int):
-            return self.field.from_int(other)
-        self._check(other)
-        return other
+            return other % self.field.p
+        raise FieldMismatch(f"cannot combine {other!r} with {self!r}")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        p = self.field.p
-        return FFElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        f = self.field
+        return FFElem(f, f._add(self.code, self._code_of(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FFElem(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        return FFElem(f, f._neg(self.code))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
         f = self.field
-        prod = _pmod(_pmul(self.coeffs, o.coeffs, f.p), f.modulus, f.p)
-        return FFElem(f, prod + (0,) * (f.k - len(prod)))
+        b = self._code_of(other)
+        if not (self.code and b):
+            return f.zero
+        return FFElem(f, f.exp[f.log[self.code] + f.log[b]])
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
-            raise DivisionByZero("inverse of zero in " + repr(self.field))
         f = self.field
-        inv = _pinv(self.coeffs, f.modulus, f.p)
-        return FFElem(f, inv + (0,) * (f.k - len(inv)))
+        if not self.code:
+            raise DivisionByZero("inverse of zero in " + repr(f))
+        return FFElem(f, f.exp[f.size - 1 - f.log[self.code]])
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        return self * FFElem(self.field, self._code_of(other)).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        f = self.field
+        if not self.code:
+            if n < 0:
+                raise DivisionByZero("inverse of zero in " + repr(f))
+            return f.zero if n else f.one
+        return FFElem(f, f.exp[f.log[self.code] * n % (f.size - 1)])
 
     def frobenius(self):
         """x -> x^p, the arithmetic Frobenius over the prime field."""
@@ -228,29 +250,34 @@ class FFElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.field.from_int(other)
+            return self.code == other % self.field.p
         return (isinstance(other, FFElem) and other.field is self.field
-                and other.coeffs == self.coeffs)
+                and other.code == self.code)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash(self.code)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
-    def code(self):
-        """Integer code sum(c_i * p^i), a bijection with range(p^k)."""
-        c = 0
-        for a in reversed(self.coeffs):
-            c = c * self.field.p + a
-        return c
+    @property
+    def coeffs(self):
+        """Coefficients (c0, ..., c_{k-1}) over the prime field: the base-p
+        digits of the code."""
+        p, c = self.field.p, self.code
+        return tuple(c // p ** i % p for i in range(self.field.k))
 
     def __repr__(self):
         return format_element(self)
 
 
+# the three tables cost about 90 bytes per element
+_MAX_FIELD_SIZE = 1 << 22
+
+
 class FiniteField:
-    """F_{p^k} = F_p[x]/(m(x)) with the canonical defining polynomial m.
+    """F_{p^k} = F_p[x]/(m(x)) with the canonical defining polynomial m and
+    its exp/log/Zech tables (see the module docstring).
 
     Instances are interned per (p, k) through GF(); always compare by identity.
     """
@@ -263,37 +290,47 @@ class FiniteField:
         self.p = p
         self.k = k
         self.size = p ** k
+        if self.size > _MAX_FIELD_SIZE:
+            raise ValueError(f"GF({p}^{k}) is too large for its log tables "
+                             f"(more than {_MAX_FIELD_SIZE} elements)")
         self.char = p
-        irr = _find_irreducible_ints(p, k)
-        self.modulus = irr  # length k+1, monic
-        self.zero = FFElem(self, (0,) * k)
-        self.one = FFElem(self, (1,) + (0,) * (k - 1)) if k > 1 else FFElem(self, (1 % p,))
+        self.modulus = _find_irreducible_ints(p, k)  # length k+1, monic
+        self.exp, self.log, self.zech = _log_tables(p, k, self.modulus)
+        self.zero = FFElem(self, 0)
+        self.one = FFElem(self, 1)
+
+    def _add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        z = self.zech[self.log[b] - la]  # a negative index wraps mod Q - 1
+        return self.exp[la + z] if z >= 0 else 0
+
+    def _neg(self, a):
+        # -1 is the constant p - 1
+        return self.exp[self.log[a] + self.log[self.p - 1]] if a else 0
 
     def from_int(self, n):
-        return FFElem(self, (n % self.p,) + (0,) * (self.k - 1))
+        return FFElem(self, n % self.p)
 
     def elem(self, coeffs):
-        coeffs = tuple(c % self.p for c in coeffs)
+        coeffs = [c % self.p for c in coeffs]
         if len(coeffs) != self.k:
             raise ValueError(f"need exactly {self.k} coefficients")
-        return FFElem(self, coeffs)
+        return FFElem(self, sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
     def gen(self):
         """Class of x, a generator of the extension (for k = 1 this is 0)."""
-        if self.k == 1:
-            return self.zero
-        return FFElem(self, (0, 1) + (0,) * (self.k - 2))
+        return FFElem(self, self.p if self.k > 1 else 0)
 
     def from_code(self, c):
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(c % self.p)
-            c //= self.p
-        return FFElem(self, tuple(coeffs))
+        return FFElem(self, c % self.size)
 
     def elements(self):
         """All elements in code order (deterministic)."""
-        return [self.from_code(c) for c in range(self.size)]
+        return [FFElem(self, c) for c in range(self.size)]
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
@@ -316,44 +353,40 @@ def frobenius(x):
 
 
 @lru_cache(maxsize=None)
-def _embedding_root(src, tgt):
-    # smallest-code root in tgt of the defining polynomial of src
+def _embedding_log(src, tgt):
+    # log in tgt of the image of src's primitive element under the embedding
+    # that sends x to the smallest-code root of src's defining polynomial
     if src.p != tgt.p or tgt.k % src.k:
         raise FieldMismatch(f"no embedding {src} -> {tgt}")
-    coeffs = [tgt.from_int(c) for c in src.modulus]
-    for c in range(tgt.size):
-        x = tgt.from_code(c)
-        acc = tgt.zero
-        for a in reversed(coeffs):
-            acc = acc * x + a
-        if not acc:
-            return x
-    raise AssertionError("defining polynomial has no root in the extension")
+    modulus = [tgt.from_int(c) for c in src.modulus]
+    root = next(x for x in tgt.elements() if not poly_eval(modulus, x, tgt))
+    g = [tgt.from_int(c) for c in FFElem(src, src.exp[1]).coeffs]
+    return tgt.log[poly_eval(g, root, tgt).code]
 
 
 def embed(x, target):
     """Canonical embedding F_{p^j} -> F_{p^k} for j | k (smallest-code root)."""
     if not isinstance(x, FFElem):
         raise FieldMismatch("embed expects a finite-field element")
-    if x.field is target:
+    src = x.field
+    if src is target:
         return x
-    r = _embedding_root(x.field, target)
-    acc = target.zero
-    for a in reversed(x.coeffs):
-        acc = acc * r + target.from_int(a)
-    return acc
+    e = _embedding_log(src, target)
+    if not x.code:
+        return target.zero
+    return FFElem(target, target.exp[e * src.log[x.code] % (target.size - 1)])
 
 
 @lru_cache(maxsize=None)
 def _retraction_table(src, tgt):
-    return {embed(e, tgt).coeffs: e for e in src.elements()}
+    return {embed(e, tgt).code: e for e in src.elements()}
 
 
 def retract(x, source):
     """Inverse of embed() on its image; raises if x is not in the subfield."""
     table = _retraction_table(source, x.field)
     try:
-        return table[x.coeffs]
+        return table[x.code]
     except KeyError:
         raise FieldMismatch(f"{x!r} is not in {source}") from None
 
@@ -397,13 +430,6 @@ def poly_trim(cs):
 
 def poly_deg(f):
     return len(f) - 1  # -1 for the zero polynomial
-
-
-def poly_add(f, g, field):
-    n = max(len(f), len(g))
-    z = field.zero
-    return poly_trim([(f[i] if i < len(f) else z) + (g[i] if i < len(g) else z)
-                      for i in range(n)])
 
 
 def poly_scale(f, c):
@@ -455,14 +481,7 @@ def poly_eval(f, x, field):
 
 
 def poly_deriv(f, field):
-    out = []
-    for i in range(1, len(f)):
-        c = f[i]
-        acc = field.zero
-        for _ in range(i):
-            acc = acc + c
-        out.append(acc)
-    return poly_trim(out)
+    return poly_trim([f[i] * i for i in range(1, len(f))])
 
 
 def poly_is_squarefree(f, field):
@@ -503,8 +522,7 @@ def poly_roots(f, field):
     if poly_deg(f) <= 0:
         return []
     if isinstance(field, FiniteField):
-        return [x for c in range(field.size)
-                if not poly_eval(f, (x := field.from_code(c)), field)]
+        return [x for x in field.elements() if not poly_eval(f, x, field)]
     # rationals: scale coefficients to integers, then p/q with p | a0, q | an
     den = lcm(*(Fraction(c).denominator for c in f))
     ints = [int(Fraction(c) * den) for c in f]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import Dp6kitError
+from .errors import Dp6kitError, InvariantViolation
 from .intlattice import (FiniteGroup, GLattice, IntMat, LatticeMap,
                          equivariant_iso_search, fixed_rank_by_traces,
                          fixed_submodule, h1, is_exact, kernel_basis,
@@ -154,7 +154,8 @@ def hexagon_group():
 def subgroups():
     """All 16 subgroups in canonical (order, label list) order."""
     subs = hexagon_group().all_subgroups()
-    assert len(subs) == 16
+    if len(subs) != 16:
+        raise InvariantViolation(f"S2 x S3 has 16 subgroups, found {len(subs)}")
     return tuple(subs)
 
 
@@ -311,10 +312,8 @@ def trace_table():
         m = hex_action(g)
         tr = sum(m.data[i][i] for i in range(4))
         key = conjugacy_class_key(g)
-        if key in out:
-            assert out[key] == tr
-        else:
-            out[key] = tr
+        if out.setdefault(key, tr) != tr:
+            raise InvariantViolation(f"trace is not a class function at {key}")
     return out
 
 

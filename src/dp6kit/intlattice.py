@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-from .errors import CompositionMismatch
+from .errors import CompositionMismatch, InvariantViolation
 
 
 class IntMat:
@@ -84,12 +84,6 @@ class IntMat:
         return [sum(self.data[i][k] * vec[k] for k in range(self.cols))
                 for i in range(self.rows)]
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return IntMat([r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                      rows=self.rows, cols=self.cols + other.cols)
-
     def det(self):
         """Bareiss fraction-free determinant."""
         if self.rows != self.cols:
@@ -144,7 +138,8 @@ def inverse_unimodular(M):
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
     out = [[x for x in row[n:]] for row in aug]
-    assert all(x.denominator == 1 for row in out for x in row)
+    if any(x.denominator != 1 for row in out for x in row):
+        raise InvariantViolation("matrix is not unimodular: its inverse is not integral")
     return IntMat([[int(x) for x in row] for row in out], rows=n, cols=n)
 
 
@@ -557,7 +552,8 @@ def fixed_submodule(L, G):
 def fixed_rank_by_traces(L, G):
     """Multiplicity of the trivial character: (1/|G|) sum of traces."""
     total = sum(sum(L.action[g].data[i][i] for i in range(L.rank)) for g in G.labels)
-    assert total % G.order == 0
+    if total % G.order:
+        raise InvariantViolation(f"trace sum {total} is not divisible by |G| = {G.order}")
     return total // G.order
 
 
@@ -630,12 +626,14 @@ def h1(L, G):
     X_cols = []
     for col in cob_cols:
         x = solve_integer(Z, col)
-        assert x is not None, "coboundary not a cocycle (bug)"
+        if x is None:
+            raise InvariantViolation("coboundary not a cocycle")
         X_cols.append(x)
     X = mat_from_columns(X_cols, Z.cols)
     diag = snf_diagonal(X)
     free = Z.cols - len(diag)
-    assert free == 0, "H^1 of a finite group on a lattice must be finite"
+    if free:
+        raise InvariantViolation("H^1 of a finite group on a lattice must be finite")
     return sorted(d for d in diag if d > 1)
 
 

@@ -310,7 +310,7 @@ def test_ideal_to_sym():
     for u in plane:
         for w in plane:
             m = ideal_to_sym(A, u, w).data[0]
-            seen.add(tuple(x.code() for row in m for x in row))
+            seen.add(tuple(x.code for row in m for x in row))
     assert len(seen) == 49
 
 

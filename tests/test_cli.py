@@ -79,6 +79,29 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "snf", "[[0.5]]"],
+    ["lattice", "snf", "[[2.5,1],[0,3]]"],
+    ["lattice", "hnf", "[[true,2]]"],
+    ["lattice", "snf", "[1,2]"],
+    ["brauer", "index", "[1]"],
+    ["brauer", "index", '{"primes":[1]}'],
+    ["replay", "--proof", "first", "--algebra", "[1]"],
+], ids=lambda argv: " ".join(argv[:2] + argv[-1:]))
+def test_malformed_payload_gives_error_json(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "Dp6kitError" and "must be a JSON" in data["message"]
+
+
+def test_surface_count_over_budget(capsys):
+    code, out = _run(capsys, ["surface", "count", "--model", "split", "--q", "2",
+                              "--k", "24"])
+    assert code == 1
+    assert json.loads(out)["error"] == "EnumerationBudgetExceeded"
+
+
 def test_lattice_snf(capsys):
     code, out = _run(capsys, ["lattice", "snf", "[[2,0],[0,3]]"])
     assert code == 0

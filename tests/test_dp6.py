@@ -9,6 +9,7 @@ from dp6kit.algebra3 import (build_split_exchange, companion_matrix,
                              ideal_to_sym, split_exchange_sym)
 from dp6kit.brauer import (QuadField, invariant_vector_K, order3_class,
                            restriction)
+from dp6kit import dp6
 from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
                         find_lines, frobenius_on_lines, lemma_number_check,
                         predicted_count, raw_point_count, split_model_points,
@@ -165,6 +166,20 @@ def test_budget_exceeded(twists2):
         raw_point_count(twists2["split"], 7)
     with pytest.raises(EnumerationBudgetExceeded):
         raw_point_count(twists2["split"], 2, budget=100)
+
+
+@pytest.mark.parametrize("check", [raw_point_count, surface_points,
+                                   verify_split_equivalence])
+def test_budget_checked_before_the_field_is_built(twists2, monkeypatch, check):
+    built = []
+
+    def spy(p, k=1):
+        built.append((p, k))
+        return GF(p, k)
+    monkeypatch.setattr(dp6, "GF", spy)
+    with pytest.raises(EnumerationBudgetExceeded):
+        check(twists2["split"], 24)
+    assert built == []
 
 
 def test_verify_split_equivalence(twists2, twists3):

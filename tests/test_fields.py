@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dp6kit.errors import DivisionByZero, FieldMismatch
-from dp6kit.fields import (GF, QQ, embed, find_irreducible, format_element,
-                           frobenius, mat_det_field, mat_kernel, mat_solve,
-                           parse_element, poly_divmod, poly_eval,
+from dp6kit.fields import (GF, QQ, _pmod, _pmul, embed, find_irreducible,
+                           format_element, frobenius, mat_det_field, mat_kernel,
+                           mat_solve, parse_element, poly_divmod, poly_eval,
                            poly_from_ints, poly_gcd_monic, poly_is_squarefree,
                            poly_mul, poly_roots, retract, rref)
 
@@ -49,6 +49,11 @@ def test_field_mismatch():
         GF(2).one + GF(3).one
     with pytest.raises(FieldMismatch):
         GF(2, 2).one * GF(2, 3).one
+
+
+def test_field_too_large_for_tables_is_refused_at_once():
+    with pytest.raises(ValueError, match="too large"):
+        GF(2, 30)  # no degree-30 irreducible search, no 2^30-entry tables
 
 
 def test_find_irreducible_examples():
@@ -164,3 +169,72 @@ def test_linear_algebra_over_fields():
     assert sol[0] * F5.from_int(2) == F5.from_int(3)
     r, pivots = rref([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]], QQ)
     assert pivots == [0]
+
+
+# ---------------------------------------------------------------------------
+# the table arithmetic against the tuple-polynomial oracle
+
+SMALL = [GF(2), GF(2, 2), GF(2, 3), GF(2, 4), GF(3), GF(3, 2), GF(3, 3),
+         GF(5, 2), GF(7)]
+
+
+def _tuple_product(field, a, b):
+    prod = _pmod(_pmul(a.coeffs, b.coeffs, field.p), field.modulus, field.p)
+    return prod + (0,) * (field.k - len(prod))
+
+
+@pytest.mark.parametrize("field", SMALL, ids=repr)
+def test_every_pair_matches_tuple_arithmetic(field):
+    p = field.p
+    elems = field.elements()
+    for a in elems:
+        for b in elems:
+            assert (a * b).coeffs == _tuple_product(field, a, b)
+            pairs = list(zip(a.coeffs, b.coeffs))
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in pairs)
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in pairs)
+
+
+@pytest.mark.parametrize("field", SMALL, ids=repr)
+def test_inverse_negation_and_powers(field):
+    for x in field.elements():
+        assert -x + x == field.zero
+        if x:
+            assert x * x.inverse() == field.one
+            assert field.one / x == x.inverse()
+        acc = field.one
+        for n in range(2 * field.size + 1):
+            assert x ** n == acc
+            acc = acc * x
+        if x:
+            acc = field.one
+            for n in range(1, 4):
+                acc = acc * x.inverse()
+                assert x ** -n == acc
+        else:
+            with pytest.raises(DivisionByZero):
+                x ** -1
+
+
+@pytest.mark.parametrize("field", SMALL, ids=repr)
+def test_codes_and_coefficients_agree(field):
+    elems = field.elements()
+    assert [x.code for x in elems] == list(range(field.size))
+    assert [field.elem(x.coeffs) for x in elems] == elems
+
+
+@pytest.mark.parametrize("field", [GF(2, 4), GF(3, 3), GF(5, 2), GF(2, 6)], ids=repr)
+def test_products_match_sympy_galoistools(field):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    p = field.p
+    modulus = list(reversed(field.modulus))  # sympy lists the leading coefficient first
+    rng = random.Random(11)
+    for _ in range(300):
+        a = field.from_code(rng.randrange(field.size))
+        b = field.from_code(rng.randrange(field.size))
+        prod = galoistools.gf_rem(galoistools.gf_mul(list(reversed(a.coeffs)),
+                                                     list(reversed(b.coeffs)), p, ZZ),
+                                  modulus, p, ZZ)
+        want = tuple(reversed(prod)) + (0,) * (field.k - len(prod))
+        assert (a * b).coeffs == want

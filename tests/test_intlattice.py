@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from dp6kit.errors import CompositionMismatch
+from dp6kit.errors import CompositionMismatch, InvariantViolation
 from dp6kit.hexagon import (hexagon_group, perm_k, perm_kl, perm_l,
                             pic_lattice, subgroups)
 from dp6kit.intlattice import (FiniteGroup, GLattice, IntMat, LatticeMap,
                                equivariant_iso_search, fixed_rank_by_traces,
-                               fixed_submodule, h1, is_exact, kernel_basis,
-                               row_hnf, saturation, smith_normal_form,
-                               solve_integer)
+                               fixed_submodule, h1, inverse_unimodular, is_exact,
+                               kernel_basis, row_hnf, saturation,
+                               smith_normal_form, solve_integer)
 
 
 def _z2():
@@ -166,3 +166,9 @@ def test_hexagon_group_structure():
     from collections import Counter
     orders = Counter(s.order for s in subgroups())
     assert orders == Counter({1: 1, 2: 7, 3: 1, 4: 3, 6: 3, 12: 1})
+
+
+def test_non_unimodular_inverse_is_refused():
+    # a result guard that python -O keeps: 1/2 is not an integer
+    with pytest.raises(InvariantViolation):
+        inverse_unimodular(IntMat([[2]]))
