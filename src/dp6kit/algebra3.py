@@ -165,7 +165,7 @@ class _FiniteQuadExt:
             z = self.K.from_code(c)
             if self.conj(z) != z:
                 return z
-        raise AssertionError("no generator of K over F")
+        raise InvariantViolation("no generator of K over F")
 
     def from_int(self, n):
         return self.K.from_int(n)
@@ -648,7 +648,7 @@ def _minpoly_square(R, n, field):
         sol = mat_solve(cols, flat[deg], field)
         if sol is not None:
             return poly_trim(list(-c for c in sol) + [field.one])
-    raise AssertionError("matrix with no minimal polynomial")
+    raise InvariantViolation("matrix with no minimal polynomial")
 
 
 def _split_roots(f, field):
@@ -726,7 +726,7 @@ def split_normalize(A, L):
     c = tuple(tuple(r) for r in P_inv_rows)
     cert = SplitCertificate(algebra=A, conjugator=c, inverse=P)
     if not cert.verify(L):
-        raise AssertionError("normalization certificate failed verification")
+        raise InvariantViolation("normalization certificate failed verification")
     return cert
 
 
@@ -776,6 +776,10 @@ def hermitian_cubic_generator(A, root_counts):
 
     Candidates are walked in code order and the first match is recorded in
     the resulting CubicSub, which keeps serialized surfaces reproducible.
+    The code's digits, least significant first, are the three diagonal
+    entries (base q) and the (0,1), (0,2), (1,2) entries (base q^2).  For
+    root_counts == 0 the walk starts at code q^5, skipping every candidate
+    whose (0,2) and (1,2) entries are both zero; none of those can match.
     """
     if A.kind != HERMITIAN:
         raise FieldMismatch("expects the hermitian model")
@@ -784,7 +788,10 @@ def hermitian_cubic_generator(A, root_counts):
         raise FieldMismatch("generator search runs over finite fields")
     ctx = A.ctx
     q = f.size
-    for code in range(q ** 3 * ctx.K.size ** 3):
+    # below q^5 the (0,2) and (1,2) entries are zero, so the matrix is block
+    # diagonal and its (2,2) entry, in F, is a root: no zero-root match there
+    start = q ** 5 if root_counts == 0 else 0
+    for code in range(start, q ** 3 * ctx.K.size ** 3):
         c = code
         diag = []
         for _ in range(3):

@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import brauer, dp6, hexagon, intlattice, proofkit, selftest
+from . import brauer, dp6, hexagon, intlattice
 from .errors import Dp6kitError
 from .fields import GF
 
@@ -176,6 +176,7 @@ def _cmd_surface(args):
 
 
 def _cmd_replay(args):
+    from . import proofkit  # here, not at the top: surface commands never need it
     A = brauer.from_json(_class(json.loads(args.algebra), "algebra"))
     if args.proof == "first":
         cert = proofkit.replay_first_proof(A)
@@ -194,6 +195,7 @@ def _cmd_replay(args):
 
 
 def _cmd_selftest(args):
+    from . import selftest  # here, not at the top: surface commands never need it
     report = selftest.run_all(filter_text=args.filter)
     for r in report["results"]:
         status = "PASS" if r["passed"] else "FAIL"

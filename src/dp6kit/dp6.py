@@ -22,7 +22,7 @@ from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_e
                        split_exchange_sym, split_normalize)
 from .brauer import is_split_K
 from .errors import (EnumerationBudgetExceeded, InconsistentObservation,
-                     NotAnAutomorphism, WrongLineCount)
+                     InvariantViolation, NotAnAutomorphism, WrongLineCount)
 from .fields import (FiniteField, GF, embed, format_element, is_prime, mat_solve,
                      poly_is_squarefree, poly_roots, rref)
 from .hexagon import HexAut, hex_action, t_hat
@@ -395,7 +395,10 @@ def _rank_one_blocks(surface, k, budget):
     Yields (ext, lead, mask): index i of the block is the point with zeros
     before position lead, a 1 there, and the base-q^k digits of i (most
     significant first) after it; mask[i] says whether its point matrix has
-    rank one, i.e. whether the point lies on the surface.
+    rank one, i.e. whether the point lies on the surface.  The nine 2x2
+    minors are checked one at a time, each only on the indices where the
+    previous ones vanished, and a matrix entry is computed only when a minor
+    first needs it, on the indices still in play.
     """
     import numpy as np
     F = surface.field
@@ -413,43 +416,47 @@ def _rank_one_blocks(surface, k, budget):
     emb = _embed_table(ext, E)
     entries = [[(j, sig[j][r][c].code) for j in range(7) if sig[j][r][c]]
                for r in range(3) for c in range(3)]
-    add, mul, neg = _tables(E)
+    tables = _tables(E)
     for lead in range(7):
-        nfree = 6 - lead
-        block = Qp ** nfree
-        coords = []
-        for pos in range(7):
-            if pos < lead:
-                coords.append(np.zeros(block, dtype=np.int64))
-            elif pos == lead:
-                coords.append(np.full(block, 1, dtype=np.int64))
-            else:
-                rep = Qp ** (6 - pos)
-                tile = Qp ** (pos - lead - 1)
-                col = np.repeat(np.tile(np.arange(Qp, dtype=np.int64), tile), rep)
-                coords.append(col)
-        coords = [emb[c] for c in coords]
-        mm = []
-        for terms in entries:
-            acc = np.zeros(block, dtype=np.int64)
-            for j, code in terms:
-                prod = mul[code][coords[j]]
-                acc = add[acc, prod]
-            mm.append(acc)
+        block = Qp ** (6 - lead)
+        mask = np.zeros(block, dtype=bool)
+        mask[_rank_one_indices(Qp, lead, entries, emb, tables)] = True
+        yield ext, lead, mask
 
-        def M(i, j):
-            return mm[3 * i + j]
 
-        good = np.ones(block, dtype=bool)
-        for r in range(3):
-            r1, r2 = [t for t in range(3) if t != r]
-            for c in range(3):
-                c1, c2 = [t for t in range(3) if t != c]
-                minor = add[mul[M(r1, c1), M(r2, c2)], neg[mul[M(r1, c2), M(r2, c1)]]]
-                good &= (minor == 0)
-                if not good.any():
-                    break
-        yield ext, lead, good
+def _rank_one_indices(Qp, lead, entries, emb, tables):
+    """Indices of the lead block whose point matrix has all nine 2x2 minors
+    zero (see _rank_one_blocks)."""
+    import numpy as np
+    add, mul, neg = tables
+    idx = np.arange(Qp ** (6 - lead), dtype=np.int64)
+    cols, mm = {}, {}  # coordinate and entry codes at the indices in idx
+
+    def coord(j):
+        if j <= lead:  # the zeros before the leading 1, and the 1 (code 1)
+            return 1 if j == lead else 0
+        if j not in cols:
+            cols[j] = emb[idx // Qp ** (6 - j) % Qp]
+        return cols[j]
+
+    def M(r, c):
+        if (r, c) not in mm:
+            acc = np.zeros(len(idx), dtype=np.int64)
+            for j, code in entries[3 * r + c]:
+                acc = add[acc, mul[code][coord(j)]]
+            mm[r, c] = acc
+        return mm[r, c]
+
+    for r in range(3):
+        r1, r2 = [t for t in range(3) if t != r]
+        for c in range(3):
+            c1, c2 = [t for t in range(3) if t != c]
+            keep = add[mul[M(r1, c1), M(r2, c2)], neg[mul[M(r1, c2), M(r2, c1)]]] == 0
+            idx = idx[keep]
+            for memo in (cols, mm):
+                for key in memo:
+                    memo[key] = memo[key][keep]
+    return idx
 
 
 def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
@@ -674,7 +681,7 @@ def _cubic_with_root_count(field, want):
             continue
         if len(poly_roots(f, field)) == want:
             return coeffs
-    raise AssertionError("no cubic with the requested factorization")
+    raise InvariantViolation("no cubic with the requested factorization")
 
 
 def standard_twists(field):

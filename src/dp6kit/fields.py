@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero, FieldMismatch, InvariantViolation
 
 Rational = Fraction
 
@@ -120,7 +120,7 @@ def _find_irreducible_ints(p, k):
         f = tuple(tail) + (1,)
         if _int_poly_is_irreducible(f, p):
             return f
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InvariantViolation("no irreducible polynomial found")  # unreachable
 
 
 def _ppow(a, n, m, p):

@@ -323,3 +323,38 @@ def test_hermitian_cubic_generators():
     # deterministic: the same generator is found every time
     again = hermitian_cubic_generator(B, 0)
     assert again.generator == inert.generator
+
+
+def _candidate_at(B, code):
+    """Candidate number `code` of hermitian_cubic_generator's walk, decoded
+    independently: three diagonal digits base q, then the (0,1), (0,2) and
+    (1,2) entries base q^2, least significant first."""
+    ctx, q, Q = B.ctx, B.field.size, B.ctx.K.size
+    diag = [B.field.from_code(code // q ** i % q) for i in range(3)]
+    off = [ctx.K.from_code(code // (q ** 3 * Q ** i) % Q) for i in range(3)]
+    entries = {(i, i): ctx.embed_base(diag[i]) for i in range(3)}
+    for (i, j), x in zip(((0, 1), (0, 2), (1, 2)), off):
+        entries[(i, j)], entries[(j, i)] = x, ctx.conj(x)
+    return diag, AlgElem(B, m3_from_entries(entries, ctx.zero))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_zero_root_search_skips_only_candidates_with_a_root(p, k):
+    f = GF(p, k)
+    q = f.size
+    B = build_hermitian(f)
+    for code in range(q ** 5):
+        diag, u = _candidate_at(B, code)
+        charpoly = [-B.nrd_sym(u), B.s_sym(u), -B.trd_sym(u), f.one]
+        assert diag[2] in poly_roots(charpoly, f)
+    # a walk from code 0 finds the same first match as the search
+    for code in itertools.count():
+        _, u = _candidate_at(B, code)
+        try:
+            L = cubic_from_generator(B, u)
+        except DegenerateSubalgebra:
+            continue
+        if not poly_roots(L.minpoly, f):
+            break
+    assert code >= q ** 5
+    assert hermitian_cubic_generator(B, 0).generator == u

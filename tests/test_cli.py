@@ -70,13 +70,22 @@ def test_surface_lines_non_injective_coordinates(capsys, monkeypatch):
         "message": "coordinate map must be injective"}
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _loaded_by_cli_import(modules):
+    """Which of the modules a fresh `import dp6kit.cli` loads."""
     src = os.path.dirname(os.path.dirname(dp6.__file__))
-    probe = "import sys, dp6kit.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, dp6kit.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert _loaded_by_cli_import(["numpy"]) == "[]"
+
+
+def test_cli_import_leaves_proofkit_and_selftest_unloaded():
+    assert _loaded_by_cli_import(["dp6kit.proofkit", "dp6kit.selftest"]) == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dp6kit.algebra3 import (build_split_exchange, companion_matrix,
+from dp6kit.algebra3 import (HERMITIAN, build_split_exchange, companion_matrix,
                              cubic_from_generator, diagonal_cubic,
                              ideal_to_sym, split_exchange_sym)
 from dp6kit.brauer import (QuadField, invariant_vector_K, order3_class,
@@ -159,6 +160,57 @@ def test_point_list_matches_quadric_oracle(twists2, twists3):
         pts = surface_points(s, 1)
         assert pts == _quadric_zeros(s)
         assert raw_point_count(s, 1) == len(pts)
+
+
+def _full_block_masks(surface, k):
+    """Reference enumerator: every entry of the point matrix and all nine
+    2x2 minors over the whole block, one mask per leading coordinate."""
+    import numpy as np
+    F = surface.field
+    Qp = F.size ** k
+    ext = GF(F.p, F.k * k)
+    E = GF(F.p, F.k * math.lcm(k, 2)) if surface.algebra.kind == HERMITIAN else ext
+    sig = dp6._sigma_matrices(surface, E)
+    emb = dp6._embed_table(ext, E)
+    add, mul, neg = dp6._tables(E)
+    for lead in range(7):
+        block = Qp ** (6 - lead)
+        coords = []
+        for pos in range(7):
+            if pos <= lead:
+                coords.append(np.full(block, int(pos == lead), dtype=np.int64))
+            else:
+                col = np.arange(Qp, dtype=np.int64)
+                coords.append(np.repeat(np.tile(col, Qp ** (pos - lead - 1)),
+                                        Qp ** (6 - pos)))
+        coords = [emb[c] for c in coords]
+        mm = {}
+        for r in range(3):
+            for c in range(3):
+                acc = np.zeros(block, dtype=np.int64)
+                for j in range(7):
+                    acc = add[acc, mul[sig[j][r][c].code][coords[j]]]
+                mm[r, c] = acc
+        good = np.ones(block, dtype=bool)
+        for r in range(3):
+            r1, r2 = [t for t in range(3) if t != r]
+            for c in range(3):
+                c1, c2 = [t for t in range(3) if t != c]
+                minor = add[mul[mm[r1, c1], mm[r2, c2]], neg[mul[mm[r1, c2], mm[r2, c1]]]]
+                good &= minor == 0
+        yield good
+
+
+def test_rank_one_blocks_match_full_block_oracle(twists2, twists3):
+    cases = [(twists2[name], k) for name in TWIST_NAMES for k in (1, 2, 3)]
+    cases += [(twists3[name], k) for name in ("split", "kinert-l3") for k in (1, 2)]
+    for s, k in cases:
+        blocks = list(dp6._rank_one_blocks(s, k, dp6.DEFAULT_BUDGET))
+        oracle = list(_full_block_masks(s, k))
+        assert [lead for _, lead, _ in blocks] == list(range(7))
+        for (_, _, mask), want in zip(blocks, oracle, strict=True):
+            assert mask.dtype == want.dtype and mask.shape == want.shape
+            assert (mask == want).all()
 
 
 def test_budget_exceeded(twists2):
