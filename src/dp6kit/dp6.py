@@ -10,6 +10,11 @@ model is transported to the exchange model, L is conjugated to the diagonal,
 and the six known lines of the split model are pulled back through the exact
 coordinate change.  The induced Frobenius permutation of the lines is the
 hexagon element that drives every point-count prediction.
+
+Points are counted without enumerating P^6: a rank-one matrix is x y^T, so
+the surface fibres over P^2 (fibration_point_count).  The enumeration of
+P^6 over numpy tables (raw_point_count, surface_points) is kept for point
+lists and as the independent oracle for the count.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_e
 from .brauer import is_split_K
 from .errors import (EnumerationBudgetExceeded, InconsistentObservation,
                      InvariantViolation, NotAnAutomorphism, WrongLineCount)
-from .fields import (FiniteField, GF, embed, format_element, is_prime, mat_solve,
-                     poly_is_squarefree, poly_roots, rref)
+from .fields import (FiniteField, GF, embed, format_element, is_prime, mat_kernel,
+                     mat_solve, poly_is_squarefree, poly_roots, rref)
 from .hexagon import HexAut, hex_action, t_hat
 from .intlattice import IntMat
 
@@ -388,6 +393,23 @@ class PointCountRecord:
                 f"predicted={self.predicted})")
 
 
+def _counting_fields(surface, k, budget):
+    """(ext, E) for counting over ext = F_{q^k}: the point matrices live over
+    E, which must also contain K.  The budget on |P^6(ext)| is checked before
+    either field is built."""
+    F = surface.field
+    if not isinstance(F, FiniteField):
+        raise EnumerationBudgetExceeded("counting needs a finite base field")
+    Qp = F.size ** k
+    total_pts = projective_count(Qp)
+    if total_pts > budget:
+        raise EnumerationBudgetExceeded(
+            f"|P^6(F_{Qp})| = {total_pts} exceeds the budget {budget}")
+    ext = GF(F.p, F.k * k)
+    E = GF(F.p, F.k * lcm(k, 2)) if surface.algebra.kind == HERMITIAN else ext
+    return ext, E
+
+
 def _rank_one_blocks(surface, k, budget):
     """Walk P^6(F_{q^k}) once, one block per leading coordinate, through
     exact integer multiplication tables.
@@ -401,17 +423,8 @@ def _rank_one_blocks(surface, k, budget):
     first needs it, on the indices still in play.
     """
     import numpy as np
-    F = surface.field
-    if not isinstance(F, FiniteField):
-        raise EnumerationBudgetExceeded("counting needs a finite base field")
-    Qp = F.size ** k
-    total_pts = projective_count(Qp)
-    if total_pts > budget:  # checked before any field of size Qp is built
-        raise EnumerationBudgetExceeded(
-            f"|P^6(F_{Qp})| = {total_pts} exceeds the budget {budget}")
-    ext = GF(F.p, F.k * k)
-    # the point matrix lives over E, which must also contain K
-    E = GF(F.p, F.k * lcm(k, 2)) if surface.algebra.kind == HERMITIAN else ext
+    ext, E = _counting_fields(surface, k, budget)
+    Qp = ext.size
     sig = _sigma_matrices(surface, E)
     emb = _embed_table(ext, E)
     entries = [[(j, sig[j][r][c].code) for j in range(7) if sig[j][r][c]]
@@ -461,7 +474,7 @@ def _rank_one_indices(Qp, lead, entries, emb, tables):
 
 def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
     """Exact number of points of the surface over F_{q^k} by enumeration of
-    P^6."""
+    P^6: the independent oracle for fibration_point_count."""
     return sum(int(mask.sum()) for _, _, mask in _rank_one_blocks(surface, k, budget))
 
 
@@ -481,10 +494,73 @@ def surface_points(surface, k=1, budget=DEFAULT_BUDGET):
     return pts
 
 
+def fibration_point_count(surface, k=1, budget=DEFAULT_BUDGET):
+    """Exact number of points of the surface over F_{q^k}, fibred over P^2.
+
+    The seven coordinate matrices span a subspace W of M3(E) cut out by two
+    linear forms m -> sum L[r][c] m[r][c]; on m = x y^T they read x^T L y.
+    With Q = q^k:
+
+    * E = F_Q (exchange model, or Hermitian with k even): the points are the
+      rank-one x y^T in W, so [x] in P^2(E) carries the projective space of
+      the y with x^T L1 y = x^T L2 y = 0, of size (Q^(3-r) - 1)/(Q - 1) where
+      r is the rank of those two equations;
+    * E = F_{Q^2} (Hermitian, k odd): the points are the rank-one Hermitian
+      lambda x sigma(x)^T in W, sigma(z) = z^Q, one for each [x] in P^2(E)
+      with x^T L1 sigma(x) = x^T L2 sigma(x) = 0.
+
+    The budget on |P^6(F_Q)| is the same as raw_point_count's, so the two
+    counters accept the same inputs.  Neither the lines nor the Frobenius
+    are used, so the count stays independent of the hexagon prediction.
+    """
+    ext, E = _counting_fields(surface, k, budget)
+    Q = ext.size
+    rows = [[m[r][c] for r in range(3) for c in range(3)]
+            for m in _sigma_matrices(surface, E)]
+    forms = [[v[3 * r:3 * r + 3] for r in range(3)] for v in mat_kernel(rows, 9, E)]
+    if len(forms) != 2:
+        raise InvariantViolation(
+            f"coordinate matrices span codimension {len(forms)} in M3, not 2")
+    if E is ext:
+        count = 0
+        for x in _proj_plane(E):
+            eqs = [[sum((x[r] * L[r][c] for r in range(3)), E.zero) for c in range(3)]
+                   for L in forms]
+            count += (Q ** (3 - len(rref(eqs, E)[1])) - 1) // (Q - 1)
+        return count
+    return _hermitian_zero_count(E, Q, forms)
+
+
+def _hermitian_zero_count(E, Q, forms):
+    """#{[x] in P^2(E) : x^T L sigma(x) = 0 for every L in forms}, where
+    sigma(z) = z^Q.
+
+    _proj_plane(E) lists the points in runs that share x0, x1 while the last
+    coordinate b runs through E; on a run each form reads
+    f + g sigma(b) + h b + L[2][2] b sigma(b) with f, g, h fixed, so sigma(b)
+    and b sigma(b) are looked up by code.
+    """
+    elems = E.elements()
+    conj = [z ** Q for z in elems]
+    norm = [z * s for z, s in zip(elems, conj)]
+    count, run, coeffs = 0, None, None
+    for x0, x1, b in _proj_plane(E):
+        if (x0.code, x1.code) != run:
+            run = (x0.code, x1.code)
+            s0, s1 = conj[x0.code], conj[x1.code]
+            coeffs = [(x0 * (L[0][0] * s0 + L[0][1] * s1) + x1 * (L[1][0] * s0 + L[1][1] * s1),
+                       x0 * L[0][2] + x1 * L[1][2], L[2][0] * s0 + L[2][1] * s1, L[2][2])
+                      for L in forms]
+        c = b.code
+        if not any(f + g * conj[c] + h * b + n * norm[c] for f, g, h, n in coeffs):
+            count += 1
+    return count
+
+
 def count_points(surface, k=1, budget=DEFAULT_BUDGET):
-    """PointCountRecord with the raw count and the hexagon prediction
-    q^{2k} + q^k tr(phi^k | Pic) + 1."""
-    raw = raw_point_count(surface, k, budget)
+    """PointCountRecord with the exact count from fibration_point_count and
+    the hexagon prediction q^{2k} + q^k tr(phi^k | Pic) + 1."""
+    raw = fibration_point_count(surface, k, budget)
     phi = frobenius_on_lines(surface)
     q = surface.field.size
     predicted = predicted_count(q, k, phi)
@@ -539,32 +615,19 @@ def _proj_plane(field):
     return pts
 
 
-def split_model_points(q, k=1, budget=81):
-    """#S(F_{q^k}) for the biprojective model x0 y0 = x1 y1 = x2 y2.
-
-    Direct double enumeration when small; otherwise for each x the y-side is
-    an exact linear-system count.  Both are exhaustive and exact.
-    """
+def split_model_points(q, k=1, budget=9):
+    """#S(F_{q^k}) for the biprojective model x0 y0 = x1 y1 = x2 y2, by
+    direct double enumeration of P^2 x P^2 (at most 91^2 pairs within the
+    budget): the brute-force oracle for the split count."""
     p, e = _parse_prime_power(q)
     if q ** k > budget:
         raise EnumerationBudgetExceeded(f"q^k = {q ** k} exceeds budget {budget}")
-    field = GF(p, e * k)
-    plane = _proj_plane(field)
-    nplane = len(plane)
-    if nplane * nplane <= 10_000:
-        count = 0
-        for x in plane:
-            for y in plane:
-                if (x[0] * y[0] == x[1] * y[1]) and (x[1] * y[1] == x[2] * y[2]):
-                    count += 1
-        return count
+    plane = _proj_plane(GF(p, e * k))
     count = 0
-    Q = field.size
     for x in plane:
-        rows = [[x[0], -x[1], field.zero], [field.zero, x[1], -x[2]]]
-        _, pivots = rref(rows, field)
-        dim = 3 - len(pivots)
-        count += (Q ** dim - 1) // (Q - 1)
+        for y in plane:
+            if (x[0] * y[0] == x[1] * y[1]) and (x[1] * y[1] == x[2] * y[2]):
+                count += 1
     return count
 
 

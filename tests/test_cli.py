@@ -70,18 +70,37 @@ def test_surface_lines_non_injective_coordinates(capsys, monkeypatch):
         "message": "coordinate map must be injective"}
 
 
-def _loaded_by_cli_import(modules):
-    """Which of the modules a fresh `import dp6kit.cli` loads."""
-    src = os.path.dirname(os.path.dirname(dp6.__file__))
-    probe = f"import sys, dp6kit.cli; print([m for m in {modules!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    return out.strip()
+_SRC = os.path.dirname(os.path.dirname(dp6.__file__))
+
+
+def _fresh_process(args, **env):
+    """Stdout of `python args...` in a fresh interpreter with dp6kit on the path."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": _SRC, **env}).stdout
+
+
+def _loaded_by_cli_import(modules, commands=()):
+    """Which of the modules a fresh `import dp6kit.cli` loads, after running
+    cli.main on each of the commands (their stdout discarded)."""
+    probe = ("import contextlib, io, sys\n"
+             "from dp6kit.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [main(argv) for argv in {list(commands)!r}]\n"
+             "print(codes)\n"
+             f"print([m for m in {modules!r} if m in sys.modules])")
+    codes, loaded = _fresh_process(["-c", probe]).splitlines()
+    assert codes == str([0] * len(commands))
+    return loaded
 
 
 def test_cli_import_leaves_numpy_unloaded():
     assert _loaded_by_cli_import(["numpy"]) == "[]"
+
+
+def test_surface_counts_leave_numpy_unloaded():
+    commands = [["surface", "count", "--model", "kinert-l21", "--q", "2"],
+                ["surface", "check-zeta", "--model", "split", "--q", "3"]]
+    assert _loaded_by_cli_import(["numpy"], commands) == "[]"
 
 
 def test_cli_import_leaves_proofkit_and_selftest_unloaded():
@@ -155,6 +174,14 @@ def test_determinism_byte_identical(capsys):
     assert first == second
     data = json.loads(first)
     assert data["all_ok"] is True
+
+
+def test_selftest_stdout_is_identical_across_hash_seeds():
+    argv = ["-m", "dp6kit.cli", "selftest", "--filter", "8"]
+    first = _fresh_process(argv, PYTHONHASHSEED="1")
+    second = _fresh_process(argv, PYTHONHASHSEED="987")
+    assert json.loads(first)["all_passed"] is True
+    assert first == second
 
 
 def test_selftest_filter(capsys):

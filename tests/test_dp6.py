@@ -4,20 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from dp6kit.algebra3 import (HERMITIAN, build_split_exchange, companion_matrix,
-                             cubic_from_generator, diagonal_cubic,
+from dp6kit.algebra3 import (HERMITIAN, build_hermitian, build_split_exchange,
+                             companion_matrix, cubic_from_generator, diagonal_cubic,
                              ideal_to_sym, split_exchange_sym)
 from dp6kit.brauer import (QuadField, invariant_vector_K, order3_class,
                            restriction)
 from dp6kit import dp6
 from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
-                        find_lines, frobenius_on_lines, lemma_number_check,
-                        predicted_count, raw_point_count, split_model_points,
-                        splitting_degree, standard_twists, surface_points,
-                        torus_count_check, verify_split_equivalence,
+                        fibration_point_count, find_lines, frobenius_on_lines,
+                        lemma_number_check, predicted_count, raw_point_count,
+                        split_model_points, splitting_degree, standard_twists,
+                        surface_points, torus_count_check, verify_split_equivalence,
                         zeta_check)
-from dp6kit.errors import (EnumerationBudgetExceeded, InconsistentObservation)
+from dp6kit.errors import (DegenerateSubalgebra, EnumerationBudgetExceeded,
+                           InconsistentObservation)
 from dp6kit.fields import GF, QQ, rref
 from dp6kit.hexagon import HexAut
 
@@ -132,12 +134,44 @@ def test_split_model_points_small():
         split_model_points(3, 9)
 
 
+def test_split_model_points_budget_covers_only_the_double_loop():
+    assert split_model_points(9) == 9 * 9 + 4 * 9 + 1
+    with pytest.raises(EnumerationBudgetExceeded):
+        split_model_points(11)
+
+
 def test_count_examples(twists2):
     assert raw_point_count(twists2["split"], 1) == 13
     assert raw_point_count(twists2["kinert-lsplit"], 1) == 9
     assert raw_point_count(twists2["ksplit-l3"], 1) == 7
     rec = count_points(twists2["split"], 1)
     assert rec.raw == rec.predicted == 13
+
+
+def test_fibration_count_matches_enumeration(twists2, twists3):
+    cases = [(twists2, k) for k in (1, 2, 3)] + [(twists3, k) for k in (1, 2)]
+    cases += [(standard_twists(GF(2, 2)), 1), (standard_twists(GF(5)), 1)]
+    for tw, k in cases:
+        for name, s in tw.items():
+            assert fibration_point_count(s, k) == raw_point_count(s, k), (s, name, k)
+
+
+_SMALL_FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(qk=st.sampled_from([(2, 1), (2, 2), (3, 1), (4, 1)]), hermitian=st.booleans(),
+       codes=st.lists(st.integers(0, 11), min_size=9, max_size=9))
+def test_fibration_count_matches_enumeration_on_random_generators(qk, hermitian, codes):
+    q, k = qk
+    field = _SMALL_FIELDS[q]  # codes below 12 are uniform mod 2, 3 and 4
+    A = build_hermitian(field) if hermitian else build_split_exchange(field)
+    u = A.sym_from_coords([field.from_code(c) for c in codes])
+    try:
+        s = build_surface(A, cubic_from_generator(A, u))
+    except DegenerateSubalgebra:
+        assume(False)
+    assert fibration_point_count(s, k) == raw_point_count(s, k)
 
 
 def _quadric_zeros(surface):
@@ -221,7 +255,7 @@ def test_budget_exceeded(twists2):
 
 
 @pytest.mark.parametrize("check", [raw_point_count, surface_points,
-                                   verify_split_equivalence])
+                                   fibration_point_count, verify_split_equivalence])
 def test_budget_checked_before_the_field_is_built(twists2, monkeypatch, check):
     built = []
 
@@ -331,6 +365,8 @@ def test_surface_over_Q_symbolic_only():
     s = _split_surface_over_Q()
     with pytest.raises(Exception):
         raw_point_count(s, 1)
+    with pytest.raises(EnumerationBudgetExceeded):
+        fibration_point_count(s, 1)
 
 
 def test_provenance_serialization(twists2):
