@@ -1,15 +1,18 @@
 """Rank-9 algebras with unitary involution over exact fields.
 
-Two concrete models:
+Both models are M3 over a quadratic etale K, and an element is the tuple of
+its 3x3 matrices, one per simple component:
 
-* split exchange: M3(F) x M3(F) with (a, b) -> (b^t, a^t); the symmetric
-  elements are the pairs (a, a^t) and identify with M3(F);
-* hermitian: 3x3 matrices over a quadratic extension K/F with the
-  conjugate-transpose involution; the symmetric elements are the Hermitian
-  matrices, a 9-dimensional F-space.
+* split exchange (K = F x F): pairs (a, b) over F with involution
+  (a, b) -> (b^t, a^t); the symmetric elements are the pairs (a, a^t) and
+  identify with M3(F);
+* hermitian (K a field): 1-tuples (m,) over K with the conjugate-transpose
+  involution; the symmetric elements are the Hermitian matrices, a
+  9-dimensional F-space.
 
-Both expose the degree-3 structure on the symmetric space: reduced trace,
-the quadratic coefficient, reduced norm, and the adjoint x -> x# with
+Arithmetic is component by component.  The first matrix carries the
+degree-3 structure on the symmetric space: reduced trace, the quadratic
+coefficient, reduced norm, and the adjoint x -> x# with
 x# = x^2 - Trd(x) x + S(x) and x x# = Nrd(x).  Both models are matrix
 algebras with a transpose-type involution, so associativity and the
 involution being a unitary anti-automorphism of order two hold by
@@ -265,7 +268,10 @@ def m3_eq_zero(a):
 
 
 class AlgElem:
-    """Element of a StructureAlgebra; data is model-specific and immutable."""
+    """Element of a StructureAlgebra: data is a tuple of 3x3 matrices, one per
+    simple component -- (a, b) over F for the exchange model, (m,) over K for
+    the Hermitian model.  The first matrix carries the degree-3 structure.
+    Arithmetic is component by component; elements are immutable."""
 
     __slots__ = ("algebra", "data")
 
@@ -279,41 +285,25 @@ class AlgElem:
 
     def __add__(self, other):
         self._check(other)
-        A = self.algebra
-        if A.kind == SPLIT_EXCHANGE:
-            return AlgElem(A, (m3_add(self.data[0], other.data[0]),
-                               m3_add(self.data[1], other.data[1])))
-        return AlgElem(A, m3_add(self.data, other.data))
+        return AlgElem(self.algebra, tuple(map(m3_add, self.data, other.data)))
 
     def __sub__(self, other):
         self._check(other)
-        A = self.algebra
-        if A.kind == SPLIT_EXCHANGE:
-            return AlgElem(A, (m3_sub(self.data[0], other.data[0]),
-                               m3_sub(self.data[1], other.data[1])))
-        return AlgElem(A, m3_sub(self.data, other.data))
+        return AlgElem(self.algebra, tuple(map(m3_sub, self.data, other.data)))
 
     def __neg__(self):
-        A = self.algebra
-        if A.kind == SPLIT_EXCHANGE:
-            return AlgElem(A, (m3_neg(self.data[0]), m3_neg(self.data[1])))
-        return AlgElem(A, m3_neg(self.data))
+        return AlgElem(self.algebra, tuple(map(m3_neg, self.data)))
 
     def __mul__(self, other):
         self._check(other)
-        A = self.algebra
-        if A.kind == SPLIT_EXCHANGE:
-            return AlgElem(A, (m3_mul(self.data[0], other.data[0]),
-                               m3_mul(self.data[1], other.data[1])))
-        return AlgElem(A, m3_mul(self.data, other.data))
+        return AlgElem(self.algebra, tuple(map(m3_mul, self.data, other.data)))
 
     def scale(self, c):
-        """Scalar multiplication by a base-field element."""
+        """Scalar multiplication by a base-field element (embedded into K
+        first in the Hermitian model)."""
         A = self.algebra
-        if A.kind == SPLIT_EXCHANGE:
-            return AlgElem(A, (m3_scale(c, self.data[0]), m3_scale(c, self.data[1])))
-        ck = A.ctx.embed_base(c)
-        return AlgElem(A, m3_scale(ck, self.data))
+        c = A.ctx.embed_base(c) if A.ctx else c
+        return AlgElem(A, tuple(m3_scale(c, m) for m in self.data))
 
     def __eq__(self, other):
         return (isinstance(other, AlgElem) and other.algebra is self.algebra
@@ -323,9 +313,7 @@ class AlgElem:
         return hash((id(self.algebra), self.data))
 
     def __bool__(self):
-        if self.algebra.kind == SPLIT_EXCHANGE:
-            return not (m3_eq_zero(self.data[0]) and m3_eq_zero(self.data[1]))
-        return not m3_eq_zero(self.data)
+        return not all(map(m3_eq_zero, self.data))
 
     def __pow__(self, n):
         out = self.algebra.one
@@ -342,30 +330,24 @@ class StructureAlgebra:
 
     Use build_split_exchange / build_hermitian; the constructor builds the
     standard basis of matrix units, the unit and the canonical basis of the
-    9-dimensional symmetric space.
+    9-dimensional symmetric space.  ring is the coefficient ring of the
+    component matrices: F for the exchange model, the K context otherwise.
     """
 
     def __init__(self, kind, field, ctx=None):
         self.kind = kind
         self.field = field
         self.ctx = ctx
-        z, o = field.zero, field.one
-        if kind == SPLIT_EXCHANGE:
-            zero3 = m3_from_entries({}, z)
-            self.one = AlgElem(self, (m3_from_entries({(i, i): o for i in range(3)}, z),
-                                      m3_from_entries({(i, i): o for i in range(3)}, z)))
-            basis = []
-            for side in (0, 1):
-                for i in range(3):
-                    for j in range(3):
-                        u = m3_unit(i, j, o, z)
-                        basis.append(AlgElem(self, (u, zero3) if side == 0 else (zero3, u)))
-            self.basis = tuple(basis)
-        else:
-            kz, ko = ctx.zero, ctx.one
-            self.one = AlgElem(self, m3_from_entries({(i, i): ko for i in range(3)}, kz))
-            self.basis = tuple(AlgElem(self, m3_unit(i, j, ko, kz))
-                               for i in range(3) for j in range(3))
+        self.ring = ctx or field
+        n = 2 if kind == SPLIT_EXCHANGE else 1
+        z, o = self.ring.zero, self.ring.one
+        zero3 = m3_from_entries({}, z)
+        self._zero = AlgElem(self, (zero3,) * n)
+        self.one = AlgElem(self, (m3_from_entries({(i, i): o for i in range(3)}, z),) * n)
+        self.basis = tuple(
+            AlgElem(self, tuple(m3_unit(i, j, o, z) if t == side else zero3
+                                for t in range(n)))
+            for side in range(n) for i in range(3) for j in range(3))
         self.sym_basis = self._make_sym_basis()
 
     # the involution
@@ -373,8 +355,7 @@ class StructureAlgebra:
         if self.kind == SPLIT_EXCHANGE:
             a, b = x.data
             return AlgElem(self, (m3_transpose(b), m3_transpose(a)))
-        conj = self.ctx.conj
-        return AlgElem(self, m3_transpose(m3_map(conj, x.data)))
+        return AlgElem(self, (m3_transpose(m3_map(self.ctx.conj, x.data[0])),))
 
     def is_symmetric(self, x):
         return self.involution(x) == x
@@ -391,46 +372,35 @@ class StructureAlgebra:
         ctx = self.ctx
         kz, ko = ctx.zero, ctx.one
         delta, deltac = ctx.delta, ctx.conj(ctx.delta)
-        out = [AlgElem(self, m3_unit(i, i, ko, kz)) for i in range(3)]
+        out = [AlgElem(self, (m3_unit(i, i, ko, kz),)) for i in range(3)]
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            out.append(AlgElem(self, m3_from_entries({(i, j): ko, (j, i): ko}, kz)))
-            out.append(AlgElem(self, m3_from_entries({(i, j): delta, (j, i): deltac}, kz)))
+            out.append(AlgElem(self, (m3_from_entries({(i, j): ko, (j, i): ko}, kz),)))
+            out.append(AlgElem(self, (m3_from_entries({(i, j): delta, (j, i): deltac}, kz),)))
         return tuple(out)
 
     def zero(self):
-        if self.kind == SPLIT_EXCHANGE:
-            z3 = m3_from_entries({}, self.field.zero)
-            return AlgElem(self, (z3, z3))
-        return AlgElem(self, m3_from_entries({}, self.ctx.zero))
+        return self._zero
 
     # ------------------------------------------------------------------
-    # the degree-3 structure on symmetric elements
-
-    def _sym_matrix(self, x):
-        """The 3x3 matrix carrying the degree-3 structure of a symmetric x."""
-        if self.kind == SPLIT_EXCHANGE:
-            return x.data[0]
-        return x.data
+    # the degree-3 structure on symmetric elements, read off x.data[0]
 
     def _to_base(self, value):
-        if self.kind == SPLIT_EXCHANGE:
-            return value
-        return self.ctx.retract_base(value)
+        return self.ctx.retract_base(value) if self.ctx else value
 
     def trd_sym(self, x):
-        return self._to_base(m3_trace(self._sym_matrix(x)))
+        return self._to_base(m3_trace(x.data[0]))
 
     def s_sym(self, x):
-        return self._to_base(m3_trace(m3_adjugate(self._sym_matrix(x))))
+        return self._to_base(m3_trace(m3_adjugate(x.data[0])))
 
     def nrd_sym(self, x):
-        return self._to_base(m3_det(self._sym_matrix(x)))
+        return self._to_base(m3_det(x.data[0]))
 
     def sharp(self, x):
-        m = m3_adjugate(self._sym_matrix(x))
+        m = m3_adjugate(x.data[0])
         if self.kind == SPLIT_EXCHANGE:
             return AlgElem(self, (m, m3_transpose(m)))
-        return AlgElem(self, m)
+        return AlgElem(self, (m,))
 
     def sym_coords(self, x):
         """Coordinates of a symmetric element in the canonical 9-basis."""
@@ -438,7 +408,7 @@ class StructureAlgebra:
             a = x.data[0]
             return tuple(a[i][j] for i in range(3) for j in range(3))
         ctx = self.ctx
-        m = x.data
+        m = x.data[0]
         out = [ctx.retract_base(m[0][0]), ctx.retract_base(m[1][1]),
                ctx.retract_base(m[2][2])]
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
@@ -493,10 +463,7 @@ def _build_hermitian_cached(field, d):
 
 def trace_form(A, x, y):
     """b(x, y) = Trd(xy), symmetric and F-valued on symmetric elements."""
-    prod = x * y
-    if A.kind == SPLIT_EXCHANGE:
-        return m3_trace(prod.data[0])
-    return A.ctx.retract_base(m3_trace(prod.data))
+    return A.trd_sym(x * y)
 
 
 def gram_matrix(A, elems):
@@ -606,24 +573,23 @@ def ideal_to_sym(A, u_vec, w_vec):
 
 
 # ---------------------------------------------------------------------------
-# split normalization: conjugating a split cubic subalgebra to the diagonal
+# split normalization: conjugating a split commuting family to the diagonal
 
 
 @dataclass(frozen=True)
 class SplitCertificate:
-    """Conjugator c with c L c^{-1} diagonal; as a morphism of triples this
-    is conjugation by (c, (c^{-1})^t) on the exchange model."""
+    """Conjugator c with c m c^{-1} diagonal for each matrix m of the family;
+    on the exchange model this is conjugation by (c, (c^{-1})^t)."""
 
-    algebra: object
-    conjugator: tuple  # 3x3 over the base field
+    conjugator: tuple  # 3x3 over the field of the family
     inverse: tuple
 
     def apply_matrix(self, m):
         return m3_mul(self.conjugator, m3_mul(m, self.inverse))
 
-    def verify(self, L):
-        for l in L.basis:
-            m = self.apply_matrix(self.algebra._sym_matrix(l))
+    def verify(self, mats):
+        for m in mats:
+            m = self.apply_matrix(m)
             for i in range(3):
                 for j in range(3):
                     if i != j and m[i][j]:
@@ -659,18 +625,15 @@ def _split_roots(f, field):
     return roots
 
 
-def split_normalize(A, L):
-    """Change of basis sending a split etale cubic subalgebra to the diagonal.
+def split_normalize(mats, field):
+    """Change of basis simultaneously diagonalizing commuting 3x3 matrices.
 
-    Works on the exchange model, simultaneously diagonalizing the commuting
-    family given by the basis of L; deterministic eigenvalue ordering makes
+    mats are the matrices over field of a basis of a cubic etale algebra,
+    e.g. the first components of a basis of L after base change to a field
+    that splits it.  NotSplitOverBase if the family does not split into three
+    common eigenlines over field.  Deterministic eigenvalue ordering makes
     the certificate reproducible.  Column-vector convention throughout.
     """
-    if A.kind != SPLIT_EXCHANGE:
-        raise NotSplitOverBase(
-            "normalization works on the exchange model; base-change first")
-    field = A.field
-    mats = [A._sym_matrix(l) for l in L.basis]
     # refine the full space into common eigenlines, one basis matrix at a time
     spaces = [[[field.one if i == j else field.zero for i in range(3)]
                for j in range(3)]]  # each space: list of column vectors
@@ -724,8 +687,8 @@ def split_normalize(A, L):
     if P_inv_rows is None:
         raise NotSplitOverBase("eigenvectors are not independent")
     c = tuple(tuple(r) for r in P_inv_rows)
-    cert = SplitCertificate(algebra=A, conjugator=c, inverse=P)
-    if not cert.verify(L):
+    cert = SplitCertificate(conjugator=c, inverse=P)
+    if not cert.verify(mats):
         raise InvariantViolation("normalization certificate failed verification")
     return cert
 
@@ -756,12 +719,9 @@ def split_exchange_sym(A, m):
 def diagonal_cubic(A):
     """The diagonal subalgebra: monogenic when the field has three distinct
     elements forming a squarefree cubic, idempotent basis otherwise."""
-    f = A.field
-    if A.kind == SPLIT_EXCHANGE:
-        units = [split_exchange_sym(A, m3_unit(i, i, f.one, f.zero)) for i in range(3)]
-    else:
-        ko, kz = A.ctx.one, A.ctx.zero
-        units = [AlgElem(A, m3_unit(i, i, ko, kz)) for i in range(3)]
+    f, r = A.field, A.ring
+    units = [AlgElem(A, (m3_unit(i, i, r.one, r.zero),) * len(A.one.data))
+             for i in range(3)]
     if (isinstance(f, FiniteField) and f.size >= 3) or f is QQ:
         vals = [f.from_int(n) for n in (0, 1, 2)] if f is QQ else \
             [f.from_code(c) for c in range(3)]
@@ -805,7 +765,7 @@ def hermitian_cubic_generator(A, root_counts):
         entries[(0, 1)], entries[(1, 0)] = off[0], ctx.conj(off[0])
         entries[(0, 2)], entries[(2, 0)] = off[1], ctx.conj(off[1])
         entries[(1, 2)], entries[(2, 1)] = off[2], ctx.conj(off[2])
-        u = AlgElem(A, m3_from_entries(entries, ctx.zero))
+        u = AlgElem(A, (m3_from_entries(entries, ctx.zero),))
         try:
             L = cubic_from_generator(A, u)
         except DegenerateSubalgebra:

@@ -6,8 +6,8 @@ the equations are the nine components of the adjoint map x -> x#, which cuts
 out exactly the projectivized rank-one symmetric elements.
 
 Lines are not searched for: over a splitting field both K and L split, the
-model is transported to the exchange model, L is conjugated to the diagonal,
-and the six known lines of the split model are pulled back through the exact
+first component matrices are transported into M3 of that field, the basis
+matrices of L are conjugated to the diagonal, and the six known lines of the split model are pulled back through the exact
 coordinate change.  The induced Frobenius permutation of the lines is the
 hexagon element that drives every point-count prediction.
 
@@ -22,9 +22,9 @@ from __future__ import annotations
 from math import lcm
 
 from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_exchange,
-                       companion_matrix, cubic_from_basis, cubic_from_generator,
-                       diagonal_cubic, hermitian_cubic_generator, orth_complement,
-                       split_exchange_sym, split_normalize)
+                       companion_matrix, cubic_from_generator, diagonal_cubic,
+                       hermitian_cubic_generator, orth_complement, split_exchange_sym,
+                       split_normalize)
 from .brauer import is_split_K
 from .errors import (EnumerationBudgetExceeded, InconsistentObservation,
                      InvariantViolation, NotAnAutomorphism, WrongLineCount)
@@ -73,25 +73,31 @@ class DP6Surface:
                         forms[ell][(i, j)] = coords[ell]
         return tuple(forms)
 
+    def embed_base(self, c, field):
+        """A base-field element in an extension field, by the route the
+        coordinate matrices take: through K in the Hermitian model."""
+        if field is self.field:
+            return c
+        ctx = self.algebra.ctx
+        return embed(ctx.embed_base(c) if ctx else c, field)
+
     def evaluate(self, coords, field=None):
         """Values of the nine quadrics at a point, over the base field or an
-        extension (coefficients embedded)."""
+        extension (coefficients embedded by embed_base)."""
         field = field or self.field
-        conv = (lambda c: c) if field is self.field else (lambda c: embed(c, field))
         out = []
         for form in self.quadrics:
             acc = field.zero
             for (i, j), c in form.items():
-                acc = acc + conv(c) * coords[i] * coords[j]
+                acc = acc + self.embed_base(c, field) * coords[i] * coords[j]
             out.append(acc)
         return out
 
     def quadric_polar(self, form, v, w, field):
         """Polar value Q(v + w) - Q(v) - Q(w) of one quadric over a field."""
-        conv = (lambda c: c) if field is self.field else (lambda c: embed(c, field))
         acc = field.zero
         for (i, j), c in form.items():
-            cc = conv(c)
+            cc = self.embed_base(c, field)
             if i == j:
                 acc = acc + cc * (v[i] * w[i] + w[i] * v[i])
             else:
@@ -117,47 +123,31 @@ def build_surface(algebra, cubic):
 # transporting the symmetric space into M3 over an extension field
 
 
+def _embed_matrix(m, big):
+    return tuple(tuple(embed(x, big) for x in row) for row in m)
+
+
 def _sigma_matrices(surface, big):
-    """Images of the coordinate basis in M3(big) under the first projection.
-
-    Exchange model: embed the F-entries.  Hermitian model: embed the
-    K-entries (needs [big : F] even so K embeds).
-    """
-    A = surface.algebra
-    out = []
-    for b in surface.coord_basis:
-        if A.kind == SPLIT_EXCHANGE:
-            m = b.data[0]
-        else:
-            m = b.data
-        out.append(tuple(tuple(embed(x, big) for x in row) for row in m))
-    return out
-
-
-def splitting_degree(surface):
-    """Least m with both K and L split over F_{q^m}."""
-    A = surface.algebra
-    kpart = 2 if A.kind == HERMITIAN else 1
-    L = surface.cubic
-    if L.generator is None:
-        lpart = 1
-    else:
-        nroots = len(poly_roots(L.minpoly, surface.field))
-        lpart = {3: 1, 1: 2, 0: 3}[nroots]
-    return lcm(kpart, lpart)
+    """Images of the coordinate basis in M3(big) under the first projection:
+    the F-entries (exchange model) or K-entries (Hermitian model, which needs
+    [big : F] even so K embeds) of each basis element's first matrix."""
+    return [_embed_matrix(b.data[0], big) for b in surface.coord_basis]
 
 
 def expected_frobenius_type(surface):
-    """(swap, cycle type) that the Frobenius hexagon element must have."""
-    A = surface.algebra
-    swap = A.kind == HERMITIAN
+    """(swap, cycle type) that the Frobenius hexagon element must have: it
+    swaps the two triangles when K is a field, and permutes the lines of a
+    triangle as Frobenius permutes the roots of L's minimal polynomial."""
     L = surface.cubic
-    if L.generator is None:
-        ct = (1, 1, 1)
-    else:
-        nroots = len(poly_roots(L.minpoly, surface.field))
-        ct = {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[nroots]
-    return swap, ct
+    nroots = 3 if L.generator is None else len(poly_roots(L.minpoly, surface.field))
+    return surface.algebra.kind == HERMITIAN, {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[nroots]
+
+
+def splitting_degree(surface):
+    """Least m with both K and L split over F_{q^m}: the order of the
+    Frobenius hexagon element."""
+    swap, ct = expected_frobenius_type(surface)
+    return lcm(2 if swap else 1, *ct)
 
 
 # the six lines of the normalized split model, as spans of matrix units
@@ -207,38 +197,32 @@ def _echelon_line(rows, field):
 
 
 class LinesResult:
-    def __init__(self, field, lines, adjacency, triangles):
+    def __init__(self, field, lines, adjacency):
         self.field = field
         self.lines = lines  # dict label -> LineOnSurface
         self.adjacency = adjacency  # dict label -> set of labels
-        self.triangles = triangles  # (E-labels, F-labels)
 
 
 def find_lines(surface, m=None):
     """The six lines over the splitting field, labeled by the hexagon.
 
-    Pull-back route: transport to the exchange model over F_{q^m}, conjugate
-    L to the diagonal, express the six split-model lines in surface
-    coordinates, and solve the exact linear systems back.
+    Pull-back route: transport to M3 over F_{q^m}, conjugate L to the
+    diagonal, express the six split-model lines in surface coordinates, and
+    solve the exact linear systems back.
     """
     if surface._lines_cache is not None and m is None:
         return surface._lines_cache
     if not isinstance(surface.field, FiniteField):
         raise WrongLineCount("line finding runs over finite base fields")
+    split_m = splitting_degree(surface)
     if m is None:
-        m = splitting_degree(surface)
+        m = split_m
     F = surface.field
     big = GF(F.p, F.k * m)
     sig = _sigma_matrices(surface, big)
     # conjugate the transported L to the diagonal subalgebra
-    Abig = build_split_exchange(big)
-    Lmats = []
-    for b in surface.cubic.basis:
-        mdat = b.data[0] if surface.algebra.kind == SPLIT_EXCHANGE else b.data
-        Lmats.append(split_exchange_sym(
-            Abig, tuple(tuple(embed(x, big) for x in row) for row in mdat)))
-    Lbig = cubic_from_basis(Abig, Lmats)
-    cert = split_normalize(Abig, Lbig)
+    cert = split_normalize([_embed_matrix(b.data[0], big) for b in surface.cubic.basis],
+                           big)
     # psi: coordinates -> normalized matrices (9 x 7 over big)
     images = [cert.apply_matrix(mm) for mm in sig]
     psi_rows = [[images[j][r][c] for j in range(7)]
@@ -267,7 +251,7 @@ def find_lines(surface, m=None):
         if any(vals) or any(polars):
             raise WrongLineCount("surface equations do not vanish on a line")
     result = _label_hexagon(lines, big)
-    if m == splitting_degree(surface):
+    if m == split_m:
         surface._lines_cache = result
     return result
 
@@ -308,8 +292,7 @@ def _label_hexagon(lines, field):
     for lbl, ln in by_label.items():
         ln.label = lbl
     adjacency = {labels[i]: {labels[j] for j in adj[i]} for i in range(n)}
-    triangles = (("E1", "E2", "E3"), ("F1", "F2", "F3"))
-    return LinesResult(field, by_label, adjacency, triangles)
+    return LinesResult(field, by_label, adjacency)
 
 
 def frobenius_on_lines(surface, lines_result=None):
@@ -680,7 +663,7 @@ def torus_count_check(surface, budget=DEFAULT_BUDGET):
     big = lr.field
     on_lines = 0
     for ptup in pts:
-        bigpt = [embed(c, big) for c in ptup]
+        bigpt = [surface.embed_base(c, big) for c in ptup]
         if any(ln.contains(bigpt) for ln in lr.lines.values()):
             on_lines += 1
     u_count = len(pts) - on_lines

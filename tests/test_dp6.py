@@ -11,7 +11,7 @@ from dp6kit.algebra3 import (HERMITIAN, build_hermitian, build_split_exchange,
                              ideal_to_sym, split_exchange_sym)
 from dp6kit.brauer import (QuadField, invariant_vector_K, order3_class,
                            restriction)
-from dp6kit import dp6
+from dp6kit import algebra3, dp6
 from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
                         fibration_point_count, find_lines, frobenius_on_lines,
                         lemma_number_check, predicted_count, raw_point_count,
@@ -296,6 +296,27 @@ def test_find_lines_configuration(twists2):
         stack = [list(r) for r in e1.matrix] + [list(r) for r in f2.matrix]
         _, piv = rref(stack, lr.field)
         assert len(piv) == 3
+
+
+def test_find_lines_embeds_coefficients_through_K():
+    # GF(9) -> GF(81) -> GF(3^8) and GF(9) -> GF(3^8) differ, so the quadric
+    # coefficients must reach the line field by the same route as the
+    # K-entries of the coordinate matrices
+    lr = find_lines(standard_twists(GF(3, 2))["kinert-l21"], 4)
+    assert lr.field.size == 3 ** 8
+    assert len(set(lr.lines.values())) == 6
+
+
+def test_find_lines_does_not_rebuild_the_algebra(monkeypatch):
+    s = standard_twists(GF(2, 2))["kinert-l3"]
+
+    def refuse(*args):
+        raise AssertionError("line finding rebuilt an algebra over the line field")
+
+    monkeypatch.setattr(dp6, "build_split_exchange", refuse)
+    monkeypatch.setattr(algebra3, "cubic_from_basis", refuse)
+    lr = find_lines(s)
+    assert set(lr.lines) == {"E1", "E2", "E3", "F1", "F2", "F3"}
 
 
 def test_frobenius_examples(twists2):
