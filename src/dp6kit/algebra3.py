@@ -29,9 +29,9 @@ from math import isqrt
 
 from .errors import (DegenerateSubalgebra, FieldMismatch, InvariantViolation,
                      NoQuadraticExtension, NotSplitOverBase)
-from .fields import (FiniteField, GF, QQ, embed, mat_det_field, mat_inv_field,
-                     mat_kernel, mat_solve, poly_is_squarefree, poly_roots,
-                     poly_trim, retract, rref)
+from .fields import (FFElem, FiniteField, GF, QQ, embed, mat_det_field,
+                     mat_inv_field, mat_kernel, mat_solve, poly_is_squarefree,
+                     poly_roots, poly_trim, retract, rref)
 
 SPLIT_EXCHANGE = "split_exchange"
 HERMITIAN = "hermitian"
@@ -391,7 +391,11 @@ class StructureAlgebra:
         return self._to_base(m3_trace(x.data[0]))
 
     def s_sym(self, x):
-        return self._to_base(m3_trace(m3_adjugate(x.data[0])))
+        # the trace of the adjugate: the sum of the principal 2x2 minors
+        a = x.data[0]
+        return self._to_base(a[0][0] * a[1][1] - a[0][1] * a[1][0]
+                             + a[0][0] * a[2][2] - a[0][2] * a[2][0]
+                             + a[1][1] * a[2][2] - a[1][2] * a[2][1])
 
     def nrd_sym(self, x):
         return self._to_base(m3_det(x.data[0]))
@@ -404,11 +408,13 @@ class StructureAlgebra:
 
     def sym_coords(self, x):
         """Coordinates of a symmetric element in the canonical 9-basis."""
+        return self.sym_matrix_coords(x.data[0])
+
+    def sym_matrix_coords(self, m):
+        """sym_coords of the symmetric element whose first matrix is m."""
         if self.kind == SPLIT_EXCHANGE:
-            a = x.data[0]
-            return tuple(a[i][j] for i in range(3) for j in range(3))
+            return tuple(m[i][j] for i in range(3) for j in range(3))
         ctx = self.ctx
-        m = x.data[0]
         out = [ctx.retract_base(m[0][0]), ctx.retract_base(m[1][1]),
                ctx.retract_base(m[2][2])]
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
@@ -418,10 +424,14 @@ class StructureAlgebra:
         return tuple(out)
 
     def sym_from_coords(self, coords):
-        acc = self.zero()
-        for c, b in zip(coords, self.sym_basis):
-            acc = acc + b.scale(c)
-        return acc
+        """The symmetric element sum c_k e_k over the canonical 9-basis, formed
+        as one matrix: each entry sums only the basis entries that are nonzero
+        there."""
+        cs = [self.ctx.embed_base(c) for c in coords] if self.ctx else coords
+        es = [b.data[0] for b in self.sym_basis]
+        m = tuple(tuple(sum((c * e[i][j] for c, e in zip(cs, es) if e[i][j]),
+                            self.ring.zero) for j in range(3)) for i in range(3))
+        return AlgElem(self, (m, m3_transpose(m)) if self.kind == SPLIT_EXCHANGE else (m,))
 
     def descriptor(self):
         if self.kind == SPLIT_EXCHANGE:
@@ -462,8 +472,11 @@ def _build_hermitian_cached(field, d):
 
 
 def trace_form(A, x, y):
-    """b(x, y) = Trd(xy), symmetric and F-valued on symmetric elements."""
-    return A.trd_sym(x * y)
+    """b(x, y) = Trd(xy), symmetric and F-valued on symmetric elements: the
+    trace of the product of the first matrices, without forming it."""
+    a, b = x.data[0], y.data[0]
+    return A._to_base(sum((a[i][j] * b[j][i] for i in range(3) for j in range(3)),
+                          A.ring.zero))
 
 
 def gram_matrix(A, elems):
@@ -694,7 +707,6 @@ def split_normalize(mats, field):
 
 
 def _elem_sort_key(x):
-    from .fields import FFElem
     if isinstance(x, FFElem):
         return (0, x.code)
     return (1, Fraction(x))

@@ -3,6 +3,11 @@
 Exit status 0 on success, 1 on a domain error (machine-readable error JSON
 on stdout), 2 on usage errors.  No timestamps, no randomness without an
 explicit seed: identical invocations produce byte-identical output.
+
+Importing this module loads only it and dp6kit.errors.  Each handler imports
+the layer it runs (dp6 and fields for surface, brauer for brauer and replay,
+intlattice for lattice, hexagon for hexagon, proofkit, selftest), so a cold
+process compiles only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -12,9 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import brauer, dp6, hexagon, intlattice
 from .errors import Dp6kitError
-from .fields import GF
 
 SCHEMA = "dp6kit/1"
 
@@ -35,6 +38,7 @@ def _fail(exc):
 
 
 def _quadfield(data):
+    from . import brauer
     return brauer.QuadField(data["d"]) if data.get("d") is not None \
         else brauer.QuadField.split()
 
@@ -52,6 +56,7 @@ def _class(data, what="class"):
 
 
 def _cmd_brauer(args):
+    from . import brauer
     op = args.op
     data = _object(json.loads(args.payload), "payload")
     if op == "index":
@@ -107,11 +112,12 @@ def _int_matrix(text):
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in rows)):
         raise Dp6kitError("matrix must be a JSON array of rows of integers")
-    return intlattice.IntMat(rows)
+    return rows
 
 
 def _cmd_lattice(args):
-    M = _int_matrix(args.matrix)
+    from . import intlattice
+    M = intlattice.IntMat(_int_matrix(args.matrix))
     if args.op == "snf":
         S, U, V = intlattice.smith_normal_form(M)
         _emit({"S": _mat_json(S), "U": _mat_json(U), "V": _mat_json(V)})
@@ -129,6 +135,7 @@ def _mat_json(M):
 
 
 def _cmd_hexagon(args):
+    from . import hexagon
     if args.all_subgroups:
         _emit({"reports": hexagon.all_subgroup_reports()})
     else:
@@ -137,6 +144,8 @@ def _cmd_hexagon(args):
 
 
 def _surface_for(args):
+    from . import dp6
+    from .fields import GF
     field = GF(*dp6._parse_prime_power(args.q))
     if args.model not in dp6.TWIST_NAMES:
         raise Dp6kitError(f"unknown model {args.model}; choose from {dp6.TWIST_NAMES}")
@@ -144,6 +153,7 @@ def _surface_for(args):
 
 
 def _cmd_surface(args):
+    from . import dp6
     if args.action == "build":
         surf = _surface_for(args)
         _emit(surf.descriptor_json())
@@ -176,7 +186,7 @@ def _cmd_surface(args):
 
 
 def _cmd_replay(args):
-    from . import proofkit  # here, not at the top: surface commands never need it
+    from . import brauer, proofkit
     A = brauer.from_json(_class(json.loads(args.algebra), "algebra"))
     if args.proof == "first":
         cert = proofkit.replay_first_proof(A)
@@ -195,7 +205,7 @@ def _cmd_replay(args):
 
 
 def _cmd_selftest(args):
-    from . import selftest  # here, not at the top: surface commands never need it
+    from . import selftest
     report = selftest.run_all(filter_text=args.filter)
     for r in report["results"]:
         status = "PASS" if r["passed"] else "FAIL"

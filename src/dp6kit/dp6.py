@@ -19,19 +19,17 @@ lists and as the independent oracle for the count.
 
 from __future__ import annotations
 
+from itertools import product
 from math import lcm
 
 from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_exchange,
                        companion_matrix, cubic_from_generator, diagonal_cubic,
                        hermitian_cubic_generator, orth_complement, split_exchange_sym,
                        split_normalize)
-from .brauer import is_split_K
-from .errors import (EnumerationBudgetExceeded, InconsistentObservation,
+from .errors import (Dp6kitError, EnumerationBudgetExceeded, InconsistentObservation,
                      InvariantViolation, NotAnAutomorphism, WrongLineCount)
 from .fields import (FiniteField, GF, embed, format_element, is_prime, mat_kernel,
                      mat_solve, poly_is_squarefree, poly_roots, rref)
-from .hexagon import HexAut, hex_action, t_hat
-from .intlattice import IntMat
 
 DEFAULT_BUDGET = 600_000
 
@@ -54,23 +52,34 @@ class DP6Surface:
 
     def _quadrics(self):
         """Nine quadratic forms: coordinates of (sum c_i b_i)# in the
-        symmetric basis, through the polarization of the adjoint."""
+        symmetric basis.  On the first matrices m_i of the coordinate basis
+        x# is the adjugate.  Most entries of the m_i are zero, so each entry
+        of sum c_i m_i is a linear form in c with few terms; each cofactor is
+        expanded as products of two such forms, and only pairs of nonzero
+        entries are multiplied."""
         A = self.algebra
-        basis = self.coord_basis
-        sharp = {i: A.sharp(b) for i, b in enumerate(basis)}
+        zero = A.ring.zero
+        mats = [b.data[0] for b in self.coord_basis]
+        lin = [[[(i, m[r][c]) for i, m in enumerate(mats) if m[r][c]] for c in range(3)]
+               for r in range(3)]
+        coef = {}  # (i, j) with i <= j -> the c_i c_j coefficients of the adjugate
+        for r in range(3):
+            r1, r2 = [t for t in range(3) if t != r]
+            for c in range(3):
+                c1, c2 = [t for t in range(3) if t != c]
+                # adj[c][r] = (-1)^(r+c) (M[r1][c1] M[r2][c2] - M[r1][c2] M[r2][c1])
+                for f, g, negate in ((lin[r1][c1], lin[r2][c2], (r + c) % 2),
+                                     (lin[r1][c2], lin[r2][c1], (r + c + 1) % 2)):
+                    for i, x in f:
+                        for j, y in g:
+                            m = coef.setdefault((min(i, j), max(i, j)),
+                                                [[zero] * 3 for _ in range(3)])
+                            m[c][r] = m[c][r] - x * y if negate else m[c][r] + x * y
         forms = [dict() for _ in range(9)]
-        for i in range(7):
-            coords = A.sym_coords(sharp[i])
-            for ell in range(9):
-                if coords[ell]:
-                    forms[ell][(i, i)] = coords[ell]
-        for i in range(7):
-            for j in range(i + 1, 7):
-                mixed = A.sharp(basis[i] + basis[j]) - sharp[i] - sharp[j]
-                coords = A.sym_coords(mixed)
-                for ell in range(9):
-                    if coords[ell]:
-                        forms[ell][(i, j)] = coords[ell]
+        for key in sorted(coef):
+            for ell, value in enumerate(A.sym_matrix_coords(coef[key])):
+                if value:
+                    forms[ell][key] = value
         return tuple(forms)
 
     def embed_base(self, c, field):
@@ -297,6 +306,7 @@ def _label_hexagon(lines, field):
 
 def frobenius_on_lines(surface, lines_result=None):
     """Hexagon element induced by the q-power Frobenius on the lines."""
+    from .hexagon import HexAut
     lr = lines_result or find_lines(surface)
     q = surface.field.size
     mapping = {}
@@ -378,11 +388,13 @@ class PointCountRecord:
 
 def _counting_fields(surface, k, budget):
     """(ext, E) for counting over ext = F_{q^k}: the point matrices live over
-    E, which must also contain K.  The budget on |P^6(ext)| is checked before
-    either field is built."""
+    E, which must also contain K.  k >= 1 and the budget on |P^6(ext)| are
+    checked before either field is built."""
     F = surface.field
     if not isinstance(F, FiniteField):
         raise EnumerationBudgetExceeded("counting needs a finite base field")
+    if k < 1:
+        raise Dp6kitError(f"k must be >= 1, got {k}")
     Qp = F.size ** k
     total_pts = projective_count(Qp)
     if total_pts > budget:
@@ -551,6 +563,7 @@ def count_points(surface, k=1, budget=DEFAULT_BUDGET):
 
 
 def predicted_count(q, k, phi):
+    from .hexagon import HexAut, hex_action
     power = HexAut.identity()
     for _ in range(k):
         power = phi.compose(power)
@@ -588,11 +601,10 @@ def _parse_prime_power(q):
 
 
 def _proj_plane(field):
-    from itertools import product as iproduct
     pts = []
     Q = field.size
     for lead in range(3):
-        for rest in iproduct(range(Q), repeat=2 - lead):
+        for rest in product(range(Q), repeat=2 - lead):
             pts.append(tuple([field.zero] * lead + [field.one]
                              + [field.from_code(c) for c in rest]))
     return pts
@@ -656,6 +668,8 @@ def torus_count_check(surface, budget=DEFAULT_BUDGET):
     """|U(F_q)| against |det(q I - phi | T^)| for the complement U of the
     lines; torsors under a torus over a finite field are trivial, so the
     two numbers must agree exactly."""
+    from .hexagon import t_hat
+    from .intlattice import IntMat
     F = surface.field
     q = F.size
     pts = surface_points(surface, 1, budget)
@@ -691,6 +705,7 @@ def lemma_number_check(K, B_class, observed):
     observed: dict with optional keys "n_S" (int) and "has_rational_point".
     Raises InconsistentObservation naming the violated implication.
     """
+    from .brauer import is_split_K
     n_s = observed.get("n_S")
     has_pt = observed.get("has_rational_point")
     b_split = B_class is None or is_split_K(B_class)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch, InvariantViolation
@@ -102,9 +103,8 @@ def _int_poly_is_irreducible(f, p):
         return False
     if deg == 1:
         return True
-    from itertools import product as iproduct
     for d in range(1, deg // 2 + 1):
-        for tail in iproduct(range(p), repeat=d):
+        for tail in product(range(p), repeat=d):
             g = tuple(tail) + (1,)
             if not _pdivmod(f, g, p)[1]:
                 return False
@@ -115,8 +115,7 @@ def _int_poly_is_irreducible(f, p):
 def _find_irreducible_ints(p, k):
     """Coefficients (c0..c_{k-1}, 1) of the lexicographically smallest monic
     irreducible of degree k over F_p (lex on (c0, ..., c_{k-1}))."""
-    from itertools import product as iproduct
-    for tail in iproduct(range(p), repeat=k):
+    for tail in product(range(p), repeat=k):
         f = tuple(tail) + (1,)
         if _int_poly_is_irreducible(f, p):
             return f
@@ -210,10 +209,12 @@ class FFElem:
         return FFElem(f, f._neg(self.code))
 
     def __sub__(self, other):
-        return self + -other
+        f = self.field
+        return FFElem(f, f._add(self.code, f._neg(self._code_of(other))))
 
     def __rsub__(self, other):
-        return -self + other
+        f = self.field
+        return FFElem(f, f._add(self._code_of(other), f._neg(self.code)))
 
     def __mul__(self, other):
         f = self.field

@@ -10,7 +10,7 @@ from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem,
                              cubic_from_basis, cubic_from_generator,
                              diagonal_cubic, gram_matrix,
                              hermitian_cubic_generator, ideal_to_sym,
-                             m3_adjugate, m3_from_entries, m3_unit,
+                             m3_adjugate, m3_from_entries, m3_trace, m3_unit,
                              orth_complement, split_exchange_sym,
                              split_normalize, trace_form)
 from dp6kit.errors import (DegenerateSubalgebra, NoQuadraticExtension,
@@ -106,6 +106,44 @@ def test_model_identities(kind, field):
     for _ in range(20):
         x, y, z = (_rand_elem(A, rng) for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+# the closed forms on the first matrix against the AlgElem arithmetic they
+# replace, on both models over GF(2), GF(3), GF(4), GF(9) and over Q
+_CLOSED_FORM_ALGEBRAS = [
+    *(build(f) for build in (build_split_exchange, build_hermitian)
+      for f in (GF(2), GF(3), GF(2, 2), GF(3, 2))),
+    build_split_exchange(QQ), build_hermitian(QQ, -1)]
+
+
+def _closed_form_id(A):
+    return f"{A.kind}-{A.field}"
+
+
+def _rand_base(A, rng):
+    if A.field is QQ:
+        return F(rng.randint(-5, 5), rng.randint(1, 3))
+    return A.field.from_code(rng.randrange(A.field.size))
+
+
+def _scale_and_add(A, coords):
+    """sum c_k e_k over the canonical symmetric basis, one AlgElem at a time."""
+    acc = A.zero()
+    for c, b in zip(coords, A.sym_basis):
+        acc = acc + b.scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("A", _CLOSED_FORM_ALGEBRAS, ids=_closed_form_id)
+def test_closed_forms_match_algebra_arithmetic(A):
+    rng = random.Random(12)
+    for _ in range(30):
+        cx, cy = ([_rand_base(A, rng) for _ in range(9)] for _ in range(2))
+        x, y = A.sym_from_coords(cx), A.sym_from_coords(cy)
+        assert x == _scale_and_add(A, cx) and y == _scale_and_add(A, cy)
+        assert A.sym_coords(x) == tuple(cx)
+        assert trace_form(A, x, y) == A.trd_sym(x * y)
+        assert A.s_sym(x) == A._to_base(m3_trace(m3_adjugate(x.data[0])))
 
 
 def test_trace_form_examples():

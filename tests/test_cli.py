@@ -107,6 +107,28 @@ def test_cli_import_leaves_proofkit_and_selftest_unloaded():
     assert _loaded_by_cli_import(["dp6kit.proofkit", "dp6kit.selftest"]) == "[]"
 
 
+def _layers(*names):
+    return [f"dp6kit.{name}" for name in names]
+
+
+@pytest.mark.parametrize("commands, unloaded", [
+    ([], _layers("fields", "algebra3", "dp6", "hexagon", "intlattice", "brauer")),
+    ([["surface", "build", "--model", "ksplit-l3", "--q", "2"],
+      ["surface", "lines", "--model", "kinert-l21", "--q", "2"]],
+     _layers("brauer", "hexagon", "intlattice")),
+    ([["surface", "count", "--model", "split", "--q", "2"],
+      ["surface", "frobenius", "--model", "kinert-l3", "--q", "2"],
+      ["surface", "check-zeta", "--model", "ksplit-l21", "--q", "2"]],
+     _layers("brauer")),
+    ([["lattice", "snf", "[[2,0],[0,3]]"]], _layers("dp6", "algebra3", "brauer")),
+    ([["brauer", "index", '{"primes":{"7":"1/6","13":"5/6"}}']],
+     _layers("dp6", "algebra3", "hexagon")),
+], ids=["import", "surface build|lines", "surface count|frobenius|check-zeta",
+        "lattice", "brauer"])
+def test_subcommands_load_only_their_layers(commands, unloaded):
+    assert _loaded_by_cli_import(unloaded, commands) == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ["lattice", "snf", "[[0.5]]"],
     ["lattice", "snf", "[[2.5,1],[0,3]]"],
@@ -128,6 +150,15 @@ def test_surface_count_over_budget(capsys):
                               "--k", "24"])
     assert code == 1
     assert json.loads(out)["error"] == "EnumerationBudgetExceeded"
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_surface_count_refuses_k_below_one(capsys, k):
+    code, out = _run(capsys, ["surface", "count", "--model", "split", "--q", "2",
+                              "--k", k])
+    assert code == 1
+    assert json.loads(out) == {"schema": "dp6kit/1", "error": "Dp6kitError",
+                               "message": f"k must be >= 1, got {k}"}
 
 
 def test_lattice_snf(capsys):

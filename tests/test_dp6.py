@@ -103,6 +103,28 @@ def test_quadrics_match_cofactor_oracle_companion_F3():
     assert [dict(f) for f in s.quadrics] == _cofactor_expansion_quadrics(s)
 
 
+def _polarized_adjoint_quadrics(surface):
+    """Independent oracle: the quadrics through the polarization of the
+    adjoint on algebra elements, (b_i + b_j)# - b_i# - b_j# for i < j."""
+    A = surface.algebra
+    basis = surface.coord_basis
+    forms = [{} for _ in range(9)]
+    for i in range(7):
+        for j in range(i, 7):
+            x = A.sharp(basis[i]) if i == j else \
+                A.sharp(basis[i] + basis[j]) - A.sharp(basis[i]) - A.sharp(basis[j])
+            for ell, c in enumerate(A.sym_coords(x)):
+                if c:
+                    forms[ell][(i, j)] = c
+    return forms
+
+
+def test_quadrics_match_polarized_adjoint(twists2, twists3):
+    for tw in (twists2, twists3, standard_twists(GF(2, 2))):
+        for name, s in tw.items():
+            assert [dict(f) for f in s.quadrics] == _polarized_adjoint_quadrics(s), name
+
+
 def test_quadrics_pointwise_hermitian(twists2):
     s = twists2["kinert-l3"]
     A = s.algebra

@@ -217,6 +217,18 @@ def test_inverse_negation_and_powers(field):
 
 
 @pytest.mark.parametrize("field", SMALL, ids=repr)
+def test_subtraction_is_addition_of_the_negative(field):
+    one = field.one
+    for a in field.elements():
+        assert a - 1 == a + (-one) and 1 - a == one + (-a)
+        for n in (0, 2, -3, field.p + 1):
+            assert a - n == a + (-field.from_int(n))
+            assert n - a == field.from_int(n) + (-a)
+        for b in field.elements():
+            assert a - b == a + (-b)
+
+
+@pytest.mark.parametrize("field", SMALL, ids=repr)
 def test_codes_and_coefficients_agree(field):
     elems = field.elements()
     assert [x.code for x in elems] == list(range(field.size))
