@@ -22,7 +22,6 @@ construction only builds the bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -483,19 +482,22 @@ def gram_matrix(A, elems):
     return [[trace_form(A, x, y) for y in elems] for x in elems]
 
 
-@dataclass(frozen=True)
 class CubicSub:
     """Cubic etale F-subalgebra of symmetric elements, with a chosen basis.
 
     Monogenic subalgebras record their generator and its (squarefree) minimal
     polynomial; the fully split diagonal over a tiny field is not monogenic,
-    so an explicit idempotent basis is also accepted.
+    so an explicit idempotent basis is also accepted.  The constructor checks
+    nothing: use cubic_from_generator or cubic_from_basis to validate.
     """
 
-    algebra: object
-    basis: tuple
-    generator: object = None
-    minpoly: tuple = None
+    __slots__ = ("algebra", "basis", "generator", "minpoly")
+
+    def __init__(self, algebra, basis, generator=None, minpoly=None):
+        self.algebra = algebra
+        self.basis = basis
+        self.generator = generator
+        self.minpoly = minpoly
 
     def descriptor(self):
         if self.generator is not None:
@@ -529,8 +531,10 @@ def cubic_from_generator(A, u):
 
 
 def cubic_from_basis(A, elems):
-    """Explicit 3-dimensional basis: must contain 1, be commutative, closed
-    under multiplication, with nondegenerate restricted trace form."""
+    """Validated constructor from an explicit 3-dimensional basis: it must
+    contain 1, be commutative, closed under multiplication, with nondegenerate
+    restricted trace form.  Each condition is checked, so it suits a basis
+    of unknown provenance; the standard twists build no such subalgebra."""
     elems = tuple(elems)
     if len(elems) != 3 or not _sym_independent(A, elems):
         raise DegenerateSubalgebra("need three independent symmetric elements")
@@ -589,13 +593,15 @@ def ideal_to_sym(A, u_vec, w_vec):
 # split normalization: conjugating a split commuting family to the diagonal
 
 
-@dataclass(frozen=True)
 class SplitCertificate:
     """Conjugator c with c m c^{-1} diagonal for each matrix m of the family;
     on the exchange model this is conjugation by (c, (c^{-1})^t)."""
 
-    conjugator: tuple  # 3x3 over the field of the family
-    inverse: tuple
+    __slots__ = ("conjugator", "inverse")
+
+    def __init__(self, conjugator, inverse):
+        self.conjugator = conjugator  # 3x3 over the field of the family
+        self.inverse = inverse
 
     def apply_matrix(self, m):
         return m3_mul(self.conjugator, m3_mul(m, self.inverse))
@@ -730,7 +736,13 @@ def split_exchange_sym(A, m):
 
 def diagonal_cubic(A):
     """The diagonal subalgebra: monogenic when the field has three distinct
-    elements forming a squarefree cubic, idempotent basis otherwise."""
+    elements forming a squarefree cubic, idempotent basis otherwise.
+
+    The idempotent basis (over GF(2)) is built without re-checking it: the
+    diagonal units e_i are symmetric, e_i e_j = delta_ij e_i, so they commute
+    and span a subalgebra closed under products, e_1 + e_2 + e_3 = 1, and
+    Trd(e_i e_j) = delta_ij makes the restricted Gram matrix the identity.
+    So they span a cubic etale subalgebra isomorphic to F x F x F."""
     f, r = A.field, A.ring
     units = [AlgElem(A, (m3_unit(i, i, r.one, r.zero),) * len(A.one.data))
              for i in range(3)]
@@ -739,7 +751,7 @@ def diagonal_cubic(A):
             [f.from_code(c) for c in range(3)]
         gen = units[0].scale(vals[0]) + units[1].scale(vals[1]) + units[2].scale(vals[2])
         return cubic_from_generator(A, gen)
-    return cubic_from_basis(A, units)
+    return CubicSub(A, tuple(units))
 
 
 def hermitian_cubic_generator(A, root_counts):
@@ -749,9 +761,22 @@ def hermitian_cubic_generator(A, root_counts):
     Candidates are walked in code order and the first match is recorded in
     the resulting CubicSub, which keeps serialized surfaces reproducible.
     The code's digits, least significant first, are the three diagonal
-    entries (base q) and the (0,1), (0,2), (1,2) entries (base q^2).  For
-    root_counts == 0 the walk starts at code q^5, skipping every candidate
-    whose (0,2) and (1,2) entries are both zero; none of those can match.
+    entries (base q) and the (0,1), (0,2), (1,2) entries (base q^2).
+
+    The walk skips a prefix of candidates that cannot match.  A candidate
+    with an index whose off-diagonal entries are all zero is block diagonal
+    there, so that index's diagonal entry, which lies in F, is a root of its
+    characteristic cubic:
+    * root_counts == 1 starts at code q^3.  Below it every off-diagonal
+      entry is zero, so the cubic is (t - d0)(t - d1)(t - d2) with d_i in F:
+      three roots in F, or not squarefree (a repeated d_i).
+    * root_counts == 0 starts at code q^5 + q^3.  Below q^5 the (0,2) and
+      (1,2) entries are zero and index 2 decouples; on [q^5, q^5 + q^3) only
+      the (0,2) entry is nonzero and index 1 decouples.  Either way the cubic
+      has a root in F.
+    The skipped candidates are exactly those the code-order walk from 0
+    would reject, so the first match, and every serialized surface, is the
+    same as for a walk from 0 (tests/test_algebra3.py checks both ranges).
     """
     if A.kind != HERMITIAN:
         raise FieldMismatch("expects the hermitian model")
@@ -760,9 +785,7 @@ def hermitian_cubic_generator(A, root_counts):
         raise FieldMismatch("generator search runs over finite fields")
     ctx = A.ctx
     q = f.size
-    # below q^5 the (0,2) and (1,2) entries are zero, so the matrix is block
-    # diagonal and its (2,2) entry, in F, is a root: no zero-root match there
-    start = q ** 5 if root_counts == 0 else 0
+    start = {1: q ** 3, 0: q ** 5 + q ** 3}.get(root_counts, 0)
     for code in range(start, q ** 3 * ctx.K.size ** 3):
         c = code
         diag = []

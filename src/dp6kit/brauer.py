@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (OrderViolation, RealPlaceOrder, ReciprocityViolation)
+from .errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
+                     ReciprocityViolation)
 from .fields import is_prime
 
 REAL_PLACE = "inf"
@@ -447,9 +448,21 @@ def to_json(u):
     return out
 
 
+def parse_rational(x):
+    """A rational number from JSON: an integer or a string such as "5/6".
+    Floats, booleans, lists and zero denominators are refused."""
+    if type(x) is not int and not isinstance(x, str):
+        raise Dp6kitError(f"rational must be a JSON string or integer, got {x!r}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise Dp6kitError(f"rational must be a JSON fraction with a nonzero "
+                          f"denominator, got {x!r}") from None
+
+
 def from_json(obj):
-    real = Fraction(obj.get("inf", "0"))
-    primes = {int(p): Fraction(f) for p, f in obj.get("primes", {}).items()}
+    real = parse_rational(obj.get("inf", "0"))
+    primes = {int(p): parse_rational(f) for p, f in obj.get("primes", {}).items()}
     return invariant_vector(real, primes)
 
 
@@ -462,12 +475,18 @@ def to_json_K(u):
     return out
 
 
+def _slots_json(slots):
+    """Per-slot invariants over a quadratic field: a JSON array of rationals."""
+    if not isinstance(slots, list):
+        raise Dp6kitError(f"slot invariants must be a JSON array, got {slots!r}")
+    return tuple(parse_rational(f) for f in slots)
+
+
 def from_json_K(obj):
     K = QuadField(obj["d"]) if obj.get("d") is not None else QuadField.split()
-    real = tuple(Fraction(f) for f in obj.get("inf", []))
+    real = _slots_json(obj.get("inf", []))
     n_real = 2 if (K.is_split or K.d > 0) else 1
     if not real:
         real = (Fraction(0),) * n_real
-    primes = {int(p): tuple(Fraction(f) for f in slots)
-              for p, slots in obj.get("primes", {}).items()}
+    primes = {int(p): _slots_json(slots) for p, slots in obj.get("primes", {}).items()}
     return invariant_vector_K(K, real, primes)

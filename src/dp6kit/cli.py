@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import Dp6kitError
 
@@ -55,6 +54,16 @@ def _class(data, what="class"):
     return data
 
 
+def _place(data):
+    """The "place" of a payload: "inf", or a prime as a JSON integer or string."""
+    v = data["place"]
+    if v == "inf":
+        return v
+    if type(v) is not int and not isinstance(v, str):
+        raise Dp6kitError(f"place must be a JSON string or integer, got {v!r}")
+    return int(v)
+
+
 def _cmd_brauer(args):
     from . import brauer
     op = args.op
@@ -71,21 +80,19 @@ def _cmd_brauer(args):
     elif op == "is-split":
         _emit({"split": brauer.is_split(brauer.from_json(_class(data)))})
     elif op == "quaternion":
-        u = brauer.quaternion_class(Fraction(data["a"]), Fraction(data["b"]))
+        u = brauer.quaternion_class(brauer.parse_rational(data["a"]),
+                                    brauer.parse_rational(data["b"]))
         _emit({"class": brauer.to_json(u)})
     elif op == "order3":
-        u = brauer.order3_class({int(p): Fraction(f)
+        u = brauer.order3_class({int(p): brauer.parse_rational(f)
                                  for p, f in _class(data)["primes"].items()})
         _emit({"class": brauer.to_json(u)})
     elif op == "hilbert":
-        v = data["place"]
-        v = v if v == "inf" else int(v)
-        _emit({"symbol": brauer.hilbert_symbol(Fraction(data["a"]),
-                                               Fraction(data["b"]), v)})
+        _emit({"symbol": brauer.hilbert_symbol(brauer.parse_rational(data["a"]),
+                                               brauer.parse_rational(data["b"]),
+                                               _place(data))})
     elif op == "splitting":
-        v = data["place"]
-        v = v if v == "inf" else int(v)
-        _emit({"splitting": brauer.splitting_in_quadratic(_quadfield(data), v)})
+        _emit({"splitting": brauer.splitting_in_quadratic(_quadfield(data), _place(data))})
     elif op == "restriction":
         u = brauer.restriction(brauer.from_json(_class(data["class"])), _quadfield(data))
         _emit({"classK": brauer.to_json_K(u)})

@@ -563,13 +563,11 @@ def count_points(surface, k=1, budget=DEFAULT_BUDGET):
 
 
 def predicted_count(q, k, phi):
-    from .hexagon import HexAut, hex_action
+    from .hexagon import HexAut, pic_trace
     power = HexAut.identity()
     for _ in range(k):
         power = phi.compose(power)
-    m = hex_action(power)
-    tr = sum(m.data[i][i] for i in range(4))
-    return q ** (2 * k) + q ** k * tr + 1
+    return q ** (2 * k) + q ** k * pic_trace(power) + 1
 
 
 def zeta_check(surface, ks=None, budget=DEFAULT_BUDGET):

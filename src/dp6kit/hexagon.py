@@ -5,20 +5,19 @@ E's are pairwise disjoint, the F's are pairwise disjoint, Ei meets Fj exactly
 when i != j.  The Picard lattice uses the blow-up basis (H, E1, E2, E3) with
 intersection form diag(1, -1, -1, -1) and canonical class -3H + E1 + E2 + E3,
 which makes every line class and the S2 x S3 automorphism action explicit.
+
+The automorphisms, line classes and Picard traces need nothing but
+dp6kit.errors; the functions that build lattices import dp6kit.intlattice
+when they run, so a surface count never loads the lattice layer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import Dp6kitError, InvariantViolation
-from .intlattice import (FiniteGroup, GLattice, IntMat, LatticeMap,
-                         equivariant_iso_search, fixed_rank_by_traces,
-                         fixed_submodule, h1, is_exact, kernel_basis,
-                         mat_from_columns, solve_integer)
 
 LINE_LABELS = ("E1", "E2", "E3", "F1", "F2", "F3")
 
@@ -59,13 +58,22 @@ def is_K_divisible(k_coords):
     return g > 1
 
 
-@dataclass(frozen=True)
 class HexAut:
     """Automorphism (s, sigma) of the hexagon: s exchanges Ei with Fi,
     sigma permutes the indices simultaneously on both triangles."""
 
-    swap: bool
-    perm: tuple  # (sigma(0), sigma(1), sigma(2))
+    __slots__ = ("swap", "perm")
+
+    def __init__(self, swap, perm):
+        self.swap = swap
+        self.perm = perm  # (sigma(0), sigma(1), sigma(2))
+
+    def __eq__(self, other):
+        return (isinstance(other, HexAut) and other.swap == self.swap
+                and other.perm == self.perm)
+
+    def __hash__(self):
+        return hash((self.swap, self.perm))
 
     @staticmethod
     def identity():
@@ -132,18 +140,29 @@ def aut_from_label(label):
     return _AUT_BY_LABEL[label]
 
 
-def hex_action(g):
-    """Induced 4x4 matrix on the Picard lattice (columns = basis images)."""
+def _pic_columns(g):
+    """Images of the basis H, E1, E2, E3 under g, as line-class columns."""
     img = {l: line_class(g.apply(l)) for l in LINE_LABELS}
     # H = F1 + E2 + E3
     h_img = tuple(img["F1"][t] + img["E2"][t] + img["E3"][t] for t in range(4))
-    cols = [h_img, img["E1"], img["E2"], img["E3"]]
-    return mat_from_columns([list(c) for c in cols], 4)
+    return [h_img, img["E1"], img["E2"], img["E3"]]
+
+
+def hex_action(g):
+    """Induced 4x4 matrix on the Picard lattice (columns = basis images)."""
+    from .intlattice import mat_from_columns
+    return mat_from_columns([list(c) for c in _pic_columns(g)], 4)
+
+
+def pic_trace(g):
+    """Trace of g on the Picard lattice: the diagonal of hex_action(g)."""
+    return sum(c[i] for i, c in enumerate(_pic_columns(g)))
 
 
 @lru_cache(maxsize=None)
 def hexagon_group():
     """S2 x S3 as a FiniteGroup on the 12 automorphism labels."""
+    from .intlattice import FiniteGroup
     labels = [g.label for g in ALL_AUTS]
     table = {(a.label, b.label): a.compose(b).label
              for a in ALL_AUTS for b in ALL_AUTS}
@@ -161,12 +180,14 @@ def subgroups():
 
 @lru_cache(maxsize=None)
 def pic_lattice():
+    from .intlattice import GLattice
     G = hexagon_group()
     action = {lbl: hex_action(aut_from_label(lbl)) for lbl in G.labels}
     return GLattice(4, G, action)
 
 
 def _perm_matrix(images, basis):
+    from .intlattice import IntMat
     idx = {b: i for i, b in enumerate(basis)}
     n = len(basis)
     rows = [[0] * n for _ in range(n)]
@@ -178,6 +199,7 @@ def _perm_matrix(images, basis):
 @lru_cache(maxsize=None)
 def perm_kl():
     """Z[KL/F]: the permutation lattice on the six lines."""
+    from .intlattice import GLattice
     G = hexagon_group()
     action = {}
     for lbl in G.labels:
@@ -189,6 +211,7 @@ def perm_kl():
 @lru_cache(maxsize=None)
 def perm_l():
     """Z[L/F]: permutation lattice on the three opposite pairs."""
+    from .intlattice import GLattice
     G = hexagon_group()
     basis = (0, 1, 2)
     action = {}
@@ -201,6 +224,7 @@ def perm_l():
 @lru_cache(maxsize=None)
 def perm_k():
     """Z[K/F]: permutation lattice on the two triangles."""
+    from .intlattice import GLattice
     G = hexagon_group()
     basis = ("tE", "tF")
     action = {}
@@ -216,10 +240,12 @@ def perm_k():
 
 def divisor_matrix():
     """4x6 matrix sending each line label to its Picard class."""
+    from .intlattice import mat_from_columns
     return mat_from_columns([list(line_class(l)) for l in LINE_LABELS], 4)
 
 
 def divisor_map(subgroup=None):
+    from .intlattice import LatticeMap
     G = subgroup if subgroup is not None else hexagon_group()
     return LatticeMap(perm_kl().restrict(G), pic_lattice().restrict(G),
                       divisor_matrix())
@@ -232,6 +258,7 @@ def _t_hat_full():
     B has full column rank, so each image P b_j has exactly one coordinate
     vector; the action is solved once per group element.
     """
+    from .intlattice import GLattice, kernel_basis, mat_from_columns, solve_integer
     G = hexagon_group()
     B = kernel_basis(divisor_matrix())
     kl = perm_kl()
@@ -248,6 +275,7 @@ def t_hat(subgroup=None):
 
     Returns (lattice, inclusion map into Z[KL/F]).
     """
+    from .intlattice import LatticeMap
     G = subgroup if subgroup is not None else hexagon_group()
     full, B = _t_hat_full()
     lat = full.restrict(G)
@@ -255,12 +283,14 @@ def t_hat(subgroup=None):
 
 
 def _zero_lattice(G):
+    from .intlattice import GLattice, IntMat
     return GLattice(0, G, {g: IntMat([], rows=0, cols=0) for g in G.labels},
                     check=False)
 
 
 def first_sequence(subgroup=None):
     """0 -> T^ -> Z[KL/F] -> Pic -> 0 as a chain of maps with zero caps."""
+    from .intlattice import IntMat, LatticeMap
     G = subgroup if subgroup is not None else hexagon_group()
     that, incl = t_hat(G)
     zero = _zero_lattice(G)
@@ -275,6 +305,7 @@ def first_sequence(subgroup=None):
 
 def pair_triangle_matrix():
     """5x6 matrix: line -> (its opposite pair, its triangle)."""
+    from .intlattice import IntMat
     rows = [[0] * 6 for _ in range(5)]
     for j, l in enumerate(LINE_LABELS):
         i = int(l[1]) - 1
@@ -285,6 +316,7 @@ def pair_triangle_matrix():
 
 def second_sequence(subgroup=None):
     """0 -> T^ -> Z[KL/F] -> Z[L/F] + Z[K/F] -> Z -> 0."""
+    from .intlattice import GLattice, IntMat, LatticeMap
     G = subgroup if subgroup is not None else hexagon_group()
     that, incl = t_hat(G)
     zero = _zero_lattice(G)
@@ -309,8 +341,7 @@ def trace_table():
     """Trace of the Picard action per conjugacy class of S2 x S3."""
     out = {}
     for g in ALL_AUTS:
-        m = hex_action(g)
-        tr = sum(m.data[i][i] for i in range(4))
+        tr = pic_trace(g)
         key = conjugacy_class_key(g)
         if out.setdefault(key, tr) != tr:
             raise InvariantViolation(f"trace is not a class function at {key}")
@@ -319,6 +350,7 @@ def trace_table():
 
 def stable_iso_lattices():
     """The two stably isomorphic lattices: Pic + Z and Z[L/F] + Z[K/F]."""
+    from .intlattice import GLattice
     G = hexagon_group()
     left = pic_lattice().direct_sum(GLattice.trivial(1, G))
     right = perm_l().direct_sum(perm_k())
@@ -327,6 +359,7 @@ def stable_iso_lattices():
 
 @lru_cache(maxsize=None)
 def stable_iso_witness(bound=3):
+    from .intlattice import equivariant_iso_search
     left, right = stable_iso_lattices()
     return equivariant_iso_search(left, right, bound=bound)
 
@@ -340,6 +373,7 @@ def _verify_intertwiner(M, left, right, subgroup):
 
 def subgroup_report(index):
     """Per-subgroup record used in JSON reports and the acceptance suite."""
+    from .intlattice import fixed_rank_by_traces, fixed_submodule, h1, is_exact
     subs = subgroups()
     if not 0 <= index < len(subs):
         raise Dp6kitError(f"subgroup {index} outside 0..{len(subs) - 1}")

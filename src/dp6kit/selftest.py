@@ -17,6 +17,7 @@ from . import brauer, dp6, hexagon, intlattice, proofkit
 from .brauer import (QuadField, corestriction, hilbert_symbol, index,
                      invariant_vector, power, quaternion_class, restriction,
                      splitting_in_quadratic)
+from .errors import Dp6kitError
 from .fields import GF
 
 SCHEMA = "dp6kit/selftest/1"
@@ -441,6 +442,9 @@ def run_all(filter_text=None, include_determinism=True):
         passed, detail = fn()
         results.append({"id": cid, "name": name, "passed": bool(passed),
                         "detail": detail})
+    if not results:
+        # an empty selection would report a vacuous pass
+        raise Dp6kitError(f"filter {filter_text!r} selects no criterion")
     return {
         "schema": SCHEMA,
         "results": results,

@@ -15,7 +15,7 @@ from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem,
                              split_normalize, trace_form)
 from dp6kit.errors import (DegenerateSubalgebra, NoQuadraticExtension,
                            NotSplitOverBase)
-from dp6kit.fields import GF, QQ, mat_det_field, poly_roots
+from dp6kit.fields import GF, QQ, mat_det_field, poly_is_squarefree, poly_roots
 
 F = Fraction
 
@@ -379,23 +379,35 @@ def _candidate_at(B, code):
     return diag, AlgElem(B, (m3_from_entries(entries, ctx.zero),))
 
 
-@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
-def test_zero_root_search_skips_only_candidates_with_a_root(p, k):
-    f = GF(p, k)
-    q = f.size
-    B = build_hermitian(f)
-    for code in range(q ** 5):
-        diag, u = _candidate_at(B, code)
-        charpoly = [-B.nrd_sym(u), B.s_sym(u), -B.trd_sym(u), f.one]
-        assert diag[2] in poly_roots(charpoly, f)
-    # a walk from code 0 finds the same first match as the search
+def _first_match(B, root_count):
+    """First candidate, walking codes from 0, whose minimal cubic has
+    root_count roots in the base field."""
     for code in itertools.count():
         _, u = _candidate_at(B, code)
         try:
             L = cubic_from_generator(B, u)
         except DegenerateSubalgebra:
             continue
-        if not poly_roots(L.minpoly, f):
-            break
-    assert code >= q ** 5
-    assert hermitian_cubic_generator(B, 0).generator == u
+        if len(poly_roots(L.minpoly, B.field)) == root_count:
+            return code, u
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+def test_zero_root_search_skips_only_candidates_with_a_root(p, k):
+    f = GF(p, k)
+    q = f.size
+    B = build_hermitian(f)
+    for code in range(q ** 5 + q ** 3):
+        diag, u = _candidate_at(B, code)
+        charpoly = [-B.nrd_sym(u), B.s_sym(u), -B.trd_sym(u), f.one]
+        roots = poly_roots(charpoly, f)
+        # index 2 decouples below q^5, index 1 on [q^5, q^5 + q^3)
+        assert diag[2 if code < q ** 5 else 1] in roots
+        if code < q ** 3:
+            # a diagonal candidate: three roots in F, or a repeated one
+            assert len(roots) == 3 or not poly_is_squarefree(charpoly, f)
+    # a walk from code 0 finds the same first match as each search
+    for root_count, start in ((1, q ** 3), (0, q ** 5 + q ** 3)):
+        code, u = _first_match(B, root_count)
+        assert code >= start
+        assert hermitian_cubic_generator(B, root_count).generator == u

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -111,15 +112,16 @@ def _layers(*names):
     return [f"dp6kit.{name}" for name in names]
 
 
+# surface commands build their twists from plain classes: no dataclasses
 @pytest.mark.parametrize("commands, unloaded", [
     ([], _layers("fields", "algebra3", "dp6", "hexagon", "intlattice", "brauer")),
     ([["surface", "build", "--model", "ksplit-l3", "--q", "2"],
       ["surface", "lines", "--model", "kinert-l21", "--q", "2"]],
-     _layers("brauer", "hexagon", "intlattice")),
+     _layers("brauer", "hexagon", "intlattice") + ["dataclasses"]),
     ([["surface", "count", "--model", "split", "--q", "2"],
       ["surface", "frobenius", "--model", "kinert-l3", "--q", "2"],
       ["surface", "check-zeta", "--model", "ksplit-l21", "--q", "2"]],
-     _layers("brauer")),
+     _layers("brauer", "intlattice") + ["dataclasses"]),
     ([["lattice", "snf", "[[2,0],[0,3]]"]], _layers("dp6", "algebra3", "brauer")),
     ([["brauer", "index", '{"primes":{"7":"1/6","13":"5/6"}}']],
      _layers("dp6", "algebra3", "hexagon")),
@@ -136,6 +138,11 @@ def test_subcommands_load_only_their_layers(commands, unloaded):
     ["lattice", "snf", "[1,2]"],
     ["brauer", "index", "[1]"],
     ["brauer", "index", '{"primes":[1]}'],
+    ["brauer", "index", '{"primes":{"7":"1/0"}}'],
+    ["brauer", "index", '{"primes":{"7":[1]}}'],
+    ["brauer", "hilbert", '{"a":1,"b":1,"place":[1]}'],
+    ["brauer", "corestriction", '{"classK":{"d":5,"inf":5}}'],
+    ["brauer", "involution", '{"classK":{"d":5,"primes":{"7":"1/2"}}}'],
     ["replay", "--proof", "first", "--algebra", "[1]"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[-1:]))
 def test_malformed_payload_gives_error_json(capsys, argv):
@@ -215,6 +222,13 @@ def test_selftest_stdout_is_identical_across_hash_seeds():
     assert first == second
 
 
+def test_selftest_refuses_an_empty_selection(capsys):
+    code, out = _run(capsys, ["selftest", "--filter", "nothing"])
+    assert code == 1
+    assert json.loads(out) == {"schema": "dp6kit/1", "error": "Dp6kitError",
+                               "message": "filter 'nothing' selects no criterion"}
+
+
 def test_selftest_filter(capsys):
     code = main(["selftest", "--filter", "brauer"])
     captured = capsys.readouterr()
@@ -222,3 +236,25 @@ def test_selftest_filter(capsys):
     report = json.loads(captured.out)
     assert [r["id"] for r in report["results"]] == ["1", "2", "3"]
     assert "PASS" in captured.err
+
+
+# sha256 of the concatenated stdout of these commands: any change to a byte
+# of the surface CLI's output fails here.  Update it only together with a
+# declared stdout change.
+_SURFACE_COMMANDS = (
+    [["surface", action, "--model", model, "--q", str(q)]
+     for q in (2, 3)
+     for action in ("build", "count", "lines", "frobenius", "check-zeta")
+     for model in dp6.TWIST_NAMES]
+    + [["surface", "build", "--model", "kinert-l3", "--q", "4"]])
+_SURFACE_STDOUT_SHA256 = "2ed03ca4e6bc178c2a14d334474143b01cabeefefd8f1ee6c7b9cb09784d6fc9"
+
+
+def test_surface_stdout_matches_recorded_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _SURFACE_COMMANDS:
+        code, out = _run(capsys, argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert len(_SURFACE_COMMANDS) == 61
+    assert digest.hexdigest() == _SURFACE_STDOUT_SHA256

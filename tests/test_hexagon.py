@@ -5,7 +5,8 @@ from dp6kit.hexagon import (ALL_AUTS, K_CLASS, LINE_LABELS, HexAut,
                             conjugacy_class_key, divisor_matrix,
                             first_sequence, hex_action, hexagon_group,
                             intersection, is_K_divisible, line_class,
-                            pair_triangle_matrix, pic_lattice, reports_json,
+                            pair_triangle_matrix, pic_lattice, pic_trace,
+                            reports_json,
                             second_sequence, stable_iso_lattices,
                             stable_iso_witness, subgroups, t_hat, trace_table)
 from dp6kit.intlattice import (IntMat, fixed_submodule, is_exact,
@@ -46,6 +47,13 @@ def test_hex_action_examples():
         mg = hex_action(g)
         assert mg.transpose() * gram * mg == gram
         assert mg.apply(list(K_CLASS)) == list(K_CLASS)
+
+
+def test_pic_trace_is_the_trace_of_hex_action():
+    assert len(ALL_AUTS) == 12
+    for g in ALL_AUTS:
+        m = hex_action(g)
+        assert pic_trace(g) == sum(m.data[i][i] for i in range(4))
 
 
 def test_action_is_homomorphism():
