@@ -5,6 +5,11 @@ sum to zero, with real invariant 0 or 1/2.  Hilbert symbols use the standard
 closed formulas; restriction and corestriction to a quadratic field track
 places as (rational place, slot) pairs, never as ideals.
 
+Invariants are reduced Fractions n/d, 0 <= n < d, at every API boundary,
+and are handled on their integer numerators: m times n/d is (m n mod d)/d,
+and a sum vanishes in Q/Z exactly when the numerators, put over the lcm of
+the denominators, sum to a multiple of it.
+
 Over a number field the Schur index of a division class equals the lcm of
 the local orders (Albert-Brauer-Hasse-Noether); index() computes that lcm
 and certificates that rely on the identification record it as an axiom.
@@ -30,8 +35,28 @@ HALF = Fraction(1, 2)
 
 
 def frac_mod1(x):
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
+    """x in [0, 1) as a Fraction; one that is already there comes back as is."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    return x if 0 <= n < d else Fraction(n % d, d)
+
+
+def _times(m, f):
+    """m f in Q/Z, for an integer m and a reduced invariant f."""
+    d = f.denominator
+    return Fraction(m * f.numerator % d, d)
+
+
+def _numerator_sum(fracs):
+    """(num, den): den is the lcm of the denominators, num/den the sum."""
+    den = lcm(*(f.denominator for f in fracs))
+    return sum(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def _sum_mod1(fracs):
+    num, den = _numerator_sum(fracs)
+    return Fraction(num % den, den)
 
 
 def _check_place(v):
@@ -50,21 +75,20 @@ class InvariantVector:
     primes: tuple  # ((p, Fraction), ...) sorted by p, nonzero values only
 
     def __post_init__(self):
-        if self.real not in (Fraction(0), HALF):
+        if self.real not in (0, HALF):
             raise RealPlaceOrder(f"real invariant must be 0 or 1/2, got {self.real}")
-        total = self.real
         last = 0
         for p, f in self.primes:
             _check_place(p)
             if not (p > last):
                 raise ValueError("prime support must be strictly sorted")
             last = p
-            if f != frac_mod1(f) or f == 0:
+            if not 0 < f.numerator < f.denominator:
                 raise ValueError("invariants must be reduced, nonzero, in (0,1)")
-            total += f
-        if frac_mod1(total) != 0:
+        num, den = _numerator_sum((self.real, *(f for _, f in self.primes)))
+        if num % den:
             raise ReciprocityViolation(
-                f"local invariants sum to {frac_mod1(total)}, not 0")
+                f"local invariants sum to {Fraction(num % den, den)}, not 0")
 
     @property
     def prime_map(self):
@@ -89,10 +113,10 @@ class InvariantVector:
 
 def invariant_vector(real=0, primes=None):
     """Validated constructor from a real invariant and a prime->fraction map."""
-    real = frac_mod1(Fraction(real))
+    real = frac_mod1(real)
     entries = []
     for p, f in sorted((primes or {}).items()):
-        f = frac_mod1(Fraction(f))
+        f = frac_mod1(f)
         if f:
             entries.append((int(p), f))
     return InvariantVector(real=real, primes=tuple(entries))
@@ -103,16 +127,15 @@ ZERO_CLASS = invariant_vector()
 
 def tensor(u, v):
     """Product in the Brauer group: pointwise addition in Q/Z."""
-    real = frac_mod1(u.real + v.real)
     primes = {}
-    for p, f in list(u.primes) + list(v.primes):
-        primes[p] = frac_mod1(primes.get(p, Fraction(0)) + f)
-    return invariant_vector(real, primes)
+    for p, f in u.primes + v.primes:
+        primes.setdefault(p, []).append(f)
+    return invariant_vector(_sum_mod1((u.real, v.real)),
+                            {p: _sum_mod1(fs) for p, fs in primes.items()})
 
 
 def inverse(u):
-    return invariant_vector(frac_mod1(-u.real),
-                            {p: frac_mod1(-f) for p, f in u.primes})
+    return power(u, -1)
 
 
 def is_split(u):
@@ -120,8 +143,8 @@ def is_split(u):
 
 
 def power(u, n):
-    return invariant_vector(frac_mod1(n * u.real),
-                            {p: frac_mod1(n * f) for p, f in u.primes})
+    return invariant_vector(_times(n, u.real),
+                            {p: _times(n, f) for p, f in u.primes})
 
 
 def order(u):
@@ -222,7 +245,7 @@ def order3_class(local_data):
     primes = {}
     for place, f in (local_data.items() if isinstance(local_data, dict)
                      else local_data):
-        f = frac_mod1(Fraction(f))
+        f = frac_mod1(f)
         if place == REAL_PLACE:
             if f:
                 raise RealPlaceOrder("order-3 class cannot ramify at the real place")
@@ -306,14 +329,12 @@ class InvariantVectorK:
         n_real = 2 if (self.K.is_split or self.K.d > 0) else 1
         if len(self.real) != n_real:
             raise ValueError("wrong number of real slots for this field")
-        total = Fraction(0)
         for f in self.real:
             if n_real == 1:
                 if f:
                     raise RealPlaceOrder("complex place carries no Brauer invariant")
-            elif f not in (Fraction(0), HALF):
+            elif f not in (0, HALF):
                 raise RealPlaceOrder("real invariant must be 0 or 1/2")
-            total += f
         last = 0
         for p, slots in self.primes:
             _check_place(p)
@@ -326,17 +347,18 @@ class InvariantVectorK:
             if not any(slots):
                 raise ValueError("support entries must be nonzero somewhere")
             for f in slots:
-                if f != frac_mod1(f):
+                if not 0 <= f.numerator < f.denominator:
                     raise ValueError("invariants must be reduced")
-                total += f
-        if frac_mod1(total) != 0:
+        every = self.real + tuple(f for _, slots in self.primes for f in slots)
+        num, den = _numerator_sum(every)
+        if num % den:
             raise ReciprocityViolation("invariants over K do not sum to 0")
         if self.K.is_split:
             # Br(F x F) = Br F x Br F: each factor is reciprocal on its own
             for slot in (0, 1):
-                part = self.real[slot] + sum((s[slot] for _, s in self.primes),
-                                             Fraction(0))
-                if frac_mod1(part) != 0:
+                part = [self.real[slot]] + [s[slot] for _, s in self.primes]
+                num, den = _numerator_sum(part)
+                if num % den:
                     raise ReciprocityViolation(
                         f"factor {slot} of the split algebra violates reciprocity")
 
@@ -350,23 +372,15 @@ def invariant_vector_K(K, real=None, primes=None):
     n_real = 2 if (K.is_split or K.d > 0) else 1
     if real is None:
         real = (Fraction(0),) * n_real
-    real = tuple(frac_mod1(Fraction(f)) for f in real)
+    real = tuple(frac_mod1(f) for f in real)
     entries = []
     for p, slots in sorted((primes or {}).items()):
         if isinstance(slots, (int, Fraction)):
             slots = (slots,)
-        slots = tuple(frac_mod1(Fraction(f)) for f in slots)
+        slots = tuple(frac_mod1(f) for f in slots)
         if any(slots):
             entries.append((int(p), slots))
     return InvariantVectorK(K=K, real=real, primes=tuple(entries))
-
-
-def split_pair_K(c1, c2):
-    """Class over K = F x F from its two factor classes."""
-    K = QuadField.split()
-    places = sorted(set(dict(c1.primes)) | set(dict(c2.primes)))
-    primes = {p: (c1.at(p), c2.at(p)) for p in places}
-    return invariant_vector_K(K, (c1.real, c2.real), primes)
 
 
 def split_components(u):
@@ -392,13 +406,13 @@ def restriction(u, K):
     if kind_real == SPLIT:
         real = (u.real, u.real)
     else:
-        real = (frac_mod1(2 * u.real),)
+        real = (_times(2, u.real),)
     primes = {}
     for p, f in u.primes:
         if splitting_in_quadratic(K, p) == SPLIT:
             primes[p] = (f, f)
         else:
-            primes[p] = (frac_mod1(2 * f),)
+            primes[p] = (_times(2, f),)
     return invariant_vector_K(K, real, primes)
 
 
@@ -406,8 +420,8 @@ def corestriction(u, K=None):
     """Sum of the invariants over the places above each rational place."""
     if K is not None and K != u.K:
         raise ValueError("field mismatch in corestriction")
-    real = frac_mod1(sum(u.real, Fraction(0)))
-    primes = {p: frac_mod1(sum(slots, Fraction(0))) for p, slots in u.primes}
+    real = _sum_mod1(u.real)
+    primes = {p: _sum_mod1(slots) for p, slots in u.primes}
     return invariant_vector(real, primes)
 
 
@@ -460,9 +474,21 @@ def parse_rational(x):
                           f"denominator, got {x!r}") from None
 
 
+def primes_from_json(primes, parse):
+    """{p: parse(value)} from a JSON "primes" object.  Each key must be the
+    canonical decimal of its integer, so no prime is named by two keys."""
+    out = {}
+    for key, value in primes.items():
+        p = int(key)
+        if str(p) != key:
+            raise Dp6kitError(f"prime key {key!r} is not the canonical decimal {p}")
+        out[p] = parse(value)
+    return out
+
+
 def from_json(obj):
     real = parse_rational(obj.get("inf", "0"))
-    primes = {int(p): parse_rational(f) for p, f in obj.get("primes", {}).items()}
+    primes = primes_from_json(obj.get("primes", {}), parse_rational)
     return invariant_vector(real, primes)
 
 
@@ -488,5 +514,5 @@ def from_json_K(obj):
     n_real = 2 if (K.is_split or K.d > 0) else 1
     if not real:
         real = (Fraction(0),) * n_real
-    primes = {int(p): _slots_json(slots) for p, slots in obj.get("primes", {}).items()}
+    primes = primes_from_json(obj.get("primes", {}), _slots_json)
     return invariant_vector_K(K, real, primes)

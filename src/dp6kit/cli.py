@@ -64,10 +64,25 @@ def _place(data):
     return int(v)
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise Dp6kitError(f"JSON object names the key {key!r} twice")
+        obj[key] = value
+    return obj
+
+
+def _payload(text):
+    """A JSON payload whose objects name no key twice (plain json.loads
+    would keep the last value and drop the others unseen)."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _cmd_brauer(args):
     from . import brauer
     op = args.op
-    data = _object(json.loads(args.payload), "payload")
+    data = _object(_payload(args.payload), "payload")
     if op == "index":
         _emit({"index": brauer.index(brauer.from_json(_class(data)))})
     elif op == "tensor":
@@ -84,8 +99,8 @@ def _cmd_brauer(args):
                                     brauer.parse_rational(data["b"]))
         _emit({"class": brauer.to_json(u)})
     elif op == "order3":
-        u = brauer.order3_class({int(p): brauer.parse_rational(f)
-                                 for p, f in _class(data)["primes"].items()})
+        u = brauer.order3_class(brauer.primes_from_json(_class(data)["primes"],
+                                                        brauer.parse_rational))
         _emit({"class": brauer.to_json(u)})
     elif op == "hilbert":
         _emit({"symbol": brauer.hilbert_symbol(brauer.parse_rational(data["a"]),
@@ -119,6 +134,8 @@ def _int_matrix(text):
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in rows)):
         raise Dp6kitError("matrix must be a JSON array of rows of integers")
+    if not rows or not rows[0]:
+        raise Dp6kitError("matrix must be a JSON array of at least one nonempty row")
     return rows
 
 
@@ -194,7 +211,7 @@ def _cmd_surface(args):
 
 def _cmd_replay(args):
     from . import brauer, proofkit
-    A = brauer.from_json(_class(json.loads(args.algebra), "algebra"))
+    A = brauer.from_json(_class(_payload(args.algebra), "algebra"))
     if args.proof == "first":
         cert = proofkit.replay_first_proof(A)
     elif args.proof == "second":
@@ -213,10 +230,13 @@ def _cmd_replay(args):
 
 def _cmd_selftest(args):
     from . import selftest
-    report = selftest.run_all(filter_text=args.filter)
-    for r in report["results"]:
+
+    def progress(r, seconds):
         status = "PASS" if r["passed"] else "FAIL"
-        sys.stderr.write(f"[{status}] criterion {r['id']}: {r['name']}\n")
+        sys.stderr.write(f"[{status}] criterion {r['id']}: {r['name']}"
+                         f" ({seconds:.2f}s)\n")
+
+    report = selftest.run_all(filter_text=args.filter, on_result=progress)
     sys.stdout.write(selftest.report_json(report).decode() + "\n")
     return 0 if report["all_passed"] else 1
 

@@ -12,6 +12,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from time import perf_counter
 
 from . import brauer, dp6, hexagon, intlattice, proofkit
 from .brauer import (QuadField, corestriction, hilbert_symbol, index,
@@ -432,16 +433,22 @@ CRITERIA = (
 )
 
 
-def run_all(filter_text=None, include_determinism=True):
+def run_all(filter_text=None, include_determinism=True, on_result=None):
+    """The selected criteria's report.  on_result(result, seconds), if given,
+    sees each result as it is made, with the criterion's elapsed time, which
+    the deterministic report leaves out."""
     results = []
     for cid, name, fn in CRITERIA:
         if fn is crit_determinism and not include_determinism:
             continue
         if filter_text and filter_text not in name and filter_text != cid:
             continue
+        t0 = perf_counter()
         passed, detail = fn()
         results.append({"id": cid, "name": name, "passed": bool(passed),
                         "detail": detail})
+        if on_result is not None:
+            on_result(results[-1], perf_counter() - t0)
     if not results:
         # an empty selection would report a vacuous pass
         raise Dp6kitError(f"filter {filter_text!r} selects no criterion")

@@ -1,22 +1,32 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT, QuadField,
+from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT,
+                           InvariantVector, InvariantVectorK, QuadField,
                            admits_unitary_involution, chatelet_kernel,
-                           corestriction, decompose_degree6, from_json,
-                           from_json_K, hilbert_symbol, index,
+                           corestriction, decompose_degree6, frac_mod1,
+                           from_json, from_json_K, hilbert_symbol, index,
                            invariant_vector, invariant_vector_K, inverse,
-                           is_split, is_split_K, order, power,
-                           quaternion_class, restriction, order3_class,
-                           split_components, split_pair_K,
+                           is_split, is_split_K, order, order3_class,
+                           parse_rational, power, primes_from_json,
+                           quaternion_class, restriction, split_components,
                            splitting_in_quadratic, tensor, to_json, to_json_K)
-from dp6kit.errors import (OrderViolation, RealPlaceOrder,
+from dp6kit.errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
                            ReciprocityViolation)
 from dp6kit.selftest import solvability_oracle
 
 F = Fraction
+
+
+def split_pair_K(c1, c2):
+    """Class over K = F x F from its two factor classes."""
+    places = sorted(set(dict(c1.primes)) | set(dict(c2.primes)))
+    primes = {p: (c1.at(p), c2.at(p)) for p in places}
+    return invariant_vector_K(QuadField.split(), (c1.real, c2.real), primes)
 
 
 def test_hilbert_symbol_examples():
@@ -202,3 +212,198 @@ def test_json_roundtrip():
     K = QuadField(2)
     r = restriction(u, K)
     assert from_json_K(to_json_K(r)) == r
+
+
+# ---------------------------------------------------------------------------
+# the Q/Z arithmetic against a plain x - floor(x) oracle, denominators <= 12
+
+
+def mod1(x):
+    return x - floor(x)
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+SUPPORT = (5, 7, 11, 13, 17)
+CLOSING = 19
+PLACES = (REAL_PLACE, *SUPPORT, CLOSING)
+FIELDS = [QuadField(d) for d in (-1, 2, -3, 5, 6, -7)] + [QuadField.split()]
+
+
+@st.composite
+def classes(draw):
+    """A class with invariants of denominator <= 12 on SUPPORT, closed at 19."""
+    real = draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    primes = {p: draw(fractions) for p in
+              draw(st.lists(st.sampled_from(SUPPORT), unique=True, max_size=4))}
+    primes[CLOSING] = -(real + sum(primes.values(), Fraction(0)))
+    return invariant_vector(real, primes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=fractions)
+def test_frac_mod1_matches_oracle(x):
+    y = frac_mod1(x)
+    assert type(y) is Fraction and y == mod1(x)
+    if 0 <= x < 1:
+        assert y is x
+    assert frac_mod1(str(x)) == y
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), n=st.integers(-13, 13))
+def test_power_and_inverse_match_oracle(u, n):
+    for v in PLACES:
+        assert power(u, n).at(v) == mod1(n * u.at(v))
+        assert inverse(u).at(v) == mod1(-u.at(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), w=classes())
+def test_tensor_matches_oracle(u, w):
+    t = tensor(u, w)
+    for v in PLACES:
+        assert t.at(v) == mod1(u.at(v) + w.at(v))
+    assert all(type(f) is Fraction for _, f in t.primes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), K=st.sampled_from(FIELDS))
+def test_restriction_matches_oracle(u, K):
+    r = restriction(u, K)
+    slots = dict(r.primes)
+    for v in PLACES:
+        split = splitting_in_quadratic(K, v) == SPLIT
+        want = (u.at(v),) * 2 if split else (mod1(2 * u.at(v)),)
+        got = r.real if v == REAL_PLACE else slots.get(v, (Fraction(0),) * len(want))
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), w=classes(), K=st.sampled_from(FIELDS))
+def test_corestriction_matches_oracle(u, w, K):
+    for x in (restriction(u, K), split_pair_K(u, w)):
+        c = corestriction(x)
+        slots = dict(x.primes)
+        assert c.real == mod1(sum(x.real))
+        for v in PLACES[1:]:
+            assert c.at(v) == mod1(sum(slots.get(v, (Fraction(0),))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real=st.sampled_from([Fraction(0), Fraction(1, 2)]),
+       values=st.lists(fractions, max_size=4))
+def test_reciprocity_acceptance_matches_oracle(real, values):
+    primes = dict(zip(SUPPORT, values))
+    total = mod1(real + sum(primes.values(), Fraction(0)))
+    if total == 0:
+        u = invariant_vector(real, primes)
+        assert all(f == mod1(primes[p]) for p, f in u.primes)
+    else:
+        with pytest.raises(ReciprocityViolation) as exc:
+            invariant_vector(real, primes)
+        assert str(exc.value) == f"local invariants sum to {total}, not 0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.sampled_from(FIELDS), values=st.lists(fractions, min_size=2, max_size=8))
+def test_reciprocity_acceptance_over_K_matches_oracle(K, values):
+    values = iter(values)
+    primes = {}
+    for p in SUPPORT:
+        n = 2 if splitting_in_quadratic(K, p) == SPLIT else 1
+        primes[p] = tuple(next(values, Fraction(0)) for _ in range(n))
+    total = mod1(sum(f for s in primes.values() for f in s))
+    # over split K the two factors sum to total, so factor 0 decides
+    factor0 = mod1(sum(s[0] for s in primes.values())) if K.is_split else 0
+    try:
+        invariant_vector_K(K, None, primes)
+    except ReciprocityViolation as exc:
+        assert str(exc) == ("invariants over K do not sum to 0" if total else
+                            "factor 0 of the split algebra violates reciprocity")
+        assert total or factor0
+    else:
+        assert total == 0 and factor0 == 0
+
+
+# ---------------------------------------------------------------------------
+# every validation path: its exception class and its exact message
+
+K2, KM1, KS = QuadField(2), QuadField(-1), QuadField.split()
+HALF = F(1, 2)
+
+
+@pytest.mark.parametrize("make, exc, message", [
+    (lambda: InvariantVector(F(1, 3), ()), RealPlaceOrder,
+     "real invariant must be 0 or 1/2, got 1/3"),
+    (lambda: InvariantVector(F(0), ((4, HALF), (7, HALF))), ValueError,
+     "not a place of Q: 4"),
+    (lambda: InvariantVector(F(0), ((7, HALF), (5, HALF))), ValueError,
+     "prime support must be strictly sorted"),
+    (lambda: InvariantVector(F(0), ((5, F(3, 2)), (7, HALF))), ValueError,
+     "invariants must be reduced, nonzero, in (0,1)"),
+    (lambda: InvariantVector(F(0), ((5, F(0)),)), ValueError,
+     "invariants must be reduced, nonzero, in (0,1)"),
+    (lambda: InvariantVector(F(0), ((5, F(1)),)), ValueError,
+     "invariants must be reduced, nonzero, in (0,1)"),
+    (lambda: InvariantVector(F(0), ((5, F(-1, 2)), (7, HALF))), ValueError,
+     "invariants must be reduced, nonzero, in (0,1)"),
+    (lambda: invariant_vector(0, {7: F(1, 3), 13: F(1, 3)}), ReciprocityViolation,
+     "local invariants sum to 2/3, not 0"),
+    (lambda: InvariantVectorK(K2, (F(0),), ()), ValueError,
+     "wrong number of real slots for this field"),
+    (lambda: InvariantVectorK(KM1, (HALF,), ()), RealPlaceOrder,
+     "complex place carries no Brauer invariant"),
+    (lambda: InvariantVectorK(K2, (F(1, 3), F(2, 3)), ()), RealPlaceOrder,
+     "real invariant must be 0 or 1/2"),
+    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((9, (HALF,)),)), ValueError,
+     "not a place of Q: 9"),
+    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((13, (HALF,)), (5, (HALF,)))),
+     ValueError, "prime support must be strictly sorted"),
+    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((7, (HALF,)),)), ValueError,
+     "place 7 needs 2 slot(s)"),
+    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((5, (F(0),)),)), ValueError,
+     "support entries must be nonzero somewhere"),
+    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((5, (F(3, 2),)), (13, (HALF,)))),
+     ValueError, "invariants must be reduced"),
+    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((5, (F(1),)),)), ValueError,
+     "invariants must be reduced"),
+    (lambda: invariant_vector_K(K2, None, {5: F(1, 3)}), ReciprocityViolation,
+     "invariants over K do not sum to 0"),
+    (lambda: invariant_vector_K(KS, None, {7: (HALF, F(0)), 11: (F(0), HALF)}),
+     ReciprocityViolation, "factor 0 of the split algebra violates reciprocity"),
+    (lambda: invariant_vector_K(KS, (HALF, HALF), {7: (HALF, F(0)), 11: (F(0), F(0))}),
+     ReciprocityViolation, "invariants over K do not sum to 0"),
+    (lambda: order3_class({REAL_PLACE: HALF, 7: HALF}), RealPlaceOrder,
+     "order-3 class cannot ramify at the real place"),
+    (lambda: order3_class({7: F(1, 6), 13: F(5, 6)}), OrderViolation,
+     "invariant 1/6 does not have order dividing 3"),
+    (lambda: decompose_degree6(invariant_vector(0, {5: F(1, 5), 11: F(4, 5)})),
+     OrderViolation, "class does not have order dividing 6"),
+    (lambda: corestriction(invariant_vector_K(K2), KM1), ValueError,
+     "field mismatch in corestriction"),
+    (lambda: split_components(invariant_vector_K(K2)), ValueError,
+     "class is not over the split algebra"),
+    (lambda: QuadField(12), ValueError, "d must be a squarefree integer != 0, 1: 12"),
+    (lambda: hilbert_symbol(0, 5, 7), ValueError,
+     "Hilbert symbol arguments must be nonzero"),
+    (lambda: parse_rational(0.5), Dp6kitError,
+     "rational must be a JSON string or integer, got 0.5"),
+    (lambda: parse_rational("1/0"), Dp6kitError,
+     "rational must be a JSON fraction with a nonzero denominator, got '1/0'"),
+    (lambda: from_json_K({"d": 2, "inf": "0"}), Dp6kitError,
+     "slot invariants must be a JSON array, got '0'"),
+    (lambda: from_json({"primes": {"07": "1/3", "7": "2/3"}}), Dp6kitError,
+     "prime key '07' is not the canonical decimal 7"),
+    (lambda: from_json({"primes": {"+7": "1/3", "13": "2/3"}}), Dp6kitError,
+     "prime key '+7' is not the canonical decimal 7"),
+    (lambda: from_json({"primes": {" 13": "1/3", "7": "2/3"}}), Dp6kitError,
+     "prime key ' 13' is not the canonical decimal 13"),
+    (lambda: from_json_K({"d": 2, "primes": {"5": ["1/2"], "05": ["1/2"]}}),
+     Dp6kitError, "prime key '05' is not the canonical decimal 5"),
+    (lambda: primes_from_json({"7": "1/3", "007": "1/3"}, parse_rational),
+     Dp6kitError, "prime key '007' is not the canonical decimal 7"),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_validation_path(make, exc, message):
+    with pytest.raises(exc) as info:
+        make()
+    assert type(info.value) is exc and str(info.value) == message

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -136,6 +137,8 @@ def test_subcommands_load_only_their_layers(commands, unloaded):
     ["lattice", "snf", "[[2.5,1],[0,3]]"],
     ["lattice", "hnf", "[[true,2]]"],
     ["lattice", "snf", "[1,2]"],
+    ["lattice", "snf", "[]"],
+    ["lattice", "snf", "[[]]"],
     ["brauer", "index", "[1]"],
     ["brauer", "index", '{"primes":[1]}'],
     ["brauer", "index", '{"primes":{"7":"1/0"}}'],
@@ -150,6 +153,31 @@ def test_malformed_payload_gives_error_json(capsys, argv):
     assert code == 1
     data = json.loads(out)
     assert data["error"] == "Dp6kitError" and "must be a JSON" in data["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["brauer", "index", '{"primes":{"7":"1/3","07":"1/3","13":"1/3"}}'],
+     "prime key '07' is not the canonical decimal 7"),
+    (["brauer", "index", '{"primes":{"+7":"1/3","13":"2/3"}}'],
+     "prime key '+7' is not the canonical decimal 7"),
+    (["brauer", "index", '{"primes":{" 13":"1/3","7":"2/3"}}'],
+     "prime key ' 13' is not the canonical decimal 13"),
+    (["brauer", "index", '{"primes":{"7":"1/3","7":"1/3","13":"1/3"}}'],
+     "JSON object names the key '7' twice"),
+    (["brauer", "order3", '{"primes":{"7":"1/3","13":"1/3","013":"1/3"}}'],
+     "prime key '013' is not the canonical decimal 13"),
+    (["brauer", "corestriction",
+      '{"classK":{"d":2,"primes":{"5":["1/2"],"5":["1/2"],"13":["1/2"]}}}'],
+     "JSON object names the key '5' twice"),
+    (["replay", "--proof", "first", "--algebra",
+      '{"primes":{"7":"1/6","13":"5/6"},"primes":{"5":"1/6","7":"5/6"}}'],
+     "JSON object names the key 'primes' twice"),
+], ids=lambda x: x if isinstance(x, str) else x[1])
+def test_prime_named_twice_or_not_canonically_is_refused(capsys, argv, message):
+    code, out = _run(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"schema": "dp6kit/1", "error": "Dp6kitError",
+                               "message": message}
 
 
 def test_surface_count_over_budget(capsys):
@@ -235,7 +263,11 @@ def test_selftest_filter(capsys):
     assert code == 0
     report = json.loads(captured.out)
     assert [r["id"] for r in report["results"]] == ["1", "2", "3"]
-    assert "PASS" in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    for r, line in zip(report["results"], lines):
+        assert re.fullmatch(rf"\[PASS\] criterion {r['id']}: {re.escape(r['name'])}"
+                            r" \(\d+\.\d\ds\)", line), line
 
 
 # sha256 of the concatenated stdout of these commands: any change to a byte
@@ -258,3 +290,66 @@ def test_surface_stdout_matches_recorded_digest(capsys):
         digest.update(out.encode())
     assert len(_SURFACE_COMMANDS) == 61
     assert digest.hexdigest() == _SURFACE_STDOUT_SHA256
+
+
+# sha256 of the exit codes and concatenated stdout of these commands: the
+# Q-side twin of the surface digest above.  It pins the replays (JSON,
+# corollary, transcript) on three index-6 classes and every brauer op,
+# refusals included.  Update it only together with a declared stdout change.
+_INDEX6_CLASSES = ('{"primes":{"7":"1/6","13":"5/6"}}',
+                   '{"inf":"1/2","primes":{"2":"1/2","7":"1/3","13":"2/3"}}',
+                   '{"primes":{"5":"5/6","11":"1/2","17":"2/3"}}')
+_BRAUER_PAYLOADS = (
+    ("index", '{"primes":{"7":"1/6","13":"5/6"}}'),
+    ("index", '{"primes":{"7":"7/6","13":"-1/6"}}'),
+    ("index", '{"primes":{"7":"1/3"}}'),
+    ("index", '{"inf":"1/3","primes":{"7":"2/3"}}'),
+    ("tensor", '{"left":{"inf":"1/2","primes":{"2":"1/2"}},'
+               '"right":{"primes":{"7":"1/6","13":"5/6"}}}'),
+    ("tensor", '{"left":{"primes":{"7":"1/6","13":"5/6"}},'
+               '"right":{"primes":{"7":"5/6","13":"1/6"}}}'),
+    ("inverse", '{"inf":"1/2","primes":{"2":"1/2","7":"1/3","13":"2/3"}}'),
+    ("is-split", '{"primes":{"7":"1/3","13":"2/3"}}'),
+    ("is-split", '{"primes":{"7":"1","13":"-2"}}'),
+    ("quaternion", '{"a":-1,"b":"-3/5"}'),
+    ("quaternion", '{"a":"0","b":5}'),
+    ("order3", '{"primes":{"7":"1/3","13":"2/3"}}'),
+    ("order3", '{"primes":{"7":"1/2","13":"1/2"}}'),
+    ("hilbert", '{"a":-1,"b":-1,"place":2}'),
+    ("hilbert", '{"a":"2/3","b":-5,"place":"inf"}'),
+    ("splitting", '{"d":-7,"place":"2"}'),
+    ("restriction", '{"class":{"primes":{"5":"5/6","11":"1/2","17":"2/3"}},"d":2}'),
+    ("restriction", '{"class":{"inf":"1/2","primes":{"2":"1/2","7":"1/3",'
+                    '"13":"2/3"}},"d":-1}'),
+    ("restriction", '{"class":{"primes":{"7":"1/6","13":"5/6"}}}'),
+    ("corestriction", '{"classK":{"d":2,"inf":["0","0"],'
+                      '"primes":{"7":["1/3","1/3"],"13":["1/3"]}}}'),
+    ("corestriction", '{"classK":{"inf":["1/2","1/2"],'
+                      '"primes":{"2":["1/2","-1/2"],"7":["1/3","5/3"]}}}'),
+    ("corestriction", '{"classK":{"d":-1,"inf":["1/2"]}}'),
+    ("corestriction", '{"classK":{"d":5,"primes":{"7":["1/3"]}}}'),
+    ("involution", '{"classK":{"d":2,"primes":{"7":["1/3","2/3"]}}}'),
+    ("involution", '{"classK":{"d":2,"inf":["0","0"],'
+                   '"primes":{"7":["1/3","1/3"],"13":["1/3"]}}}'),
+    ("decompose", '{"primes":{"5":"5/6","11":"1/2","17":"2/3"}}'),
+    ("decompose", '{"primes":{"5":"1/5","11":"4/5"}}'),
+    ("chatelet", '{"inf":"1/2","primes":{"2":"1/2","7":"1/3","13":"2/3"}}'),
+)
+_Q_SIDE_COMMANDS = (
+    [["replay", "--proof", proof, "--algebra", algebra, *flags]
+     for proof in ("first", "second")
+     for algebra in _INDEX6_CLASSES
+     for flags in ([], ["--corollary"], ["--transcript"],
+                   ["--corollary", "--transcript"])]
+    + [["brauer", op, payload] for op, payload in _BRAUER_PAYLOADS])
+_Q_SIDE_STDOUT_SHA256 = "e03b1d2545fc1865911fef94b5a1cf875a3d429aef39cb46d8ba2e94075a783a"
+
+
+def test_q_side_stdout_matches_recorded_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _Q_SIDE_COMMANDS:
+        code, out = _run(capsys, argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert len({op for op, _ in _BRAUER_PAYLOADS}) == 13  # every brauer op
+    assert len(_Q_SIDE_COMMANDS) == 52
+    assert digest.hexdigest() == _Q_SIDE_STDOUT_SHA256

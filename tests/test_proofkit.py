@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dp6kit.brauer import (QuadField, index, invariant_vector, order,
-                           order3_class, quaternion_class, restriction,
-                           split_pair_K, tensor)
+from dp6kit.brauer import (QuadField, index, invariant_vector,
+                           invariant_vector_K, order, order3_class,
+                           quaternion_class, restriction, tensor)
 from dp6kit.errors import IndexMismatch, MalformedCase
 from dp6kit.proofkit import (AXIOMS, COMPUTATIONS, DEGREE6_WITNESS,
                              ConicBundle, DelPezzoRankOne, FormP1xP1,
@@ -20,6 +20,13 @@ from dp6kit.selftest import index6_corpus, random_surface_case
 F = Fraction
 
 STANDING = invariant_vector(0, {7: F(1, 6), 13: F(5, 6)})
+
+
+def split_pair_K(c1, c2):
+    """Class over K = F x F from its two factor classes."""
+    places = sorted(set(dict(c1.primes)) | set(dict(c2.primes)))
+    primes = {p: (c1.at(p), c2.at(p)) for p in places}
+    return invariant_vector_K(QuadField.split(), (c1.real, c2.real), primes)
 
 
 def test_witness_has_index_6():
