@@ -8,7 +8,10 @@ places as (rational place, slot) pairs, never as ideals.
 Invariants are reduced Fractions n/d, 0 <= n < d, at every API boundary,
 and are handled on their integer numerators: m times n/d is (m n mod d)/d,
 and a sum vanishes in Q/Z exactly when the numerators, put over the lcm of
-the denominators, sum to a multiple of it.
+the denominators, sum to a multiple of it.  They are interned: a proof
+replay meets a few dozen distinct invariants many thousands of times, so
+each JSON rational and each reduced (n mod d)/d is parsed or normalised once
+per process by one bounded cache, and equal invariants share one Fraction.
 
 Over a number field the Schur index of a division class equals the lcm of
 the local orders (Albert-Brauer-Hasse-Noether); index() computes that lcm
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
@@ -33,19 +37,31 @@ RAMIFIED = "ramified"
 
 HALF = Fraction(1, 2)
 
+# Entries each cache below keeps.  A pass over the proof-lattice benchmark
+# corpus makes some 40 000 lookups of 18 distinct invariants and 12 places.
+_INTERNED = 1024
+
+# Fraction(n, d) or Fraction(text) for ints n, d or a JSON string; typed,
+# so the string "1" and the integer 1 are separate entries.
+_fraction = lru_cache(maxsize=_INTERNED, typed=True)(Fraction)
+
+# is_prime of a prime place, remembered: int places only, since lists and
+# other unhashable values must reach _check_place's ValueError.
+_is_prime_place = lru_cache(maxsize=_INTERNED)(is_prime)
+
 
 def frac_mod1(x):
     """x in [0, 1) as a Fraction; one that is already there comes back as is."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
     n, d = x.numerator, x.denominator
-    return x if 0 <= n < d else Fraction(n % d, d)
+    return x if 0 <= n < d else _fraction(n % d, d)
 
 
 def _times(m, f):
     """m f in Q/Z, for an integer m and a reduced invariant f."""
     d = f.denominator
-    return Fraction(m * f.numerator % d, d)
+    return _fraction(m * f.numerator % d, d)
 
 
 def _numerator_sum(fracs):
@@ -56,13 +72,13 @@ def _numerator_sum(fracs):
 
 def _sum_mod1(fracs):
     num, den = _numerator_sum(fracs)
-    return Fraction(num % den, den)
+    return _fraction(num % den, den)
 
 
 def _check_place(v):
     if v == REAL_PLACE:
         return v
-    if isinstance(v, int) and is_prime(v):
+    if isinstance(v, int) and _is_prime_place(v):
         return v
     raise ValueError(f"not a place of Q: {v!r}")
 
@@ -120,9 +136,6 @@ def invariant_vector(real=0, primes=None):
         if f:
             entries.append((int(p), f))
     return InvariantVector(real=real, primes=tuple(entries))
-
-
-ZERO_CLASS = invariant_vector()
 
 
 def tensor(u, v):
@@ -444,7 +457,7 @@ def decompose_degree6(u):
     C = 3u has order dividing 2, D = 4u has order dividing 3, and C x D
     recovers u.
     """
-    if power(u, 6) != ZERO_CLASS:
+    if 6 % order(u):
         raise OrderViolation("class does not have order dividing 6")
     C = power(u, 3)
     D = power(u, 4)
@@ -468,7 +481,7 @@ def parse_rational(x):
     if type(x) is not int and not isinstance(x, str):
         raise Dp6kitError(f"rational must be a JSON string or integer, got {x!r}")
     try:
-        return Fraction(x)
+        return _fraction(x)
     except ZeroDivisionError:
         raise Dp6kitError(f"rational must be a JSON fraction with a nonzero "
                           f"denominator, got {x!r}") from None

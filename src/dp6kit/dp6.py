@@ -26,8 +26,8 @@ from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_e
                        companion_matrix, cubic_from_generator, diagonal_cubic,
                        hermitian_cubic_generator, orth_complement, split_exchange_sym,
                        split_normalize)
-from .errors import (Dp6kitError, EnumerationBudgetExceeded, InconsistentObservation,
-                     InvariantViolation, NotAnAutomorphism, WrongLineCount)
+from .errors import (Dp6kitError, EnumerationBudgetExceeded, InvariantViolation,
+                     NotAnAutomorphism, WrongLineCount)
 from .fields import (FiniteField, GF, embed, format_element, is_prime, mat_kernel,
                      mat_solve, poly_is_squarefree, poly_roots, rref)
 
@@ -690,39 +690,6 @@ def torus_count_check(surface, budget=DEFAULT_BUDGET):
         "torus_count": abs(det),
         "ok": u_count == abs(det),
     }
-
-
-def lemma_number_check(K, B_class, observed):
-    """Consistency of observed surface data with the splitting implications:
-
-    * n_S = 6 forces both K and B nonsplit;
-    * a rational point forces B split;
-    * K split forces n_S | 3 (blow-up structure);
-    * B split forces n_S | 2.
-
-    observed: dict with optional keys "n_S" (int) and "has_rational_point".
-    Raises InconsistentObservation naming the violated implication.
-    """
-    from .brauer import is_split_K
-    n_s = observed.get("n_S")
-    has_pt = observed.get("has_rational_point")
-    b_split = B_class is None or is_split_K(B_class)
-    if has_pt:
-        n_s = 1 if n_s is None else n_s
-        if not b_split:
-            raise InconsistentObservation(
-                "a rational point forces the K-algebra to be split")
-    if n_s == 6:
-        if K.is_split:
-            raise InconsistentObservation("n_S = 6 forces K to be nonsplit")
-        if b_split:
-            raise InconsistentObservation("n_S = 6 forces the K-algebra to be nonsplit")
-    if n_s is not None:
-        if K.is_split and 3 % n_s != 0:
-            raise InconsistentObservation("split K forces n_S to divide 3")
-        if b_split and 2 % n_s != 0:
-            raise InconsistentObservation("split K-algebra forces n_S to divide 2")
-    return "consistent"
 
 
 # ---------------------------------------------------------------------------

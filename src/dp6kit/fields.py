@@ -34,21 +34,46 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .errors import DivisionByZero, FieldMismatch, InvariantViolation
+from .errors import DivisionByZero, Dp6kitError, FieldMismatch, InvariantViolation
 
 Rational = Fraction
 
 
+# The 13 primes up to 41.  Trial division by them decides every n < 43^2,
+# with no pow; above that, the strong probable-prime test to these bases is
+# exact for n < PRIME_BOUND (J. Sorenson and J. Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Whether the integer n is prime, exactly.  n >= PRIME_BOUND is refused
+    with Dp6kitError, since no test here is proven exact that far."""
+    if n >= PRIME_BOUND:
+        raise Dp6kitError(f"{n} is too large: primality is decided only "
+                          f"below {PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from .brauer import (InvariantVector, InvariantVectorK, QuadField,
                      admits_unitary_involution, chatelet_kernel, corestriction,
                      decompose_degree6, from_json, from_json_K, index,
-                     invariant_vector, is_split, order, power, restriction,
-                     split_components, tensor, to_json, to_json_K)
-from .dp6 import lemma_number_check
-from .errors import IndexMismatch, MalformedCase
+                     invariant_vector, is_split, is_split_K, order, power,
+                     restriction, split_components, tensor, to_json, to_json_K)
+from .errors import InconsistentObservation, IndexMismatch, MalformedCase
 
 # ---------------------------------------------------------------------------
 # the cited statements, as first-class data
@@ -194,6 +193,38 @@ def _comp_is_split(inputs):
 
 def _comp_order(inputs):
     return {"order": order(from_json(inputs["class"]))}
+
+
+def lemma_number_check(K, B_class, observed):
+    """Consistency of observed surface data with the splitting implications:
+
+    * n_S = 6 forces both K and B nonsplit;
+    * a rational point forces B split;
+    * K split forces n_S | 3 (blow-up structure);
+    * B split forces n_S | 2.
+
+    observed: dict with optional keys "n_S" (int) and "has_rational_point".
+    Raises InconsistentObservation naming the violated implication.
+    """
+    n_s = observed.get("n_S")
+    has_pt = observed.get("has_rational_point")
+    b_split = B_class is None or is_split_K(B_class)
+    if has_pt:
+        n_s = 1 if n_s is None else n_s
+        if not b_split:
+            raise InconsistentObservation(
+                "a rational point forces the K-algebra to be split")
+    if n_s == 6:
+        if K.is_split:
+            raise InconsistentObservation("n_S = 6 forces K to be nonsplit")
+        if b_split:
+            raise InconsistentObservation("n_S = 6 forces the K-algebra to be nonsplit")
+    if n_s is not None:
+        if K.is_split and 3 % n_s != 0:
+            raise InconsistentObservation("split K forces n_S to divide 3")
+        if b_split and 2 % n_s != 0:
+            raise InconsistentObservation("split K-algebra forces n_S to divide 2")
+    return "consistent"
 
 
 def _comp_lemma_number_check(inputs):

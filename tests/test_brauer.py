@@ -5,6 +5,7 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dp6kit import brauer
 from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT,
                            InvariantVector, InvariantVectorK, QuadField,
                            admits_unitary_involution, chatelet_kernel,
@@ -17,6 +18,7 @@ from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT,
                            splitting_in_quadratic, tensor, to_json, to_json_K)
 from dp6kit.errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
                            ReciprocityViolation)
+from dp6kit.fields import PRIME_BOUND
 from dp6kit.selftest import solvability_oracle
 
 F = Fraction
@@ -326,6 +328,75 @@ def test_reciprocity_acceptance_over_K_matches_oracle(K, values):
 
 
 # ---------------------------------------------------------------------------
+# the interned invariants against plain Fraction
+
+
+def _fraction_or_refusal(parse, x):
+    """parse(x), or how it refused: Dp6kitError for a zero denominator, the
+    ValueError message for text that is not a rational."""
+    try:
+        return parse(x)
+    except Dp6kitError as exc:
+        return Dp6kitError, str(exc)
+    except ZeroDivisionError:
+        return Dp6kitError, (f"rational must be a JSON fraction with a nonzero "
+                             f"denominator, got {x!r}")
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+RATIONAL_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="0123456789\u0663\u0664\uff13 \t\n\u00a0_+-/.eE", max_size=12),
+    st.sampled_from(["1/0", "-0/0", " 3/00 ", "1/2", " +1/2\n", "-5/6", "1_000/3",
+                     "1__0/3", "_1/3", "\u0663/\u0664", "\uff15/\uff16", "1.5", "-.5",
+                     "2e-3", "1/2.0", "nan", "inf", "", " "]),
+    st.integers(-10**30, 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(-9, 10**6)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.one_of(RATIONAL_TEXT, st.integers(-10**30, 10**30)))
+def test_parse_rational_matches_fraction(x):
+    want = _fraction_or_refusal(Fraction, x)
+    for _ in range(2):  # the second answer may come from the cache
+        got = _fraction_or_refusal(parse_rational, x)
+        assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-10**20, 10**20), d=st.integers(1, 10**12))
+def test_interned_reductions_match_fraction(n, d):
+    want = Fraction(n % d, d)
+    for _ in range(2):
+        got = brauer._fraction(n % d, d)
+        assert got == want and type(got) is Fraction
+        assert got.numerator == want.numerator and got.denominator == want.denominator
+    x = Fraction(n, d)
+    assert frac_mod1(x) == Fraction(x.numerator % x.denominator, x.denominator)
+
+
+def test_interning_stays_bounded_and_exact():
+    for n in range(3 * brauer._INTERNED):
+        assert brauer._fraction(n % 997, 997) == Fraction(n % 997, 997)
+        assert parse_rational(f"{n}/{n + 1}") == Fraction(n, n + 1)
+    assert brauer._fraction.cache_info().currsize <= brauer._INTERNED
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=classes())
+def test_decompose_degree6_refuses_exactly_orders_not_dividing_6(u):
+    if power(u, 6) != invariant_vector():
+        with pytest.raises(OrderViolation) as exc:
+            decompose_degree6(u)
+        assert str(exc.value) == "class does not have order dividing 6"
+    else:
+        C, D = decompose_degree6(u)
+        assert tensor(C, D) == u and power(C, 2) == power(D, 3) == invariant_vector()
+
+
+# ---------------------------------------------------------------------------
 # every validation path: its exception class and its exact message
 
 K2, KM1, KS = QuadField(2), QuadField(-1), QuadField.split()
@@ -386,6 +457,15 @@ HALF = F(1, 2)
     (lambda: QuadField(12), ValueError, "d must be a squarefree integer != 0, 1: 12"),
     (lambda: hilbert_symbol(0, 5, 7), ValueError,
      "Hilbert symbol arguments must be nonzero"),
+    (lambda: hilbert_symbol(2, 3, [7]), ValueError, "not a place of Q: [7]"),
+    (lambda: hilbert_symbol(2, 3, {7: 1}), ValueError, "not a place of Q: {7: 1}"),
+    (lambda: splitting_in_quadratic(K2, [7]), ValueError, "not a place of Q: [7]"),
+    (lambda: hilbert_symbol(2, 3, True), ValueError, "not a place of Q: True"),
+    (lambda: hilbert_symbol(2, 3, PRIME_BOUND), Dp6kitError,
+     f"{PRIME_BOUND} is too large: primality is decided only below {PRIME_BOUND}"),
+    (lambda: from_json({"primes": {str(PRIME_BOUND + 2): "1/2", "7": "1/2"}}),
+     Dp6kitError, f"{PRIME_BOUND + 2} is too large: primality is decided only "
+                  f"below {PRIME_BOUND}"),
     (lambda: parse_rational(0.5), Dp6kitError,
      "rational must be a JSON string or integer, got 0.5"),
     (lambda: parse_rational("1/0"), Dp6kitError,

@@ -126,8 +126,13 @@ def _layers(*names):
     ([["lattice", "snf", "[[2,0],[0,3]]"]], _layers("dp6", "algebra3", "brauer")),
     ([["brauer", "index", '{"primes":{"7":"1/6","13":"5/6"}}']],
      _layers("dp6", "algebra3", "hexagon")),
+    ([["replay", "--proof", "first", "--corollary",
+       "--algebra", '{"primes":{"7":"1/6","13":"5/6"}}'],
+      ["replay", "--proof", "second", "--transcript",
+       "--algebra", '{"primes":{"7":"1/6","13":"5/6"}}']],
+     _layers("dp6", "algebra3", "hexagon", "intlattice")),
 ], ids=["import", "surface build|lines", "surface count|frobenius|check-zeta",
-        "lattice", "brauer"])
+        "lattice", "brauer", "replay"])
 def test_subcommands_load_only_their_layers(commands, unloaded):
     assert _loaded_by_cli_import(unloaded, commands) == "[]"
 
@@ -178,6 +183,38 @@ def test_prime_named_twice_or_not_canonically_is_refused(capsys, argv, message):
     assert code == 1
     assert json.loads(out) == {"schema": "dp6kit/1", "error": "Dp6kitError",
                                "message": message}
+
+
+MERSENNE_61 = str(2**61 - 1)
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (["brauer", "index", '{"primes":{"%s":"1/2","7":"1/2"}}' % MERSENNE_61],
+     {"index": 2}),
+    (["brauer", "hilbert", '{"a":2,"b":3,"place":"%s"}' % MERSENNE_61],
+     {"symbol": 1}),
+], ids=["index", "hilbert"])
+def test_large_prime_place_answers_at_once(argv, answer):
+    done = subprocess.run([sys.executable, "-m", "dp6kit.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": _SRC})
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"schema": "dp6kit/1", **answer}
+
+
+BOUND = "3317044064679887385961981"
+
+
+@pytest.mark.parametrize("argv", [
+    ["brauer", "index", '{"primes":{"%s":"1/2","7":"1/2"}}' % BOUND],
+    ["brauer", "hilbert", '{"a":2,"b":3,"place":"%s"}' % BOUND],
+], ids=["index", "hilbert"])
+def test_place_at_the_primality_bound_is_refused(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "dp6kit/1", "error": "Dp6kitError",
+        "message": f"{BOUND} is too large: primality is decided only below {BOUND}"}
 
 
 def test_surface_count_over_budget(capsys):

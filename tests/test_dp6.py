@@ -9,17 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 from dp6kit.algebra3 import (HERMITIAN, build_hermitian, build_split_exchange,
                              companion_matrix, cubic_from_generator, diagonal_cubic,
                              ideal_to_sym, split_exchange_sym)
-from dp6kit.brauer import (QuadField, invariant_vector_K, order3_class,
-                           restriction)
 from dp6kit import algebra3, dp6
 from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
                         fibration_point_count, find_lines, frobenius_on_lines,
-                        lemma_number_check, predicted_count, raw_point_count,
-                        split_model_points, splitting_degree, standard_twists,
+                        predicted_count, raw_point_count, split_model_points,
+                        splitting_degree, standard_twists,
                         surface_points, torus_count_check, verify_split_equivalence,
                         zeta_check)
-from dp6kit.errors import (DegenerateSubalgebra, EnumerationBudgetExceeded,
-                           InconsistentObservation)
+from dp6kit.errors import DegenerateSubalgebra, EnumerationBudgetExceeded
 from dp6kit.fields import GF, QQ, rref
 from dp6kit.hexagon import HexAut
 
@@ -376,32 +373,6 @@ def test_torus_counts(twists2):
 def test_torus_counts_f3(twists3):
     r = torus_count_check(twists3["split"])
     assert r["u_count"] == 4 and r["ok"]  # (3 - 1)^2
-
-
-def test_lemma_number_check():
-    Ksplit = QuadField.split()
-    K2 = QuadField(2)
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
-    b_nonsplit = restriction(d, K2)
-    # n_S = 6 with split K is inconsistent
-    with pytest.raises(InconsistentObservation):
-        lemma_number_check(Ksplit, None, {"n_S": 6})
-    # n_S = 6 with split B is inconsistent
-    with pytest.raises(InconsistentObservation):
-        lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 6})
-    # nonsplit K and nonsplit B with n_S = 6: fine
-    assert lemma_number_check(K2, b_nonsplit, {"n_S": 6}) == "consistent"
-    # split B with n_S = 2: fine
-    assert lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 2}) == "consistent"
-    # split B with n_S = 4 violates n_S | 2
-    with pytest.raises(InconsistentObservation):
-        lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 4})
-    # a rational point forces B split
-    with pytest.raises(InconsistentObservation):
-        lemma_number_check(K2, b_nonsplit, {"has_rational_point": True})
-    # finite-field surface: a point exists and B = 0 is consistent
-    assert lemma_number_check(K2, invariant_vector_K(K2),
-                              {"has_rational_point": True}) == "consistent"
 
 
 def test_surface_over_Q_symbolic_only():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dp6kit.errors import DivisionByZero, FieldMismatch
-from dp6kit.fields import (GF, QQ, _pmod, _pmul, embed, find_irreducible,
-                           format_element, frobenius, mat_det_field, mat_kernel,
+from dp6kit.errors import DivisionByZero, Dp6kitError, FieldMismatch
+from dp6kit.fields import (GF, PRIME_BOUND, QQ, _pmod, _pmul, embed, find_irreducible,
+                           format_element, frobenius, is_prime, mat_det_field, mat_kernel,
                            mat_solve, parse_element, poly_divmod, poly_eval,
                            poly_from_ints, poly_gcd_monic, poly_is_squarefree,
                            poly_mul, poly_roots, retract, rref)
@@ -250,3 +250,61 @@ def test_products_match_sympy_galoistools(field):
                                   modulus, p, ZZ)
         want = tuple(reversed(prod)) + (0,) * (field.k - len(prod))
         assert (a * b).coeffs == want
+
+
+# ---------------------------------------------------------------------------
+# is_prime: trial division below 43^2, Miller-Rabin to 13 bases up to the bound
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(-5, 10**5) if is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def _chernick_carmichael(k):
+    """(6k+1)(12k+1)(18k+1), a Carmichael number when all three are prime."""
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+# Strong pseudoprimes to the first 4, 11 and 12 prime bases (the last one
+# passes every base up to 37, so only the base 41 exposes it), the primes
+# 2^61 - 1 and 2^79 - 67, and the largest n below the bound.
+HARD_CASES = (3215031751, 3825123056546413051, 318665857834031151167461,
+              2**61 - 1, 2**79 - 67, PRIME_BOUND - 1)
+
+
+def test_is_prime_matches_sympy_on_20_to_24_digits():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    ks = [k for k in range(10**6, 10**6 + 3000)
+          if all(sympy.isprime(m * k + 1) for m in (6, 12, 18))][:3]
+    carmichael = [_chernick_carmichael(k) for k in ks]
+    assert len(carmichael) == 3 and all(10**21 <= n < 10**22 for n in carmichael)
+    randoms = [rng.randrange(10**19, PRIME_BOUND) for _ in range(300)]
+    primes = [sympy.nextprime(n) for n in randoms[:40]]
+    semiprimes = [sympy.nextprime(n) * sympy.nextprime(n + 10**9)
+                  for n in (10**10, 3 * 10**11, 10**12)]
+    cases = carmichael + randoms + primes + semiprimes + list(HARD_CASES)
+    assert [n for n in cases if is_prime(n) != sympy.isprime(n)] == []
+    assert sum(map(is_prime, cases)) >= 40
+
+
+def test_is_prime_refuses_at_the_bound():
+    assert is_prime(PRIME_BOUND - 1) is False
+    for n in (PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
+        with pytest.raises(Dp6kitError) as exc:
+            is_prime(n)
+        assert str(exc.value) == (f"{n} is too large: primality is decided only "
+                                  f"below {PRIME_BOUND}")

@@ -7,12 +7,12 @@ import pytest
 from dp6kit.brauer import (QuadField, index, invariant_vector,
                            invariant_vector_K, order, order3_class,
                            quaternion_class, restriction, tensor)
-from dp6kit.errors import IndexMismatch, MalformedCase
+from dp6kit.errors import InconsistentObservation, IndexMismatch, MalformedCase
 from dp6kit.proofkit import (AXIOMS, COMPUTATIONS, DEGREE6_WITNESS,
                              ConicBundle, DelPezzoRankOne, FormP1xP1,
                              KernelShape, MASTER_SHAPES, SeveriBrauerSurface,
                              corollary_3or4_check, corollary_cdpgl,
-                             kernel_shapes, replay_first_proof,
+                             kernel_shapes, lemma_number_check, replay_first_proof,
                              replay_second_proof, transcript,
                              verify_certificate)
 from dp6kit.selftest import index6_corpus, random_surface_case
@@ -198,3 +198,29 @@ def test_corollary_cdpgl():
                               contradiction=False, verdict="stalled")
     wrapped = corollary_cdpgl(failed)
     assert "no verdict" in wrapped.verdict
+
+
+def test_lemma_number_check():
+    Ksplit = QuadField.split()
+    K2 = QuadField(2)
+    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    b_nonsplit = restriction(d, K2)
+    # n_S = 6 with split K is inconsistent
+    with pytest.raises(InconsistentObservation):
+        lemma_number_check(Ksplit, None, {"n_S": 6})
+    # n_S = 6 with split B is inconsistent
+    with pytest.raises(InconsistentObservation):
+        lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 6})
+    # nonsplit K and nonsplit B with n_S = 6: fine
+    assert lemma_number_check(K2, b_nonsplit, {"n_S": 6}) == "consistent"
+    # split B with n_S = 2: fine
+    assert lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 2}) == "consistent"
+    # split B with n_S = 4 violates n_S | 2
+    with pytest.raises(InconsistentObservation):
+        lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 4})
+    # a rational point forces B split
+    with pytest.raises(InconsistentObservation):
+        lemma_number_check(K2, b_nonsplit, {"has_rational_point": True})
+    # finite-field surface: a point exists and B = 0 is consistent
+    assert lemma_number_check(K2, invariant_vector_K(K2),
+                              {"has_rational_point": True}) == "consistent"
