@@ -12,8 +12,9 @@ its 3x3 matrices, one per simple component:
 
 Arithmetic is component by component.  The first matrix carries the
 degree-3 structure on the symmetric space: reduced trace, the quadratic
-coefficient, reduced norm, and the adjoint x -> x# with
-x# = x^2 - Trd(x) x + S(x) and x x# = Nrd(x).  Both models are matrix
+coefficient and reduced norm.  The adjoint x# = x^2 - Trd(x) x + S(x),
+with x x# = Nrd(x), is the adjugate of the first matrix; dp6 expands it
+into the surface's quadrics.  Both models are matrix
 algebras with a transpose-type involution, so associativity and the
 involution being a unitary anti-automorphism of order two hold by
 construction; tests/test_algebra3.py checks them on both models, and
@@ -120,9 +121,6 @@ class _RatQuadExt:
         self.one = QE(1, 0, fr)
         self.delta = QE(0, 1, fr)
 
-    def from_int(self, n):
-        return QE(n, 0, self.d)
-
     def embed_base(self, x):
         return QE(Fraction(x), 0, self.d)
 
@@ -169,9 +167,6 @@ class _FiniteQuadExt:
                 return z
         raise InvariantViolation("no generator of K over F")
 
-    def from_int(self, n):
-        return self.K.from_int(n)
-
     def embed_base(self, x):
         return embed(x, self.K)
 
@@ -198,12 +193,8 @@ class _FiniteQuadExt:
 
 
 def m3_mul(a, b):
-    return tuple(tuple(sum_three(a[i][0] * b[0][j], a[i][1] * b[1][j], a[i][2] * b[2][j])
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
                        for j in range(3)) for i in range(3))
-
-
-def sum_three(x, y, z):
-    return x + y + z
 
 
 def m3_add(a, b):
@@ -232,16 +223,6 @@ def m3_map(f, a):
 
 def m3_trace(a):
     return a[0][0] + a[1][1] + a[2][2]
-
-
-def m3_adjugate(a):
-    """Classical adjugate: adj(a)[i][j] = cofactor_{ji}."""
-    def cof(r, c):
-        r1, r2 = [t for t in range(3) if t != r]
-        c1, c2 = [t for t in range(3) if t != c]
-        minor = a[r1][c1] * a[r2][c2] - a[r1][c2] * a[r2][c1]
-        return minor if (r + c) % 2 == 0 else -minor
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
 def m3_det(a):
@@ -341,7 +322,6 @@ class StructureAlgebra:
         n = 2 if kind == SPLIT_EXCHANGE else 1
         z, o = self.ring.zero, self.ring.one
         zero3 = m3_from_entries({}, z)
-        self._zero = AlgElem(self, (zero3,) * n)
         self.one = AlgElem(self, (m3_from_entries({(i, i): o for i in range(3)}, z),) * n)
         self.basis = tuple(
             AlgElem(self, tuple(m3_unit(i, j, o, z) if t == side else zero3
@@ -377,9 +357,6 @@ class StructureAlgebra:
             out.append(AlgElem(self, (m3_from_entries({(i, j): delta, (j, i): deltac}, kz),)))
         return tuple(out)
 
-    def zero(self):
-        return self._zero
-
     # ------------------------------------------------------------------
     # the degree-3 structure on symmetric elements, read off x.data[0]
 
@@ -398,12 +375,6 @@ class StructureAlgebra:
 
     def nrd_sym(self, x):
         return self._to_base(m3_det(x.data[0]))
-
-    def sharp(self, x):
-        m = m3_adjugate(x.data[0])
-        if self.kind == SPLIT_EXCHANGE:
-            return AlgElem(self, (m, m3_transpose(m)))
-        return AlgElem(self, (m,))
 
     def sym_coords(self, x):
         """Coordinates of a symmetric element in the canonical 9-basis."""
@@ -569,24 +540,6 @@ def orth_complement(L):
     if len(out) != 6:
         raise InvariantViolation(f"Lperp has dimension {len(out)}, not 6")
     return out
-
-
-def adjoint_sharp(A, x):
-    """x# together with (Trd(x), S(x), Nrd(x)).
-
-    x# = x^2 - Trd(x) x + S(x), x x# = Nrd(x); in the matrix models x# is
-    the classical adjugate.
-    """
-    return A.sharp(x), (A.trd_sym(x), A.s_sym(x), A.nrd_sym(x))
-
-
-def ideal_to_sym(A, u_vec, w_vec):
-    """Split model: the symmetric rank-one element attached to a pair of
-    lines (a line in V and a line in the dual), i.e. the matrix u w^t."""
-    if A.kind != SPLIT_EXCHANGE:
-        raise FieldMismatch("ideal_to_sym is defined on the split exchange model")
-    m = tuple(tuple(u_vec[i] * w_vec[j] for j in range(3)) for i in range(3))
-    return AlgElem(A, (m, m3_transpose(m)))
 
 
 # ---------------------------------------------------------------------------

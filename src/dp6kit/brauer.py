@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
                      ReciprocityViolation)
@@ -36,6 +36,11 @@ INERT = "inert"
 RAMIFIED = "ramified"
 
 HALF = Fraction(1, 2)
+
+# _factor trial-divides by the primes below this bound, and _rho_divisor
+# takes one gcd per this many steps.
+_TRIAL_BOUND = 1000
+_RHO_BLOCK = 128
 
 # Entries each cache below keeps.  A pass over the proof-lattice benchmark
 # corpus makes some 40 000 lookups of 18 distinct invariants and 12 places.
@@ -105,19 +110,6 @@ class InvariantVector:
         if num % den:
             raise ReciprocityViolation(
                 f"local invariants sum to {Fraction(num % den, den)}, not 0")
-
-    @property
-    def prime_map(self):
-        return dict(self.primes)
-
-    def at(self, v):
-        if v == REAL_PLACE:
-            return self.real
-        return self.prime_map.get(v, Fraction(0))
-
-    def support(self):
-        out = ([REAL_PLACE] if self.real else []) + [p for p, _ in self.primes]
-        return out
 
     def __repr__(self):
         parts = []
@@ -226,17 +218,67 @@ def hilbert_symbol(a, b, v):
 
 
 def _factor(n):
+    """{p: e} with |n| the product of the p^e.  Trial division splits off
+    the primes below _TRIAL_BOUND, and _large_primes factors what is left."""
     n = abs(n)
     out = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    # n has no prime factor below d, so if n < d^2 it is 1 or a prime
+    if 1 < n < d * d:
+        out[n] = 1
+    elif n > 1:
+        for p in _large_primes(n):
+            out[p] = out.get(p, 0) + 1
     return out
+
+
+def _large_primes(n):
+    """The prime factors of n, with multiplicity, for n with no prime factor
+    below _TRIAL_BOUND.  is_prime decides each part, and refuses one at or
+    above PRIME_BOUND."""
+    if is_prime(n):
+        return [n]
+    f = _rho_divisor(n)
+    return _large_primes(f) + _large_primes(n // f)
+
+
+def _rho_divisor(n):
+    """A proper divisor of the composite n, which has no factor below
+    _TRIAL_BOUND: Brent's variant of Pollard's rho (R. P. Brent, "An
+    improved Monte Carlo factorization algorithm", BIT 20, 1980) on
+    y -> y^2 + c from y = 2, for c = 1, 2, ... in turn, so the divisor
+    found is the same on every run.  The differences are multiplied
+    together in blocks of _RHO_BLOCK, one gcd per block."""
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += _RHO_BLOCK
+            r *= 2
+        if g == n:
+            # the block overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def quaternion_class(a, b):
@@ -301,6 +343,12 @@ class QuadField:
     def is_split(self):
         return self.d is None
 
+    @property
+    def real_slots(self):
+        """Invariant slots at the real place: one per real embedding of K,
+        or a single forced-zero slot when the archimedean place is complex."""
+        return 2 if (self.is_split or self.d > 0) else 1
+
     def __repr__(self):
         return "QxQ" if self.is_split else f"Q(sqrt({self.d}))"
 
@@ -339,7 +387,7 @@ class InvariantVectorK:
     primes: tuple  # ((p, (f0,) or (f0, f1)), ...) sorted, some slot nonzero
 
     def __post_init__(self):
-        n_real = 2 if (self.K.is_split or self.K.d > 0) else 1
+        n_real = self.K.real_slots
         if len(self.real) != n_real:
             raise ValueError("wrong number of real slots for this field")
         for f in self.real:
@@ -382,9 +430,8 @@ class InvariantVectorK:
 
 
 def invariant_vector_K(K, real=None, primes=None):
-    n_real = 2 if (K.is_split or K.d > 0) else 1
     if real is None:
-        real = (Fraction(0),) * n_real
+        real = (Fraction(0),) * K.real_slots
     real = tuple(frac_mod1(f) for f in real)
     entries = []
     for p, slots in sorted((primes or {}).items()):
@@ -429,19 +476,17 @@ def restriction(u, K):
     return invariant_vector_K(K, real, primes)
 
 
-def corestriction(u, K=None):
+def corestriction(u):
     """Sum of the invariants over the places above each rational place."""
-    if K is not None and K != u.K:
-        raise ValueError("field mismatch in corestriction")
     real = _sum_mod1(u.real)
     primes = {p: _sum_mod1(slots) for p, slots in u.primes}
     return invariant_vector(real, primes)
 
 
-def admits_unitary_involution(u, K=None):
+def admits_unitary_involution(u):
     """A class over K supports an involution of the second kind over Q
     exactly when its corestriction is split."""
-    return is_split(corestriction(u, K))
+    return is_split(corestriction(u))
 
 
 def chatelet_kernel(u):
@@ -522,10 +567,7 @@ def _slots_json(slots):
 
 
 def from_json_K(obj):
-    K = QuadField(obj["d"]) if obj.get("d") is not None else QuadField.split()
-    real = _slots_json(obj.get("inf", []))
-    n_real = 2 if (K.is_split or K.d > 0) else 1
-    if not real:
-        real = (Fraction(0),) * n_real
+    K = QuadField(obj.get("d"))
+    real = _slots_json(obj.get("inf", [])) or None
     primes = primes_from_json(obj.get("primes", {}), _slots_json)
     return invariant_vector_K(K, real, primes)

@@ -36,12 +36,6 @@ def _fail(exc):
 # subcommand handlers
 
 
-def _quadfield(data):
-    from . import brauer
-    return brauer.QuadField(data["d"]) if data.get("d") is not None \
-        else brauer.QuadField.split()
-
-
 def _object(data, what):
     if not isinstance(data, dict):
         raise Dp6kitError(f"{what} must be a JSON object")
@@ -107,9 +101,11 @@ def _cmd_brauer(args):
                                                brauer.parse_rational(data["b"]),
                                                _place(data))})
     elif op == "splitting":
-        _emit({"splitting": brauer.splitting_in_quadratic(_quadfield(data), _place(data))})
+        K = brauer.QuadField(data.get("d"))
+        _emit({"splitting": brauer.splitting_in_quadratic(K, _place(data))})
     elif op == "restriction":
-        u = brauer.restriction(brauer.from_json(_class(data["class"])), _quadfield(data))
+        u = brauer.from_json(_class(data["class"]))
+        u = brauer.restriction(u, brauer.QuadField(data.get("d")))
         _emit({"classK": brauer.to_json_K(u)})
     elif op == "corestriction":
         u = brauer.corestriction(brauer.from_json_K(_class(data["classK"])))

@@ -304,10 +304,10 @@ def _label_hexagon(lines, field):
     return LinesResult(field, by_label, adjacency)
 
 
-def frobenius_on_lines(surface, lines_result=None):
+def frobenius_on_lines(surface):
     """Hexagon element induced by the q-power Frobenius on the lines."""
     from .hexagon import HexAut
-    lr = lines_result or find_lines(surface)
+    lr = find_lines(surface)
     q = surface.field.size
     mapping = {}
     for lbl, ln in lr.lines.items():
@@ -570,14 +570,13 @@ def predicted_count(q, k, phi):
     return q ** (2 * k) + q ** k * pic_trace(power) + 1
 
 
-def zeta_check(surface, ks=None, budget=DEFAULT_BUDGET):
+def zeta_check(surface, budget=DEFAULT_BUDGET):
     """Point counts against the hexagon prediction for every k in budget."""
-    if ks is None:
-        ks = []
-        k = 1
-        while projective_count(surface.field.size ** k) <= budget:
-            ks.append(k)
-            k += 1
+    ks = []
+    k = 1
+    while projective_count(surface.field.size ** k) <= budget:
+        ks.append(k)
+        k += 1
     return [count_points(surface, k, budget) for k in ks]
 
 

@@ -36,9 +36,6 @@ from math import lcm
 
 from .errors import DivisionByZero, Dp6kitError, FieldMismatch, InvariantViolation
 
-Rational = Fraction
-
-
 # The 13 primes up to 41.  Trial division by them decides every n < 43^2,
 # with no pow; above that, the strong probable-prime test to these bases is
 # exact for n < PRIME_BOUND (J. Sorenson and J. Webster, "Strong
@@ -270,10 +267,6 @@ class FFElem:
             return f.zero if n else f.one
         return FFElem(f, f.exp[f.log[self.code] * n % (f.size - 1)])
 
-    def frobenius(self):
-        """x -> x^p, the arithmetic Frobenius over the prime field."""
-        return self ** self.field.p
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.code == other % self.field.p
@@ -347,10 +340,6 @@ class FiniteField:
             raise ValueError(f"need exactly {self.k} coefficients")
         return FFElem(self, sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
-    def gen(self):
-        """Class of x, a generator of the extension (for k = 1 this is 0)."""
-        return FFElem(self, self.p if self.k > 1 else 0)
-
     def from_code(self, c):
         return FFElem(self, c % self.size)
 
@@ -369,13 +358,6 @@ def _gf_cached(p, k):
 
 def GF(p, k=1):
     return _gf_cached(p, k)
-
-
-def frobenius(x):
-    """x -> x^p on a finite-field element; the k-th iterate is the identity."""
-    if not isinstance(x, FFElem):
-        raise FieldMismatch("frobenius is defined on finite-field elements")
-    return x.frobenius()
 
 
 @lru_cache(maxsize=None)
@@ -513,17 +495,6 @@ def poly_deriv(f, field):
 def poly_is_squarefree(f, field):
     g = poly_gcd_monic(f, poly_deriv(f, field), field)
     return poly_deg(g) <= 0
-
-
-def poly_from_ints(ints, field):
-    return poly_trim([field.from_int(n) for n in ints])
-
-
-def find_irreducible(p, k):
-    """The canonical monic irreducible of degree k over F_p, as a polynomial
-    over GF(p) (coefficient tuple, constant term first)."""
-    f = GF(p)
-    return tuple(f.from_int(c) for c in _find_irreducible_ints(p, k))
 
 
 def _divisors(n):

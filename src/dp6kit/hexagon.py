@@ -13,7 +13,6 @@ when they run, so a surface count never loads the lattice layer.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import gcd
 
@@ -22,10 +21,6 @@ from .errors import Dp6kitError, InvariantViolation
 LINE_LABELS = ("E1", "E2", "E3", "F1", "F2", "F3")
 
 K_CLASS = (-3, 1, 1, 1)
-
-# pairs of opposite lines and the two triangles of pairwise skew lines
-PAIRS = (("E1", "F1"), ("E2", "F2"), ("E3", "F3"))
-TRIANGLES = (("E1", "E2", "E3"), ("F1", "F2", "F3"))
 
 
 def line_class(label):
@@ -40,11 +35,6 @@ def line_class(label):
     v[j + 1] = -1
     v[k + 1] = -1
     return tuple(v)
-
-
-def intersection(a, b):
-    """Intersection number under diag(1, -1, -1, -1)."""
-    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
 
 
 def is_K_divisible(k_coords):
@@ -89,19 +79,6 @@ class HexAut:
         """self after other."""
         return HexAut(self.swap ^ other.swap,
                       tuple(self.perm[other.perm[i]] for i in range(3)))
-
-    def inverse(self):
-        inv = [0, 0, 0]
-        for i in range(3):
-            inv[self.perm[i]] = i
-        return HexAut(self.swap, tuple(inv))
-
-    def order(self):
-        g, n = HexAut.identity(), 0
-        while True:
-            g, n = g.compose(self), n + 1
-            if g == HexAut.identity():
-                return n
 
     def cycle_type(self):
         seen, cycles = set(), []
@@ -333,21 +310,6 @@ def second_sequence(subgroup=None):
     ]
 
 
-def conjugacy_class_key(g):
-    return (g.swap, g.cycle_type())
-
-
-def trace_table():
-    """Trace of the Picard action per conjugacy class of S2 x S3."""
-    out = {}
-    for g in ALL_AUTS:
-        tr = pic_trace(g)
-        key = conjugacy_class_key(g)
-        if out.setdefault(key, tr) != tr:
-            raise InvariantViolation(f"trace is not a class function at {key}")
-    return out
-
-
 def stable_iso_lattices():
     """The two stably isomorphic lattices: Pic + Z and Z[L/F] + Z[K/F]."""
     from .intlattice import GLattice
@@ -358,10 +320,9 @@ def stable_iso_lattices():
 
 
 @lru_cache(maxsize=None)
-def stable_iso_witness(bound=3):
+def stable_iso_witness():
     from .intlattice import equivariant_iso_search
-    left, right = stable_iso_lattices()
-    return equivariant_iso_search(left, right, bound=bound)
+    return equivariant_iso_search(*stable_iso_lattices())
 
 
 def _verify_intertwiner(M, left, right, subgroup):
@@ -399,7 +360,3 @@ def subgroup_report(index):
 
 def all_subgroup_reports():
     return [subgroup_report(i) for i in range(len(subgroups()))]
-
-
-def reports_json():
-    return json.dumps(all_subgroup_reports(), sort_keys=True, separators=(",", ":"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 from .errors import CompositionMismatch, InvariantViolation
 
@@ -121,26 +120,6 @@ class IntMat:
 def mat_from_columns(cols, nrows):
     return IntMat([[c[i] for c in cols] for i in range(nrows)],
                   rows=nrows, cols=len(cols))
-
-
-def inverse_unimodular(M):
-    """Exact inverse of a unimodular matrix (Gauss over Q, then integer cast)."""
-    n = M.rows
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(M.data)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    out = [[x for x in row[n:]] for row in aug]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise InvariantViolation("matrix is not unimodular: its inverse is not integral")
-    return IntMat([[int(x) for x in row] for row in out], rows=n, cols=n)
 
 
 def smith_normal_form(M):
@@ -319,19 +298,6 @@ def solve_integer(M, v):
     return V.apply(y)
 
 
-def saturation(M):
-    """Canonical basis (columns) of the saturation of the column span of M."""
-    if M.cols == 0:
-        return IntMat([], rows=M.rows, cols=0)
-    S, U, _ = smith_normal_form(M)
-    n = min(S.rows, S.cols)
-    rank = sum(1 for i in range(n) if S.data[i][i])
-    Uinv = inverse_unimodular(U)
-    cols = [Uinv.col(i) for i in range(rank)]
-    canon = row_hnf(IntMat([list(c) for c in cols]))
-    return canon.transpose()
-
-
 # ---------------------------------------------------------------------------
 # finite groups given by multiplication tables
 
@@ -374,9 +340,6 @@ class FiniteGroup:
 
     def mul(self, a, b):
         return self.table[(a, b)]
-
-    def inv(self, a):
-        return next(b for b in self.labels if self.mul(a, b) == self.identity)
 
     @property
     def order(self):
@@ -426,17 +389,6 @@ class FiniteGroup:
         subs = [tuple(sorted(s, key=lambda x: self.labels.index(x))) for s in found]
         subs.sort(key=lambda s: (len(s), tuple(str(x) for x in s)))
         return [self.subgroup(s) for s in subs]
-
-    def conjugacy_classes(self):
-        rest = set(self.labels)
-        classes = []
-        for a in self.labels:
-            if a not in rest:
-                continue
-            cls = {self.mul(self.mul(g, a), self.inv(g)) for g in self.labels}
-            classes.append(tuple(sorted(cls, key=lambda x: self.labels.index(x))))
-            rest -= cls
-        return classes
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -637,13 +589,18 @@ def h1(L, G):
     return sorted(d for d in diag if d > 1)
 
 
-def equivariant_iso_search(L1, L2, bound=3):
+# the largest coefficient equivariant_iso_search puts on a kernel vector
+ISO_SEARCH_BOUND = 3
+
+
+def equivariant_iso_search(L1, L2):
     """Search for a unimodular intertwiner M with M r1(g) = r2(g) M.
 
     Solves the intertwining system over Z, then walks small integer
-    combinations of its kernel basis (max coefficient `bound`, deterministic
-    order) testing unimodularity.  Returns (matrix, bound_used) or
-    (None, bound): a miss is inconclusive, not a proof of nonexistence.
+    combinations of its kernel basis (max coefficient ISO_SEARCH_BOUND,
+    deterministic order) testing unimodularity.  Returns (matrix,
+    bound_used) or (None, ISO_SEARCH_BOUND): a miss is inconclusive, not a
+    proof of nonexistence.
     """
     if L1.group is not L2.group or L1.rank != L2.rank:
         return None, 0
@@ -679,7 +636,7 @@ def equivariant_iso_search(L1, L2, bound=3):
     if x is not None:
         return IntMat.identity(n), 0
     m = basis.cols
-    for b in range(1, bound + 1):
+    for b in range(1, ISO_SEARCH_BOUND + 1):
         for combo in itertools.product(range(-b, b + 1), repeat=m):
             if max(abs(c) for c in combo) != b:
                 continue
@@ -691,4 +648,4 @@ def equivariant_iso_search(L1, L2, bound=3):
             M = to_mat(vec)
             if abs(M.det()) == 1:
                 return M, b
-    return None, bound
+    return None, ISO_SEARCH_BOUND

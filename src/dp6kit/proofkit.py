@@ -174,7 +174,7 @@ def _comp_degree_forced(inputs):
 
 
 def _comp_restriction(inputs):
-    K = QuadField(inputs["d"]) if inputs["d"] is not None else QuadField.split()
+    K = QuadField(inputs["d"])
     return to_json_K(restriction(from_json(inputs["class"]), K))
 
 
@@ -228,7 +228,7 @@ def lemma_number_check(K, B_class, observed):
 
 
 def _comp_lemma_number_check(inputs):
-    K = QuadField(inputs["d"]) if inputs["d"] is not None else QuadField.split()
+    K = QuadField(inputs["d"])
     B = from_json_K(inputs["classK"]) if inputs.get("classK") is not None else None
     return {"verdict": lemma_number_check(K, B, inputs["observed"])}
 
@@ -535,7 +535,7 @@ def _common_head(A):
     return steps
 
 
-def replay_first_proof(A, d=2):
+def replay_first_proof(A):
     """Certificate for the surface-theoretic argument.
 
     Assuming the splitting dimension were at most 2, a minimal surface with
@@ -546,8 +546,8 @@ def replay_first_proof(A, d=2):
     corestriction to vanish: contradiction.
     """
     _require_index6(A)
-    C, D = decompose_degree6(A)
-    K = QuadField(d)
+    _, D = decompose_degree6(A)
+    K = QuadField(2)
     resD = restriction(D, K)
     res2D = restriction(power(D, 2), K)
     steps = _common_head(A)
@@ -585,7 +585,7 @@ def replay_first_proof(A, d=2):
         _verified("consistency of the observed data (index 6, nonsplit "
                   "candidates) with the splitting implications, on the "
                   "concrete candidate below", "lemma_number_check",
-                  {"d": d, "classK": to_json_K(resD), "observed": {"n_S": 6}}),
+                  {"d": 2, "classK": to_json_K(resD), "observed": {"n_S": 6}}),
         _axiom("the function field tower over the cubic factor is the "
                "function field of a conic; an odd-order class split there "
                "is split already", "conic_kernel_two_torsion"),

@@ -90,7 +90,7 @@ def solvability_oracle(a, b, p):
 # random corpora (fixed seeds)
 
 
-def random_reciprocal_vector(rng, denominators=(2, 3, 6)):
+def random_reciprocal_vector(rng):
     """Random invariant vector with reciprocity enforced at a closing prime."""
     pool = [5, 7, 11, 13, 17, 19, 23, 29]
     nsupp = rng.randint(1, 3)
@@ -98,7 +98,7 @@ def random_reciprocal_vector(rng, denominators=(2, 3, 6)):
     entries = {}
     total = Fraction(0)
     for p in primes:
-        d = rng.choice(denominators)
+        d = rng.choice((2, 3, 6))
         n = rng.randrange(1, d)
         f = Fraction(n, d)
         entries[p] = f
@@ -139,7 +139,7 @@ def random_quaternion_K(rng, K):
     pool = [3, 5, 7, 11, 13, 17]
     half = Fraction(1, 2)
     candidates = []  # (place, slot) spots that may carry 1/2
-    if K.is_split or K.d > 0:
+    if K.real_slots == 2:
         candidates += [("inf", 0), ("inf", 1)]
     for p in pool:
         kind = splitting_in_quadratic(K, p)
@@ -161,7 +161,7 @@ def random_quaternion_K(rng, K):
             if len(slots[sl]) % 2:
                 slots[sl].pop()
         chosen = slots[0] + slots[1]
-    real = [Fraction(0), Fraction(0)] if (K.is_split or K.d > 0) else [Fraction(0)]
+    real = [Fraction(0)] * K.real_slots
     primes = {}
     for place, slot in chosen:
         if place == "inf":

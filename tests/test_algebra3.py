@@ -5,19 +5,35 @@ from fractions import Fraction
 import pytest
 
 from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem,
-                             _sym_independent, adjoint_sharp, build_hermitian,
+                             _sym_independent, build_hermitian,
                              build_split_exchange, companion_matrix,
                              cubic_from_basis, cubic_from_generator,
                              diagonal_cubic, gram_matrix,
-                             hermitian_cubic_generator, ideal_to_sym,
-                             m3_adjugate, m3_from_entries, m3_trace, m3_unit,
-                             orth_complement, split_exchange_sym,
-                             split_normalize, trace_form)
+                             hermitian_cubic_generator, m3_from_entries,
+                             m3_trace, m3_transpose, m3_unit, orth_complement,
+                             split_exchange_sym, split_normalize, trace_form)
 from dp6kit.errors import (DegenerateSubalgebra, NoQuadraticExtension,
                            NotSplitOverBase)
 from dp6kit.fields import GF, QQ, mat_det_field, poly_is_squarefree, poly_roots
 
 F = Fraction
+
+
+def adjugate(a):
+    """Classical adjugate of a 3x3 matrix: adj(a)[i][j] = cofactor_{ji}."""
+    def cof(r, c):
+        r1, r2 = [t for t in range(3) if t != r]
+        c1, c2 = [t for t in range(3) if t != c]
+        minor = a[r1][c1] * a[r2][c2] - a[r1][c2] * a[r2][c1]
+        return minor if (r + c) % 2 == 0 else -minor
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+
+def sharp(A, x):
+    """The adjoint x# of a symmetric element: the adjugate of its first
+    matrix, with the transpose as second component on the exchange model."""
+    m = adjugate(x.data[0])
+    return AlgElem(A, (m, m3_transpose(m)) if A.kind == SPLIT_EXCHANGE else (m,))
 
 
 def _rand_matrix(field, rng):
@@ -87,7 +103,7 @@ def test_model_identities(kind, field):
     if kind == SPLIT_EXCHANGE:
         A = build_split_exchange(field)
         o3 = A.one.data[0]
-        z3 = A.zero().data[0]
+        z3 = m3_from_entries({}, field.zero)
         center = AlgElem(A, (o3, z3))
     else:
         A = build_hermitian(field, -1 if field is QQ else None)
@@ -128,7 +144,7 @@ def _rand_base(A, rng):
 
 def _scale_and_add(A, coords):
     """sum c_k e_k over the canonical symmetric basis, one AlgElem at a time."""
-    acc = A.zero()
+    acc = A.one - A.one
     for c, b in zip(coords, A.sym_basis):
         acc = acc + b.scale(c)
     return acc
@@ -143,7 +159,7 @@ def test_closed_forms_match_algebra_arithmetic(A):
         assert x == _scale_and_add(A, cx) and y == _scale_and_add(A, cy)
         assert A.sym_coords(x) == tuple(cx)
         assert trace_form(A, x, y) == A.trd_sym(x * y)
-        assert A.s_sym(x) == A._to_base(m3_trace(m3_adjugate(x.data[0])))
+        assert A.s_sym(x) == A._to_base(m3_trace(adjugate(x.data[0])))
 
 
 def test_trace_form_examples():
@@ -199,11 +215,10 @@ def test_orth_complement_degenerate_rejected():
 
 def test_adjoint_sharp_examples():
     A = build_split_exchange(QQ)
-    one_sharp, (t, s, n) = adjoint_sharp(A, A.one)
-    assert one_sharp == A.one and (t, s, n) == (3, 3, 1)
+    assert sharp(A, A.one) == A.one
+    assert (A.trd_sym(A.one), A.s_sym(A.one), A.nrd_sym(A.one)) == (3, 3, 1)
     e11 = split_exchange_sym(A, m3_unit(0, 0, QQ.one, QQ.zero))
-    sharp, _ = adjoint_sharp(A, e11)
-    assert not sharp  # adjugate of a rank-one diagonal
+    assert not sharp(A, e11)  # adjugate of a rank-one diagonal
 
 
 def test_adjoint_matches_cofactor_oracle():
@@ -212,13 +227,12 @@ def test_adjoint_matches_cofactor_oracle():
     for _ in range(100):
         m = _rand_matrix(GF(7), rng)
         x = split_exchange_sym(A, m)
-        sharp, (t, s, n) = adjoint_sharp(A, x)
-        # independent cofactor expansion
-        assert sharp.data[0] == m3_adjugate(m)
+        xs = sharp(A, x)
+        t, s, n = A.trd_sym(x), A.s_sym(x), A.nrd_sym(x)
         # Cayley-Hamilton shape and the norm identity
-        assert sharp == x * x - x.scale(t) + A.one.scale(s)
-        assert x * sharp == A.one.scale(n)
-        assert sharp * x == A.one.scale(n)
+        assert xs == x * x - x.scale(t) + A.one.scale(s)
+        assert x * xs == A.one.scale(n)
+        assert xs * x == A.one.scale(n)
 
 
 def test_adjoint_hermitian_random():
@@ -233,11 +247,12 @@ def test_adjoint_hermitian_random():
                            for j in range(3)) for i in range(3))
         x = AlgElem(B, (herm,))
         assert B.involution(x) == x
-        sharp, (t, s, n) = adjoint_sharp(B, x)
-        assert B.involution(sharp) == sharp
-        assert x * sharp == B.one.scale(n)
-        assert sharp * x == B.one.scale(n)
-        assert sharp == x * x - x.scale(t) + B.one.scale(s)
+        xs = sharp(B, x)
+        t, s, n = B.trd_sym(x), B.s_sym(x), B.nrd_sym(x)
+        assert B.involution(xs) == xs
+        assert x * xs == B.one.scale(n)
+        assert xs * x == B.one.scale(n)
+        assert xs == x * x - x.scale(t) + B.one.scale(s)
 
 
 def test_cubic_from_generator_minpoly():
@@ -337,12 +352,18 @@ def test_split_normalize_not_split_over_base():
     assert split_normalize(mats8, F8).verify(mats8)
 
 
-def test_ideal_to_sym():
+def test_rank_one_symmetric_elements():
+    """u w^T for a line u in V and a line w in the dual: its adjoint
+    vanishes, and distinct pairs of projective lines give distinct points."""
     A = build_split_exchange(GF(2))
     one, zero = GF(2).one, GF(2).zero
-    el = ideal_to_sym(A, (one, zero, zero), (zero, one, zero))
+
+    def rank_one(u, w):
+        return split_exchange_sym(A, tuple(tuple(u[i] * w[j] for j in range(3))
+                                           for i in range(3)))
+    el = rank_one((one, zero, zero), (zero, one, zero))
     assert el.data[0] == m3_unit(0, 1, one, zero)
-    assert not A.sharp(el)  # rank <= 1
+    assert not sharp(A, el)  # rank <= 1
     # all 49 pairs of projective lines give 49 distinct projective points
     plane = [(one, zero, zero), (zero, one, zero), (zero, zero, one),
              (one, one, zero), (one, zero, one), (zero, one, one),
@@ -350,7 +371,7 @@ def test_ideal_to_sym():
     seen = set()
     for u in plane:
         for w in plane:
-            m = ideal_to_sym(A, u, w).data[0]
+            m = rank_one(u, w).data[0]
             seen.add(tuple(x.code for row in m for x in row))
     assert len(seen) == 49
 

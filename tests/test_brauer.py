@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dp6kit import brauer
 from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT,
@@ -24,10 +24,17 @@ from dp6kit.selftest import solvability_oracle
 F = Fraction
 
 
+def at(u, v):
+    """The invariant of the class u at the place v."""
+    if v == REAL_PLACE:
+        return u.real
+    return dict(u.primes).get(v, Fraction(0))
+
+
 def split_pair_K(c1, c2):
     """Class over K = F x F from its two factor classes."""
     places = sorted(set(dict(c1.primes)) | set(dict(c2.primes)))
-    primes = {p: (c1.at(p), c2.at(p)) for p in places}
+    primes = {p: (at(c1, p), at(c2, p)) for p in places}
     return invariant_vector_K(QuadField.split(), (c1.real, c2.real), primes)
 
 
@@ -255,8 +262,8 @@ def test_frac_mod1_matches_oracle(x):
 @given(u=classes(), n=st.integers(-13, 13))
 def test_power_and_inverse_match_oracle(u, n):
     for v in PLACES:
-        assert power(u, n).at(v) == mod1(n * u.at(v))
-        assert inverse(u).at(v) == mod1(-u.at(v))
+        assert at(power(u, n), v) == mod1(n * at(u, v))
+        assert at(inverse(u), v) == mod1(-at(u, v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,7 +271,7 @@ def test_power_and_inverse_match_oracle(u, n):
 def test_tensor_matches_oracle(u, w):
     t = tensor(u, w)
     for v in PLACES:
-        assert t.at(v) == mod1(u.at(v) + w.at(v))
+        assert at(t, v) == mod1(at(u, v) + at(w, v))
     assert all(type(f) is Fraction for _, f in t.primes)
 
 
@@ -275,7 +282,7 @@ def test_restriction_matches_oracle(u, K):
     slots = dict(r.primes)
     for v in PLACES:
         split = splitting_in_quadratic(K, v) == SPLIT
-        want = (u.at(v),) * 2 if split else (mod1(2 * u.at(v)),)
+        want = (at(u, v),) * 2 if split else (mod1(2 * at(u, v)),)
         got = r.real if v == REAL_PLACE else slots.get(v, (Fraction(0),) * len(want))
         assert got == want
 
@@ -288,7 +295,7 @@ def test_corestriction_matches_oracle(u, w, K):
         slots = dict(x.primes)
         assert c.real == mod1(sum(x.real))
         for v in PLACES[1:]:
-            assert c.at(v) == mod1(sum(slots.get(v, (Fraction(0),))))
+            assert at(c, v) == mod1(sum(slots.get(v, (Fraction(0),))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -450,8 +457,6 @@ HALF = F(1, 2)
      "invariant 1/6 does not have order dividing 3"),
     (lambda: decompose_degree6(invariant_vector(0, {5: F(1, 5), 11: F(4, 5)})),
      OrderViolation, "class does not have order dividing 6"),
-    (lambda: corestriction(invariant_vector_K(K2), KM1), ValueError,
-     "field mismatch in corestriction"),
     (lambda: split_components(invariant_vector_K(K2)), ValueError,
      "class is not over the split algebra"),
     (lambda: QuadField(12), ValueError, "d must be a squarefree integer != 0, 1: 12"),
@@ -487,3 +492,50 @@ def test_validation_path(make, exc, message):
     with pytest.raises(exc) as info:
         make()
     assert type(info.value) is exc and str(info.value) == message
+
+
+def test_real_slots():
+    assert [QuadField(d).real_slots for d in (None, 2, 5, -1, -3)] == [2, 2, 2, 1, 1]
+
+
+def factor_oracle(n):
+    """{p: e} for |n| by trial division by every d >= 2."""
+    n, out, d = abs(n), {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-10**7 + 1, 10**7 - 1))
+@example(n=0)
+@example(n=1009 * 1013)  # both primes above the trial-division bound
+@example(n=-1009 ** 2)
+@example(n=997 * 1009 * 1013)
+@example(n=2 ** 23)
+def test_factor_matches_trial_division(n):
+    assert brauer._factor(n) == factor_oracle(n)
+
+
+@pytest.mark.parametrize("n, factors", [
+    (1000000007 * 1000000009, {1000000007: 1, 1000000009: 1}),
+    (2 * (2**61 - 1), {2: 1, 2**61 - 1: 1}),
+    (1099511627791 * 2199023255579, {1099511627791: 1, 2199023255579: 1}),
+    (3**40 * 1000003, {3: 40, 1000003: 1}),
+    (2**100, {2: 100}),
+])
+def test_factor_large(n, factors):
+    assert brauer._factor(n) == factors
+    assert brauer._factor(-n) == factors
+
+
+def test_factor_refuses_a_cofactor_at_the_primality_bound():
+    with pytest.raises(Dp6kitError) as info:
+        quaternion_class(3 * PRIME_BOUND, 5)
+    assert str(info.value) == (f"{PRIME_BOUND} is too large: primality is decided "
+                               f"only below {PRIME_BOUND}")

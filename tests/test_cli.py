@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings, given, strategies as st
 
 from dp6kit import dp6
 from dp6kit.cli import main
@@ -195,11 +198,27 @@ MERSENNE_61 = str(2**61 - 1)
      {"symbol": 1}),
 ], ids=["index", "hilbert"])
 def test_large_prime_place_answers_at_once(argv, answer):
+    _answers_at_once(argv, answer)
+
+
+def _answers_at_once(argv, answer):
     done = subprocess.run([sys.executable, "-m", "dp6kit.cli", *argv],
                           capture_output=True, text=True, timeout=10,
                           env={**os.environ, "PYTHONPATH": _SRC})
     assert done.returncode == 0
     assert json.loads(done.stdout) == {"schema": "dp6kit/1", **answer}
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (["brauer", "quaternion", '{"a":"%s","b":3}' % MERSENNE_61],
+     {"class": {"primes": {"2": "1/2", MERSENNE_61: "1/2"}}}),
+    (["brauer", "quaternion", '{"a":"1000000016000000063","b":3}'],  # 1000000007 * 1000000009
+     {"class": {"primes": {"2": "1/2", "3": "1/2"}}}),
+    (["brauer", "restriction", '{"class":{"primes":{}},"d":%s}' % MERSENNE_61],
+     {"classK": {"d": 2**61 - 1, "inf": ["0", "0"], "primes": {}}}),
+], ids=["quaternion-prime", "quaternion-semiprime", "restriction"])
+def test_large_factorisations_answer_at_once(argv, answer):
+    _answers_at_once(argv, answer)
 
 
 BOUND = "3317044064679887385961981"
@@ -390,3 +409,62 @@ def test_q_side_stdout_matches_recorded_digest(capsys):
     assert len({op for op, _ in _BRAUER_PAYLOADS}) == 13  # every brauer op
     assert len(_Q_SIDE_COMMANDS) == 52
     assert digest.hexdigest() == _Q_SIDE_STDOUT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# any JSON payload: one line of schema JSON on stdout, exit 0 or 1
+
+_INTS = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-2**90, 2**90),
+    st.sampled_from([2**61 - 1, 1000000007 * 1000000009, int(BOUND), int(BOUND) + 2]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _INTS, _INTS.map(str), st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds("{}/{}".format, st.integers(-13, 13), st.integers(0, 13)))
+_KEYS = st.one_of(
+    st.sampled_from(["a", "b", "d", "place", "class", "classK", "left", "right",
+                     "primes", "inf", "2", "3", "7", "13", "07", "+7"]),
+    _INTS.map(str), st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=12)
+_PRIMES = st.dictionaries(_KEYS, _SCALARS | st.lists(_SCALARS, max_size=3), max_size=4)
+_CLASS = st.fixed_dictionaries(
+    {}, optional={"d": _SCALARS, "inf": _SCALARS | st.lists(_SCALARS, max_size=3),
+                  "primes": _PRIMES})
+_PAYLOAD = st.one_of(_JSON, _CLASS, st.fixed_dictionaries({}, optional={
+    "a": _SCALARS, "b": _SCALARS, "d": _SCALARS, "place": _SCALARS,
+    "class": _CLASS, "classK": _CLASS, "left": _CLASS, "right": _CLASS,
+    "primes": _PRIMES}))
+_BRAUER_OPS = sorted({op for op, _ in _BRAUER_PAYLOADS})  # all 13
+
+
+def _argument(values):
+    """JSON text of the values; argparse would read a leading "-" as an
+    option, so such texts are left out."""
+    return values.map(json.dumps).filter(lambda text: not text.startswith("-"))
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just("brauer"), st.sampled_from(_BRAUER_OPS), _argument(_PAYLOAD)),
+    st.tuples(st.just("lattice"), st.sampled_from(["snf", "hnf", "kernel"]),
+              _argument(st.lists(st.lists(_INTS, max_size=3), max_size=3) | _JSON)),
+    st.tuples(st.just("replay"), st.just("--proof"), st.sampled_from(["first", "second"]),
+              st.just("--algebra"), _argument(_CLASS | _JSON))
+    | st.tuples(st.just("replay"), st.just("--corollary"), st.just("--proof"),
+                st.sampled_from(["first", "second"]), st.just("--algebra"),
+                _argument(_CLASS | _JSON)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_ARGV)
+def test_any_payload_gives_schema_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    line, = out.getvalue().splitlines()
+    data = json.loads(line)
+    assert data["schema"] == "dp6kit/1"
+    assert code == (1 if "error" in data else 0)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dp6kit.algebra3 import (HERMITIAN, build_hermitian, build_split_exchange,
                              companion_matrix, cubic_from_generator, diagonal_cubic,
-                             ideal_to_sym, split_exchange_sym)
+                             m3_eq_zero, split_exchange_sym)
 from dp6kit import algebra3, dp6
 from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
                         fibration_point_count, find_lines, frobenius_on_lines,
@@ -21,6 +21,17 @@ from dp6kit.fields import GF, QQ, rref
 from dp6kit.hexagon import HexAut
 
 F = Fraction
+
+
+def adjugate(a):
+    """Classical adjugate of a 3x3 matrix, by cofactors: the adjoint x# of
+    a symmetric element is the adjugate of its first matrix."""
+    def cof(r, c):
+        r1, r2 = [t for t in range(3) if t != r]
+        c1, c2 = [t for t in range(3) if t != c]
+        minor = a[r1][c1] * a[r2][c2] - a[r1][c2] * a[r2][c1]
+        return minor if (r + c) % 2 == 0 else -minor
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
 @pytest.fixture(scope="module")
@@ -105,12 +116,17 @@ def _polarized_adjoint_quadrics(surface):
     adjoint on algebra elements, (b_i + b_j)# - b_i# - b_j# for i < j."""
     A = surface.algebra
     basis = surface.coord_basis
+
+    def sharp(x):
+        return A.sym_matrix_coords(adjugate(x.data[0]))
+
     forms = [{} for _ in range(9)]
     for i in range(7):
         for j in range(i, 7):
-            x = A.sharp(basis[i]) if i == j else \
-                A.sharp(basis[i] + basis[j]) - A.sharp(basis[i]) - A.sharp(basis[j])
-            for ell, c in enumerate(A.sym_coords(x)):
+            x = sharp(basis[i]) if i == j else [
+                a - b - c for a, b, c in zip(sharp(basis[i] + basis[j]),
+                                             sharp(basis[i]), sharp(basis[j]))]
+            for ell, c in enumerate(x):
                 if c:
                     forms[ell][(i, j)] = c
     return forms
@@ -129,18 +145,19 @@ def test_quadrics_pointwise_hermitian(twists2):
     for _ in range(50):
         coords = [GF(2).from_code(rng.randrange(2)) for _ in range(7)]
         direct = s.evaluate(coords)
-        x = A.zero()
+        x = A.one - A.one
         for c, b in zip(coords, s.coord_basis):
             x = x + b.scale(c)
-        expected = list(A.sym_coords(A.sharp(x)))
+        expected = list(A.sym_matrix_coords(adjugate(x.data[0])))
         assert direct == expected
 
 
 def test_quadrics_vanish_on_rank_one_images():
     A = build_split_exchange(GF(3))
     one, zero = GF(3).one, GF(3).zero
-    el = ideal_to_sym(A, (one, one, zero), (zero, one, one))
-    assert not A.sharp(el)
+    u, w = (one, one, zero), (zero, one, one)
+    el = split_exchange_sym(A, tuple(tuple(u[i] * w[j] for j in range(3)) for i in range(3)))
+    assert m3_eq_zero(adjugate(el.data[0]))
 
 
 def test_split_model_points_small():
@@ -346,7 +363,10 @@ def test_frobenius_examples(twists2):
     assert not phi.swap and phi.cycle_type() == (1, 2)
     phi = frobenius_on_lines(twists2["kinert-l3"])
     assert phi.swap and phi.cycle_type() == (3,)
-    assert phi.order() == 6
+    powers = [phi]
+    while powers[-1] != HexAut.identity():
+        powers.append(phi.compose(powers[-1]))
+    assert len(powers) == 6  # phi has order 6
 
 
 def test_expected_frobenius_types(twists2, twists3):

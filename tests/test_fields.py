@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dp6kit.errors import DivisionByZero, Dp6kitError, FieldMismatch
-from dp6kit.fields import (GF, PRIME_BOUND, QQ, _pmod, _pmul, embed, find_irreducible,
-                           format_element, frobenius, is_prime, mat_det_field, mat_kernel,
-                           mat_solve, parse_element, poly_divmod, poly_eval,
-                           poly_from_ints, poly_gcd_monic, poly_is_squarefree,
+from dp6kit.fields import (GF, PRIME_BOUND, QQ, _pmod, _pmul, embed, format_element,
+                           is_prime, mat_det_field, mat_kernel, mat_solve, parse_element,
+                           poly_divmod, poly_eval, poly_gcd_monic, poly_is_squarefree,
                            poly_mul, poly_roots, retract, rref)
 
 FIELDS = [QQ, GF(2), GF(7), GF(2, 2), GF(3, 2), GF(2, 6)]
@@ -57,12 +56,9 @@ def test_field_too_large_for_tables_is_refused_at_once():
 
 
 def test_find_irreducible_examples():
-    x = find_irreducible(2, 1)
-    assert [c.coeffs[0] for c in x] == [0, 1]
-    f22 = find_irreducible(2, 2)
-    assert [c.coeffs[0] for c in f22] == [1, 1, 1]  # x^2 + x + 1
-    f32 = find_irreducible(3, 2)
-    assert [c.coeffs[0] for c in f32] == [1, 0, 1]  # x^2 + 1
+    assert GF(2).modulus == (0, 1)
+    assert GF(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
+    assert GF(3, 2).modulus == (1, 0, 1)  # x^2 + 1
 
 
 def _all_monic(field, deg):
@@ -75,8 +71,8 @@ def _all_monic(field, deg):
                                  (3, 2), (3, 4), (5, 3), (7, 2), (13, 1)])
 def test_find_irreducible_verified_by_divisor_search(p, k):
     # independent oracle: trial division by every lower-degree monic
-    f = find_irreducible(p, k)
     base = GF(p)
+    f = tuple(base.from_int(c) for c in GF(p, k).modulus)
     assert len(f) == k + 1 and f[-1] == base.one
     for d in range(1, k):
         for g in _all_monic(base, d):
@@ -93,30 +89,31 @@ def test_find_irreducible_verified_by_divisor_search(p, k):
 
 def test_frobenius_examples():
     F4 = GF(2, 2)
-    t = F4.gen()
-    assert frobenius(F4.one) == F4.one
-    assert frobenius(t) == t + F4.one  # t^2 = t + 1
-    assert frobenius(frobenius(t)) == t
+    t = F4.from_code(2)  # the class of x
+    assert F4.one ** 2 == F4.one
+    assert t ** 2 == t + F4.one  # t^2 = t + 1
+    assert (t ** 2) ** 2 == t
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 6)])
 def test_frobenius_is_field_automorphism(p, k):
+    """x -> x^p is additive and multiplicative, its k-th iterate is the
+    identity, and its fixed field is F_p."""
     field = GF(p, k)
     rng = random.Random(7)
     for _ in range(200):
         a = field.from_code(rng.randrange(field.size))
         b = field.from_code(rng.randrange(field.size))
-        assert frobenius(a + b) == frobenius(a) + frobenius(b)
-        assert frobenius(a * b) == frobenius(a) * frobenius(b)
-    # the k-th iterate is the identity, and the fixed field is F_p
+        assert (a + b) ** p == a ** p + b ** p
+        assert (a * b) ** p == a ** p * b ** p
     for c in range(field.size):
         x = field.from_code(c)
         y = x
         for _ in range(k):
-            y = frobenius(y)
+            y = y ** p
         assert y == x
     fixed = [c for c in range(field.size)
-             if frobenius(field.from_code(c)) == field.from_code(c)]
+             if field.from_code(c) ** p == field.from_code(c)]
     assert len(fixed) == p
 
 
@@ -130,7 +127,7 @@ def test_embed_retract_roundtrip():
 
 
 def test_serialization():
-    t = GF(2, 2).gen()
+    t = GF(2, 2).from_code(2)
     assert format_element(t) == "[0,1]@2^2"
     assert parse_element("[0,1]@2^2") == t
     assert format_element(Fraction(5, 6)) == "5/6"
@@ -140,8 +137,8 @@ def test_serialization():
 
 def test_poly_utilities():
     F3 = GF(3)
-    f = poly_from_ints([1, 0, 1], F3)  # x^2 + 1, irreducible mod 3
-    g = poly_from_ints([2, 1], F3)
+    f = tuple(F3.from_int(n) for n in (1, 0, 1))  # x^2 + 1, irreducible mod 3
+    g = tuple(F3.from_int(n) for n in (2, 1))
     q, r = poly_divmod(poly_mul(f, g, F3), g, F3)
     assert q == f and not r
     assert poly_gcd_monic(f, g, F3) == (F3.one,)

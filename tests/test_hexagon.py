@@ -2,15 +2,39 @@ import json
 
 from dp6kit.hexagon import (ALL_AUTS, K_CLASS, LINE_LABELS, HexAut,
                             all_subgroup_reports, aut_from_label,
-                            conjugacy_class_key, divisor_matrix,
-                            first_sequence, hex_action, hexagon_group,
-                            intersection, is_K_divisible, line_class,
+                            divisor_matrix, first_sequence, hex_action,
+                            hexagon_group, is_K_divisible, line_class,
                             pair_triangle_matrix, pic_lattice, pic_trace,
-                            reports_json,
                             second_sequence, stable_iso_lattices,
-                            stable_iso_witness, subgroups, t_hat, trace_table)
+                            stable_iso_witness, subgroups, t_hat)
 from dp6kit.intlattice import (IntMat, fixed_submodule, is_exact,
                                smith_normal_form)
+
+
+def intersection(a, b):
+    """Intersection number under diag(1, -1, -1, -1)."""
+    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+
+
+def conjugacy_classes(G):
+    """The conjugacy classes of a FiniteGroup, from its table."""
+    inv = {a: next(b for b in G.labels if G.mul(a, b) == G.identity) for a in G.labels}
+    classes = []
+    for a in G.labels:
+        cls = sorted({G.mul(G.mul(g, a), inv[g]) for g in G.labels}, key=G.labels.index)
+        if cls not in classes:
+            classes.append(cls)
+    return classes
+
+
+def trace_table():
+    """Trace of the Picard action per (swap, cycle type) class of S2 x S3;
+    the trace must be a class function."""
+    out = {}
+    for g in ALL_AUTS:
+        key = (g.swap, g.cycle_type())
+        assert out.setdefault(key, pic_trace(g)) == pic_trace(g), key
+    return out
 
 
 def test_line_class_examples():
@@ -70,9 +94,13 @@ def test_trace_table_values():
     # sum over classes of |class| * trace = |H| * rank of the fixed module
     G = hexagon_group()
     total = 0
-    for cls in G.conjugacy_classes():
+    classes = conjugacy_classes(G)
+    assert len(classes) == len(tt) == 6
+    for cls in classes:
         g = aut_from_label(cls[0])
-        total += len(cls) * tt[conjugacy_class_key(g)]
+        assert {(h.swap, h.cycle_type()) for h in map(aut_from_label, cls)} == \
+            {(g.swap, g.cycle_type())}
+        total += len(cls) * tt[(g.swap, g.cycle_type())]
     assert total == 12 * 1
 
 
@@ -146,9 +174,9 @@ def test_subgroup_reports():
         assert r["stable_iso_found"] is True
         assert r["fixed_rank"] == r["fixed_rank_by_traces"]
     # the serialized form is valid JSON and deterministic
-    blob = reports_json()
+    blob = json.dumps(reports, sort_keys=True, separators=(",", ":"))
     assert json.loads(blob) == reports
-    assert reports_json() == blob
+    assert json.dumps(all_subgroup_reports(), sort_keys=True, separators=(",", ":")) == blob
 
 
 def test_perm_word_serialization():

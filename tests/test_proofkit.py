@@ -24,8 +24,8 @@ STANDING = invariant_vector(0, {7: F(1, 6), 13: F(5, 6)})
 
 def split_pair_K(c1, c2):
     """Class over K = F x F from its two factor classes."""
-    places = sorted(set(dict(c1.primes)) | set(dict(c2.primes)))
-    primes = {p: (c1.at(p), c2.at(p)) for p in places}
+    m1, m2 = dict(c1.primes), dict(c2.primes)
+    primes = {p: (m1.get(p, F(0)), m2.get(p, F(0))) for p in sorted(set(m1) | set(m2))}
     return invariant_vector_K(QuadField.split(), (c1.real, c2.real), primes)
 
 
