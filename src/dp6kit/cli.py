@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import Dp6kitError
@@ -165,11 +166,15 @@ def _cmd_hexagon(args):
 
 def _surface_for(args):
     from . import dp6
-    from .fields import GF
-    field = GF(*dp6._parse_prime_power(args.q))
+    from .fields import GF, check_field_size
+    p, e = dp6._parse_prime_power(args.q)
+    check_field_size(p, e)
     if args.model not in dp6.TWIST_NAMES:
         raise Dp6kitError(f"unknown model {args.model}; choose from {dp6.TWIST_NAMES}")
-    return dp6.standard_twists(field)[args.model]
+    # every twist is built with K = GF(q^2), the split ones first: refuse a q
+    # too large for K before building any
+    check_field_size(p, 2 * e)
+    return dp6.standard_twists(GF(p, e))[args.model]
 
 
 def _cmd_surface(args):
@@ -285,6 +290,12 @@ def build_parser():
     st = sub.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--filter", default=None)
     st.set_defaults(fn=_cmd_selftest)
+
+    # argparse reads an argument that names none of a parser's options as a
+    # value only when it matches this pattern (by default, a negative
+    # integer or decimal); widened, a payload may begin with "-" ("-1e+20")
+    for payload_parser in (b, lat, r):
+        payload_parser._negative_number_matcher = re.compile("-")
     return parser
 
 

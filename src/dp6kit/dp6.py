@@ -173,10 +173,10 @@ _SPLIT_LINES = (
 class LineOnSurface:
     """Projective line in P^6, stored as a reduced 2x7 echelon matrix."""
 
-    def __init__(self, matrix, field, label=None):
+    def __init__(self, matrix, field):
         self.matrix = tuple(tuple(r) for r in matrix)
         self.field = field
-        self.label = label
+        self.label = None
 
     def key(self):
         return tuple(x.code for row in self.matrix for x in row)
@@ -584,16 +584,25 @@ def zeta_check(surface, budget=DEFAULT_BUDGET):
 # the split biprojective model
 
 
+def _iroot(n, e):
+    """floor(n ** (1/e)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _parse_prime_power(q):
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            e = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                e += 1
-            if p ** e == q:
-                return p, e
+    """(p, e) with p prime and p^e = q.  Were q = p^e, no exponent above e
+    would give an integer root, so only the root at the largest exact
+    exponent is tested."""
+    if q >= 2:
+        e = max(e for e in range(1, q.bit_length()) if _iroot(q, e) ** e == q)
+        p = _iroot(q, e)
+        if is_prime(p):
+            return p, e
     raise ValueError(f"{q} is not a prime power")
 
 

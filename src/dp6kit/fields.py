@@ -294,6 +294,13 @@ class FFElem:
 _MAX_FIELD_SIZE = 1 << 22
 
 
+def check_field_size(p, k):
+    """Refuse GF(p^k) when its tables would pass _MAX_FIELD_SIZE elements."""
+    if p ** k > _MAX_FIELD_SIZE:
+        raise ValueError(f"GF({p}^{k}) is too large for its log tables "
+                         f"(more than {_MAX_FIELD_SIZE} elements)")
+
+
 class FiniteField:
     """F_{p^k} = F_p[x]/(m(x)) with the canonical defining polynomial m and
     its exp/log/Zech tables (see the module docstring).
@@ -306,12 +313,10 @@ class FiniteField:
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("degree must be >= 1")
+        check_field_size(p, k)
         self.p = p
         self.k = k
         self.size = p ** k
-        if self.size > _MAX_FIELD_SIZE:
-            raise ValueError(f"GF({p}^{k}) is too large for its log tables "
-                             f"(more than {_MAX_FIELD_SIZE} elements)")
         self.char = p
         self.modulus = _find_irreducible_ints(p, k)  # length k+1, monic
         self.exp, self.log, self.zech = _log_tables(p, k, self.modulus)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import Dp6kitError, InvariantViolation
+from .errors import Dp6kitError
 
 LINE_LABELS = ("E1", "E2", "E3", "F1", "F2", "F3")
 
@@ -149,10 +149,7 @@ def hexagon_group():
 @lru_cache(maxsize=None)
 def subgroups():
     """All 16 subgroups in canonical (order, label list) order."""
-    subs = hexagon_group().all_subgroups()
-    if len(subs) != 16:
-        raise InvariantViolation(f"S2 x S3 has 16 subgroups, found {len(subs)}")
-    return tuple(subs)
+    return tuple(hexagon_group().all_subgroups())
 
 
 @lru_cache(maxsize=None)
@@ -163,56 +160,38 @@ def pic_lattice():
     return GLattice(4, G, action)
 
 
-def _perm_matrix(images, basis):
-    from .intlattice import IntMat
-    idx = {b: i for i, b in enumerate(basis)}
-    n = len(basis)
-    rows = [[0] * n for _ in range(n)]
-    for j, b in enumerate(basis):
-        rows[idx[images[j]]][j] = 1
-    return IntMat(rows)
+def _perm_lattice(basis, image):
+    """The permutation lattice on basis, where g sends b to image(g, b)."""
+    from .intlattice import GLattice, IntMat
+    G = hexagon_group()
+    index = {b: i for i, b in enumerate(basis)}
+    action = {}
+    for lbl in G.labels:
+        g = aut_from_label(lbl)
+        rows = [[0] * len(basis) for _ in basis]
+        for j, b in enumerate(basis):
+            rows[index[image(g, b)]][j] = 1
+        action[lbl] = IntMat(rows)
+    return GLattice(len(basis), G, action)
 
 
 @lru_cache(maxsize=None)
 def perm_kl():
     """Z[KL/F]: the permutation lattice on the six lines."""
-    from .intlattice import GLattice
-    G = hexagon_group()
-    action = {}
-    for lbl in G.labels:
-        g = aut_from_label(lbl)
-        action[lbl] = _perm_matrix([g.apply(b) for b in LINE_LABELS], LINE_LABELS)
-    return GLattice(6, G, action)
+    return _perm_lattice(LINE_LABELS, HexAut.apply)
 
 
 @lru_cache(maxsize=None)
 def perm_l():
     """Z[L/F]: permutation lattice on the three opposite pairs."""
-    from .intlattice import GLattice
-    G = hexagon_group()
-    basis = (0, 1, 2)
-    action = {}
-    for lbl in G.labels:
-        g = aut_from_label(lbl)
-        action[lbl] = _perm_matrix([g.perm[b] for b in basis], basis)
-    return GLattice(3, G, action)
+    return _perm_lattice((0, 1, 2), lambda g, i: g.perm[i])
 
 
 @lru_cache(maxsize=None)
 def perm_k():
-    """Z[K/F]: permutation lattice on the two triangles."""
-    from .intlattice import GLattice
-    G = hexagon_group()
-    basis = ("tE", "tF")
-    action = {}
-    for lbl in G.labels:
-        g = aut_from_label(lbl)
-        if g.swap:
-            images = ("tF", "tE")
-        else:
-            images = ("tE", "tF")
-        action[lbl] = _perm_matrix(list(images), basis)
-    return GLattice(2, G, action)
+    """Z[K/F]: permutation lattice on the two triangles (0 for the E's,
+    1 for the F's)."""
+    return _perm_lattice((0, 1), lambda g, t: t ^ g.swap)
 
 
 def divisor_matrix():
@@ -261,8 +240,7 @@ def t_hat(subgroup=None):
 
 def _zero_lattice(G):
     from .intlattice import GLattice, IntMat
-    return GLattice(0, G, {g: IntMat([], rows=0, cols=0) for g in G.labels},
-                    check=False)
+    return GLattice(0, G, {g: IntMat([], rows=0, cols=0) for g in G.labels})
 
 
 def first_sequence(subgroup=None):

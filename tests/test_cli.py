@@ -155,6 +155,10 @@ def test_subcommands_load_only_their_layers(commands, unloaded):
     ["brauer", "corestriction", '{"classK":{"d":5,"inf":5}}'],
     ["brauer", "involution", '{"classK":{"d":5,"primes":{"7":"1/2"}}}'],
     ["replay", "--proof", "first", "--algebra", "[1]"],
+    # a payload that begins with "-" is a value, not an option
+    ["brauer", "index", "-1e+20"],
+    ["lattice", "snf", "-1e3"],
+    ["replay", "--proof", "first", "--algebra", "-1e+20"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[-1:]))
 def test_malformed_payload_gives_error_json(capsys, argv):
     code, out = _run(capsys, argv)
@@ -201,11 +205,11 @@ def test_large_prime_place_answers_at_once(argv, answer):
     _answers_at_once(argv, answer)
 
 
-def _answers_at_once(argv, answer):
+def _answers_at_once(argv, answer, code=0):
     done = subprocess.run([sys.executable, "-m", "dp6kit.cli", *argv],
                           capture_output=True, text=True, timeout=10,
                           env={**os.environ, "PYTHONPATH": _SRC})
-    assert done.returncode == 0
+    assert done.returncode == code
     assert json.loads(done.stdout) == {"schema": "dp6kit/1", **answer}
 
 
@@ -219,6 +223,18 @@ def _answers_at_once(argv, answer):
 ], ids=["quaternion-prime", "quaternion-semiprime", "restriction"])
 def test_large_factorisations_answer_at_once(argv, answer):
     _answers_at_once(argv, answer)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["surface", "build", "--q", MERSENNE_61], f"{MERSENNE_61}^1"),
+    (["surface", "build", "--q", "8388617"], "8388617^1"),
+    # GF(2053) fits, but K = GF(2053^2) does not: refused before any twist
+    (["surface", "build", "--model", "split", "--q", "2053"], "2053^2"),
+], ids=["mersenne-61", "prime-over-cap", "square-over-cap"])
+def test_large_q_is_refused_at_once(argv, field):
+    _answers_at_once(argv, {"error": "ValueError", "message": (
+        f"GF({field}) is too large for its log tables (more than 4194304 elements)")},
+        code=1)
 
 
 BOUND = "3317044064679887385961981"
@@ -442,9 +458,8 @@ _BRAUER_OPS = sorted({op for op, _ in _BRAUER_PAYLOADS})  # all 13
 
 
 def _argument(values):
-    """JSON text of the values; argparse would read a leading "-" as an
-    option, so such texts are left out."""
-    return values.map(json.dumps).filter(lambda text: not text.startswith("-"))
+    """JSON text of the values, as one command-line argument."""
+    return values.map(json.dumps)
 
 
 _ARGV = st.one_of(

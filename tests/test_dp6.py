@@ -407,3 +407,24 @@ def test_provenance_serialization(twists2):
     d = twists2["kinert-l3"].descriptor_json()
     assert d["provenance"]["kind"] == "hermitian"
     assert len(d["quadrics"]) == 9
+
+
+def test_parse_prime_power_matches_trial_division():
+    def by_trial_division(q):
+        p = next((d for d in range(2, q + 1) if q % d == 0), None)
+        e = 0
+        while p and q % p ** (e + 1) == 0:
+            e += 1
+        return (p, e) if p and p ** e == q else None
+
+    for q in range(-3, 3000):
+        try:
+            found = dp6._parse_prime_power(q)
+        except ValueError:
+            found = None
+        assert found == by_trial_division(q), q
+    m61 = 2**61 - 1
+    assert dp6._parse_prime_power(m61 ** 3) == (m61, 3)
+    assert dp6._parse_prime_power(3 ** 40) == (3, 40)
+    with pytest.raises(ValueError, match="not a prime power"):
+        dp6._parse_prime_power(1000000007 * 1000000009)

@@ -1,10 +1,13 @@
 import json
 
+from lattice_checks import check_action, check_equivariant, check_group
+
 from dp6kit.hexagon import (ALL_AUTS, K_CLASS, LINE_LABELS, HexAut,
                             all_subgroup_reports, aut_from_label,
-                            divisor_matrix, first_sequence, hex_action,
-                            hexagon_group, is_K_divisible, line_class,
-                            pair_triangle_matrix, pic_lattice, pic_trace,
+                            divisor_map, divisor_matrix, first_sequence,
+                            hex_action, hexagon_group, is_K_divisible,
+                            line_class, pair_triangle_matrix, perm_k,
+                            perm_kl, perm_l, pic_lattice, pic_trace,
                             second_sequence, stable_iso_lattices,
                             stable_iso_witness, subgroups, t_hat)
 from dp6kit.intlattice import (IntMat, fixed_submodule, is_exact,
@@ -121,6 +124,29 @@ def test_t_hat_rank_and_action():
     that, incl = t_hat()
     assert that.rank == 2
     assert incl.matrix.cols == 2
+
+
+def test_every_group_satisfies_the_group_axioms():
+    check_group(hexagon_group())
+    for sub in subgroups():
+        check_group(sub)
+
+
+def test_every_lattice_action_is_a_homomorphism():
+    for lat in (pic_lattice(), perm_kl(), perm_l(), perm_k(), t_hat()[0],
+                *stable_iso_lattices()):
+        check_action(lat)
+
+
+def test_every_sequence_map_is_equivariant():
+    for sub in subgroups():
+        maps = [divisor_map(sub), t_hat(sub)[1], *first_sequence(sub),
+                *second_sequence(sub)]
+        for f in maps:
+            assert f.source.group is sub
+            check_action(f.source)
+            check_action(f.target)
+            check_equivariant(f)
 
 
 def test_pair_triangle_composite_zero():

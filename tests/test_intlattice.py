@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from lattice_checks import check_action, check_equivariant, check_group
 
 from dp6kit.errors import CompositionMismatch
 from dp6kit.hexagon import (hexagon_group, perm_k, perm_kl, perm_l,
@@ -67,9 +68,29 @@ def test_row_hnf_canonical():
 
 
 def test_group_verification():
-    with pytest.raises(ValueError):
-        FiniteGroup(["a", "b"], {("a", "a"): "a", ("a", "b"): "b",
-                                 ("b", "a"): "b", ("b", "b"): "b"})
+    check_group(_z2())
+    with pytest.raises(AssertionError, match="no inverse"):
+        check_group(FiniteGroup(["a", "b"], {("a", "a"): "a", ("a", "b"): "b",
+                                             ("b", "a"): "b", ("b", "b"): "b"}))
+
+
+def test_action_check_rejects_non_invertible_and_non_homomorphic_actions():
+    G = _z2()
+    check_action(GLattice(1, G, {"e": IntMat([[1]]), "s": IntMat([[-1]])}))
+    with pytest.raises(AssertionError, match="not invertible"):
+        check_action(GLattice(1, G, {"e": IntMat([[1]]), "s": IntMat([[2]])}))
+    # unimodular, but s * s acts by [[1, 2], [0, 1]], not by the identity
+    shear = IntMat([[1, 1], [0, 1]])
+    with pytest.raises(AssertionError, match="not the product"):
+        check_action(GLattice(2, G, {"e": IntMat.identity(2), "s": shear}))
+
+
+def test_equivariance_check_rejects_a_map_that_ignores_the_action():
+    G = _z2()
+    sign = GLattice(1, G, {"e": IntMat([[1]]), "s": IntMat([[-1]])})
+    check_equivariant(LatticeMap(sign, sign, IntMat([[1]])))
+    with pytest.raises(AssertionError, match="does not commute"):
+        check_equivariant(LatticeMap(GLattice.trivial(1, G), sign, IntMat([[1]])))
 
 
 def test_fixed_submodule_examples():
@@ -113,8 +134,7 @@ def test_fixed_rank_matches_trace_average():
 
 def test_is_exact_examples():
     G = _z2()
-    z = GLattice(0, G, {g: IntMat([], rows=0, cols=0) for g in G.labels},
-                 check=False)
+    z = GLattice(0, G, {g: IntMat([], rows=0, cols=0) for g in G.labels})
     triv = GLattice.trivial(1, G)
     ident = [
         LatticeMap(z, triv, IntMat([], rows=1, cols=0)),

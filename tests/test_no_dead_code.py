@@ -6,7 +6,11 @@ an ``ast.Attribute`` somewhere in the package outside its own definition.
 A name that only tests reach is dead code; the exceptions are listed in
 KEEP, each with the reason it stays.
 
-The scan goes by name, so a definition can hide behind a same-named
+A second scan looks at calls: a parameter with a default that no call in
+the package sets is dead too, unless KEEP_PARAMETERS names it with its
+reason.
+
+Both scans go by name, so a definition can hide behind a same-named
 attribute elsewhere (``order``, ``inverse``, ``zero``); those cases are
 checked by hand, not here.
 """
@@ -28,17 +32,23 @@ KEEP = {
     "poly_mul": "the polynomial product, for a gcd-based root finder",
 }
 
-# parameters that every caller in the package leaves at one value, kept on
-# purpose: "module.function.parameter" -> reason
+# defaulted parameters that no call in the package sets, kept on purpose:
+# "module.function.parameter" -> reason
 KEEP_PARAMETERS = {
+    "algebra3.build_hermitian.d": "the Hermitian model over Q needs a nonsquare d; "
+                                  "the tests check the model identities over Q",
+    "cli.main.argv": "tests and perfbench/cli_shim.py call main(argv) in-process",
     "dp6.find_lines.m": "the only way to find the lines over a larger field, "
                         "which reaches the embedding of coefficients through K",
+    "dp6.raw_point_count.k": "the P^6 oracle checks the fibration count over "
+                             "extensions F_{q^k} too",
     "dp6.raw_point_count.budget": "the enumeration budgets are to be reworked together",
-    "dp6.surface_points.budget": "the enumeration budgets are to be reworked together",
-    "dp6.fibration_point_count.budget": "the enumeration budgets are to be reworked together",
-    "dp6.count_points.budget": "the enumeration budgets are to be reworked together",
+    "dp6.split_model_points.k": "the biprojective oracle counts over extensions "
+                                "F_{q^k} too",
+    "dp6.split_model_points.budget": "the enumeration budgets are to be reworked together",
     "dp6.zeta_check.budget": "the enumeration budgets are to be reworked together",
     "dp6.torus_count_check.budget": "the enumeration budgets are to be reworked together",
+    "selftest.index6_corpus.seed": "the tests draw corpora apart from the selftest's",
 }
 
 
@@ -87,6 +97,72 @@ def unreached(sources):
     return sorted(found)
 
 
+def _functions(tree):
+    """(name, node, bound) for every module-level function and method; an
+    __init__ goes by its class's name, and bound is 1 when a call passes the
+    first parameter implicitly (self or cls)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = node.name if item.name == "__init__" else item.name
+                    yield name, item, 0 if static else 1
+
+
+def _defaulted(node):
+    """(position or None, name) of each parameter that has a default;
+    keyword-only parameters have no position."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i, arg.arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def unset_parameters(sources):
+    """Defaulted parameters that no call in sources (a {module: text} map)
+    sets, as sorted "module.function.parameter" strings.
+
+    Calls are matched by name, like the definition scan.  A call with *args
+    or **kwargs sets every parameter, and so does any use of the name other
+    than a call or the class of an isinstance test (a function passed as a
+    value can be called with anything)."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls, escaped = {}, set()
+    for tree in trees.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                if isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                    callees.update(id(n) for n in ast.walk(node.args[1]))
+                name, _ = next(_uses(node.func), (None, None))
+                starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (starred, len(node.args), {k.arg for k in node.keywords}))
+        for name, node in _uses(tree):
+            if id(node) not in callees and not isinstance(node.ctx, ast.Store):
+                escaped.add(name)
+    found = []
+    for module, tree in trees.items():
+        for name, function, bound in _functions(tree):
+            if name in escaped:
+                continue
+            for position, parameter in _defaulted(function):
+                if not any(starred or parameter in keywords
+                           or (position is not None and position < bound + count)
+                           for starred, count, keywords in calls.get(name, ())):
+                    found.append(f"{module}.{name}.{parameter}")
+    return sorted(found)
+
+
 def test_every_definition_is_reached_or_kept():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     dead = [name for name in unreached(sources) if name.split(".")[-1] not in KEEP]
@@ -98,11 +174,11 @@ def test_every_kept_name_is_still_defined():
     defined = {name for text in sources.values()
                for name, _ in _definitions(ast.parse(text))}
     assert set(KEEP) <= defined
-    for key in KEEP_PARAMETERS:
-        module, function, parameter = key.split(".")
-        node = next(n for n in ast.parse(sources[module]).body
-                    if isinstance(n, ast.FunctionDef) and n.name == function)
-        assert parameter in [a.arg for a in node.args.args], key
+
+
+def test_every_unset_parameter_is_kept():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unset_parameters(sources) == sorted(KEEP_PARAMETERS)
 
 
 def test_scan_reports_unreached_definitions():
@@ -113,3 +189,15 @@ def test_scan_reports_unreached_definitions():
         "b": "from .a import f\n\ndef g():\n    return f(0)\n",
     }
     assert unreached(sources) == ["a.C", "a.Y", "a.used", "b.g"]
+
+
+def test_scan_reports_unset_parameters():
+    sources = {
+        "a": "def f(x, y=1, z=2, *, w=3):\n    return f(0, 1)\n\n"
+             "def g(x=0):\n    return g\n\n"
+             "def k(x=0):\n    return x\n\n"
+             "class C:\n    def __init__(self, v=0):\n        self.v = v\n"
+             "    def m(self, n=0):\n        return isinstance(self, C)\n",
+        "b": "from .a import C, k\n\ndef h(**kw):\n    return k(**kw), C(), C().m(n=1)\n",
+    }
+    assert unset_parameters(sources) == ["a.C.v", "a.f.w", "a.f.z"]
