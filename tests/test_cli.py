@@ -314,12 +314,22 @@ def test_determinism_byte_identical(capsys):
     assert data["all_ok"] is True
 
 
+# sha256 of the full selftest's stdout.  Update it only together with a
+# declared stdout change.
+_SELFTEST_STDOUT_SHA256 = "0cd00951278a95b2ae72fc056267b3f36e017c2cd9c7de9b2cbe6903323ba8b6"
+
+
 def test_selftest_stdout_is_identical_across_hash_seeds():
-    argv = ["-m", "dp6kit.cli", "selftest", "--filter", "8"]
-    first = _fresh_process(argv, PYTHONHASHSEED="1")
-    second = _fresh_process(argv, PYTHONHASHSEED="987")
+    # the two interpreters run side by side
+    procs = [subprocess.Popen([sys.executable, "-m", "dp6kit.cli", "selftest"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                              env={**os.environ, "PYTHONPATH": _SRC, "PYTHONHASHSEED": seed})
+             for seed in ("1", "987")]
+    first, second = (proc.communicate(timeout=120)[0] for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0]
     assert json.loads(first)["all_passed"] is True
     assert first == second
+    assert hashlib.sha256(first.encode()).hexdigest() == _SELFTEST_STDOUT_SHA256
 
 
 def test_selftest_refuses_an_empty_selection(capsys):
@@ -342,16 +352,14 @@ def test_selftest_filter(capsys):
                             r" \(\d+\.\d\ds\)", line), line
 
 
-# sha256 of the concatenated stdout of these commands: any change to a byte
-# of the surface CLI's output fails here.  Update it only together with a
-# declared stdout change.
-_SURFACE_COMMANDS = (
-    [["surface", action, "--model", model, "--q", str(q)]
-     for q in (2, 3)
-     for action in ("build", "count", "lines", "frobenius", "check-zeta")
-     for model in dp6.TWIST_NAMES]
-    + [["surface", "build", "--model", "kinert-l3", "--q", "4"]])
-_SURFACE_STDOUT_SHA256 = "2ed03ca4e6bc178c2a14d334474143b01cabeefefd8f1ee6c7b9cb09784d6fc9"
+# sha256 of the concatenated stdout of every surface action x twist at
+# q = 2..5: any change to a byte of the surface CLI's output fails here.
+# Update it only together with a declared stdout change.
+_SURFACE_COMMANDS = [["surface", action, "--model", model, "--q", str(q)]
+                     for q in (2, 3, 4, 5)
+                     for action in ("build", "count", "lines", "frobenius", "check-zeta")
+                     for model in dp6.TWIST_NAMES]
+_SURFACE_STDOUT_SHA256 = "20831bac6cc2d988bb522f78f637e1ba91e703b3a6e9dbdb73b4e40ad050005e"
 
 
 def test_surface_stdout_matches_recorded_digest(capsys):
@@ -360,7 +368,7 @@ def test_surface_stdout_matches_recorded_digest(capsys):
         code, out = _run(capsys, argv)
         assert code == 0, argv
         digest.update(out.encode())
-    assert len(_SURFACE_COMMANDS) == 61
+    assert len(_SURFACE_COMMANDS) == 120
     assert digest.hexdigest() == _SURFACE_STDOUT_SHA256
 
 

@@ -27,6 +27,8 @@ def test_snf_examples():
 
 
 def test_snf_random_roundtrip():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
     rng = random.Random(99)
     for _ in range(200):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
@@ -40,6 +42,9 @@ def test_snf_random_roundtrip():
         assert diag[:len(nz)] == nz and all(d > 0 for d in nz)
         for i in range(len(nz) - 1):
             assert nz[i + 1] % nz[i] == 0
+        # a second oracle for the diagonal
+        factors = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
+        assert [abs(int(d)) for d in factors if d] == nz
 
 
 def test_kernel_examples():
