@@ -1,4 +1,4 @@
-"""Rank-9 algebras with unitary involution over exact fields.
+"""Rank-9 algebras with unitary involution over finite fields.
 
 Both models are M3 over a quadratic etale K, and an element is the tuple of
 its 3x3 matrices, one per simple component:
@@ -23,15 +23,11 @@ construction only builds the bases.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
-from .errors import (DegenerateSubalgebra, FieldMismatch, InvariantViolation,
-                     NoQuadraticExtension, NotSplitOverBase)
-from .fields import (FFElem, FiniteField, GF, QQ, embed, mat_det_field,
-                     mat_inv_field, mat_kernel, mat_solve, poly_is_squarefree,
-                     poly_roots, poly_trim, retract, rref)
+from .errors import DegenerateSubalgebra, FieldMismatch, InvariantViolation, NotSplitOverBase
+from .fields import (GF, embed, mat_det_field, mat_inv_field, mat_kernel, mat_solve,
+                     poly_is_squarefree, poly_roots, poly_trim, retract, rref)
 
 SPLIT_EXCHANGE = "split_exchange"
 HERMITIAN = "hermitian"
@@ -39,112 +35,6 @@ HERMITIAN = "hermitian"
 
 # ---------------------------------------------------------------------------
 # quadratic extension bookkeeping for the hermitian model
-
-
-class QE:
-    """Element x + y sqrt(d) of Q(sqrt(d)); plain pair arithmetic."""
-
-    __slots__ = ("x", "y", "d")
-
-    def __init__(self, x, y, d):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.d = d
-
-    def _coerce(self, other):
-        if isinstance(other, QE):
-            if other.d != self.d:
-                raise FieldMismatch("mixed quadratic extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QE(other, 0, self.d)
-        raise FieldMismatch(f"cannot combine {other!r}")
-
-    def __add__(self, o):
-        o = self._coerce(o)
-        return QE(self.x + o.x, self.y + o.y, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QE(-self.x, -self.y, self.d)
-
-    def __sub__(self, o):
-        return self + (-self._coerce(o))
-
-    def __rsub__(self, o):
-        return (-self) + self._coerce(o)
-
-    def __mul__(self, o):
-        o = self._coerce(o)
-        return QE(self.x * o.x + self.d * self.y * o.y,
-                  self.x * o.y + self.y * o.x, self.d)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.x * self.x - self.d * self.y * self.y
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return QE(self.x / n, -self.y / n, self.d)
-
-    def __truediv__(self, o):
-        return self * self._coerce(o).inverse()
-
-    def conj(self):
-        return QE(self.x, -self.y, self.d)
-
-    def __eq__(self, o):
-        if isinstance(o, (int, Fraction)):
-            o = QE(o, 0, self.d)
-        return isinstance(o, QE) and o.d == self.d and o.x == self.x and o.y == self.y
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.d))
-
-    def __bool__(self):
-        return bool(self.x or self.y)
-
-    def __repr__(self):
-        return f"({self.x}+{self.y}w)"
-
-
-class _RatQuadExt:
-    """K = Q(sqrt(d)) context: field-like object plus conj/embed/retract."""
-
-    def __init__(self, d):
-        fr = Fraction(d)
-        if _is_rational_square(fr):
-            raise NoQuadraticExtension(f"{d} is a square in Q")
-        self.d = fr
-        self.zero = QE(0, 0, fr)
-        self.one = QE(1, 0, fr)
-        self.delta = QE(0, 1, fr)
-
-    def embed_base(self, x):
-        return QE(Fraction(x), 0, self.d)
-
-    def conj(self, z):
-        return z.conj()
-
-    def retract_base(self, z):
-        if z.y:
-            raise FieldMismatch(f"{z!r} is not rational")
-        return z.x
-
-    def coords(self, z):
-        return (z.x, z.y)
-
-    def descriptor(self):
-        return {"kind": "rational", "d": str(self.d)}
-
-
-def _is_rational_square(fr):
-    if fr <= 0:
-        return fr == 0
-    n, d = fr.numerator, fr.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    return rn * rn == n and rd * rd == d
 
 
 class _FiniteQuadExt:
@@ -183,9 +73,6 @@ class _FiniteQuadExt:
         vk = (z - self.conj(z)) * dd.inverse()
         uk = z - vk * self.delta
         return (retract(uk, self.F), retract(vk, self.F))
-
-    def descriptor(self):
-        return {"kind": "finite", "q": self.F.size}
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +291,10 @@ class StructureAlgebra:
         return AlgElem(self, (m, m3_transpose(m)) if self.kind == SPLIT_EXCHANGE else (m,))
 
     def descriptor(self):
-        if self.kind == SPLIT_EXCHANGE:
-            base = {"q": self.field.size} if isinstance(self.field, FiniteField) \
-                else {"q": "QQ"}
-            return {"kind": self.kind, **base}
-        return {"kind": self.kind, **self.ctx.descriptor()}
+        # serialized surfaces record the Hermitian model's field as "finite",
+        # not by the model's kind
+        kind = self.kind if self.kind == SPLIT_EXCHANGE else "finite"
+        return {"kind": kind, "q": self.field.size}
 
 
 @lru_cache(maxsize=None)
@@ -417,24 +303,11 @@ def build_split_exchange(field):
     return StructureAlgebra(SPLIT_EXCHANGE, field)
 
 
-def build_hermitian(field, d=None):
-    """3x3 matrices over the quadratic extension with conjugate transpose.
-
-    Over a finite F_q the extension is the unique F_{q^2}; over Q the
-    descriptor d must be a nonsquare rational.
-    """
-    return _build_hermitian_cached(field, d)
-
-
 @lru_cache(maxsize=None)
-def _build_hermitian_cached(field, d):
-    if isinstance(field, FiniteField):
-        ctx = _FiniteQuadExt(field)
-    else:
-        if d is None:
-            raise NoQuadraticExtension("a nonsquare d is required over Q")
-        ctx = _RatQuadExt(d)
-    return StructureAlgebra(HERMITIAN, field, ctx)
+def build_hermitian(field):
+    """3x3 matrices over K = F_{q^2}, the unique quadratic extension of
+    F = F_q, with the conjugate-transpose involution."""
+    return StructureAlgebra(HERMITIAN, field, _FiniteQuadExt(field))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +366,9 @@ def cubic_from_generator(A, u):
     f = A.field
     minpoly = poly_trim([-n, s, -t, f.one])
     # the minimal polynomial divides the characteristic cubic and has all its
-    # roots; over a perfect field (finite or Q) a squarefree cubic therefore is
-    # the minimal polynomial, so 1, u, u^2 are independent.  A generator of
-    # degree < 3 has a repeated root and fails here.
+    # roots; over a perfect field (every finite field is) a squarefree cubic
+    # therefore is the minimal polynomial, so 1, u, u^2 are independent.  A
+    # generator of degree < 3 has a repeated root and fails here.
     if not poly_is_squarefree(minpoly, f):
         raise DegenerateSubalgebra("minimal polynomial is not squarefree")
     return CubicSub(algebra=A, basis=(A.one, u, u * u), generator=u, minpoly=minpoly)
@@ -650,7 +523,7 @@ def split_normalize(mats, field):
         for m in mats:
             img = [sum((m[i][t] * v[t] for t in range(3)), field.zero)
                    for i in range(3)]
-            key.append(_elem_sort_key(img[pivot]))
+            key.append(img[pivot].code)
         keyed.append((tuple(key), v))
     keyed.sort(key=lambda kv: kv[0])
     P_cols = [v for _, v in keyed]
@@ -663,12 +536,6 @@ def split_normalize(mats, field):
     if not cert.verify(mats):
         raise InvariantViolation("normalization certificate failed verification")
     return cert
-
-
-def _elem_sort_key(x):
-    if isinstance(x, FFElem):
-        return (0, x.code)
-    return (1, Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +566,8 @@ def diagonal_cubic(A):
     f, r = A.field, A.ring
     units = [AlgElem(A, (m3_unit(i, i, r.one, r.zero),) * len(A.one.data))
              for i in range(3)]
-    if (isinstance(f, FiniteField) and f.size >= 3) or f is QQ:
-        vals = [f.from_int(n) for n in (0, 1, 2)] if f is QQ else \
-            [f.from_code(c) for c in range(3)]
+    if f.size >= 3:
+        vals = [f.from_code(c) for c in range(3)]
         gen = units[0].scale(vals[0]) + units[1].scale(vals[1]) + units[2].scale(vals[2])
         return cubic_from_generator(A, gen)
     return CubicSub(A, tuple(units))
@@ -734,8 +600,6 @@ def hermitian_cubic_generator(A, root_counts):
     if A.kind != HERMITIAN:
         raise FieldMismatch("expects the hermitian model")
     f = A.field
-    if not isinstance(f, FiniteField):
-        raise FieldMismatch("generator search runs over finite fields")
     ctx = A.ctx
     q = f.size
     start = {1: q ** 3, 0: q ** 5 + q ** 3}.get(root_counts, 0)

@@ -28,8 +28,8 @@ from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_e
                        split_normalize)
 from .errors import (Dp6kitError, EnumerationBudgetExceeded, InvariantViolation,
                      NotAnAutomorphism, WrongLineCount)
-from .fields import (FiniteField, GF, embed, format_element, is_prime, mat_kernel,
-                     mat_solve, poly_is_squarefree, poly_roots, rref)
+from .fields import (GF, embed, format_element, is_prime, mat_kernel, mat_solve,
+                     poly_is_squarefree, poly_roots, rref)
 
 DEFAULT_BUDGET = 600_000
 
@@ -221,8 +221,6 @@ def find_lines(surface, m=None):
     """
     if surface._lines_cache is not None and m is None:
         return surface._lines_cache
-    if not isinstance(surface.field, FiniteField):
-        raise WrongLineCount("line finding runs over finite base fields")
     split_m = splitting_degree(surface)
     if m is None:
         m = split_m
@@ -391,8 +389,6 @@ def _counting_fields(surface, k, budget):
     E, which must also contain K.  k >= 1 and the budget on |P^6(ext)| are
     checked before either field is built."""
     F = surface.field
-    if not isinstance(F, FiniteField):
-        raise EnumerationBudgetExceeded("counting needs a finite base field")
     if k < 1:
         raise Dp6kitError(f"k must be >= 1, got {k}")
     Qp = F.size ** k

@@ -29,10 +29,6 @@ class OrderViolation(Dp6kitError):
     """Brauer class order incompatible with the requested operation."""
 
 
-class NoQuadraticExtension(Dp6kitError):
-    """The requested quadratic extension does not exist (d is a square)."""
-
-
 class DegenerateSubalgebra(Dp6kitError):
     """Cubic subalgebra is not etale (degenerate restricted trace form)."""
 

@@ -1,11 +1,10 @@
-"""Exact arithmetic foundation: rationals, prime fields, small extensions.
+"""Exact arithmetic foundation: prime fields and their small extensions.
 
 Every value is immutable and every operation is exact; the package contains
-no floating point anywhere.  Rationals are ``fractions.Fraction`` (always in
-lowest terms, positive denominator).  F_{p^k} is presented over the prime
-field with one fixed defining polynomial per (p, k), chosen as the
-lexicographically smallest monic irreducible, so serialized elements are
-reproducible across runs.
+no floating point anywhere.  F_{p^k} is presented over the prime field with
+one fixed defining polynomial per (p, k), chosen as the lexicographically
+smallest monic irreducible, so serialized elements are reproducible across
+runs.
 
 An element of F_{p^k} is an integer code in range(p^k): the coefficients
 (c0, ..., c_{k-1}) of its polynomial representative read as base-p digits,
@@ -32,7 +31,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
 from .errors import DivisionByZero, Dp6kitError, FieldMismatch, InvariantViolation
 
@@ -181,25 +179,6 @@ def _log_tables(p, k, modulus):
 # field objects
 
 
-class RationalField:
-    """Field object for Q; elements are fractions.Fraction."""
-
-    char = 0
-    size = None
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
-
-
 class FFElem:
     """Element of F_{p^k}: its field and its integer code; every operation is
     a few lookups in the field's exp/log/Zech tables."""
@@ -317,7 +296,6 @@ class FiniteField:
         self.p = p
         self.k = k
         self.size = p ** k
-        self.char = p
         self.modulus = _find_irreducible_ints(p, k)  # length k+1, monic
         self.exp, self.log, self.zech = _log_tables(p, k, self.modulus)
         self.zero = FFElem(self, 0)
@@ -413,8 +391,6 @@ _FF_RE = re.compile(r"^\[([0-9,\s]*)\]@(\d+)\^(\d+)$")
 def format_element(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return f"{x}/1"
     if isinstance(x, FFElem):
         return "[" + ",".join(str(c) for c in x.coeffs) + f"]@{x.field.p}^{x.field.k}"
     raise FieldMismatch(f"cannot serialize {x!r}")
@@ -502,50 +478,17 @@ def poly_is_squarefree(f, field):
     return poly_deg(g) <= 0
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def poly_roots(f, field):
-    """All roots of f in the field, each listed once, in canonical order.
-
-    Finite fields: exhaustive search in code order.  Over Q: rational-root
-    search through divisors after clearing denominators.
-    """
+    """All roots of f in the finite field, each listed once, in code order:
+    an exhaustive search over the field's elements."""
     f = poly_trim(f)
     if poly_deg(f) <= 0:
         return []
-    if isinstance(field, FiniteField):
-        return [x for x in field.elements() if not poly_eval(f, x, field)]
-    # rationals: scale coefficients to integers, then p/q with p | a0, q | an
-    den = lcm(*(Fraction(c).denominator for c in f))
-    ints = [int(Fraction(c) * den) for c in f]
-    a0, an = ints[0], ints[-1]
-    roots = set()
-    if a0 == 0:
-        roots.add(Fraction(0))
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-        a0 = ints[0]
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            for sign in (1, -1):
-                r = Fraction(sign * pnum, qden)
-                if poly_eval(f, r, QQ) == 0:
-                    roots.add(r)
-    return sorted(roots)
+    return [x for x in field.elements() if not poly_eval(f, x, field)]
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra over an exact field (rows are lists of elements)
+# dense linear algebra over a finite field (rows are lists of elements)
 
 
 def rref(rows, field):

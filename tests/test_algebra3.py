@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,11 +11,8 @@ from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem,
                              hermitian_cubic_generator, m3_from_entries,
                              m3_trace, m3_transpose, m3_unit, orth_complement,
                              split_exchange_sym, split_normalize, trace_form)
-from dp6kit.errors import (DegenerateSubalgebra, NoQuadraticExtension,
-                           NotSplitOverBase)
-from dp6kit.fields import GF, QQ, mat_det_field, poly_is_squarefree, poly_roots
-
-F = Fraction
+from dp6kit.errors import DegenerateSubalgebra, NotSplitOverBase
+from dp6kit.fields import GF, mat_det_field, poly_is_squarefree, poly_roots
 
 
 def adjugate(a):
@@ -42,7 +38,7 @@ def _rand_matrix(field, rng):
 
 
 def test_split_exchange_shape():
-    A = build_split_exchange(QQ)
+    A = build_split_exchange(GF(3))
     assert len(A.basis) == 18
     assert len(A.sym_basis) == 9
     x = A.basis[3]
@@ -58,15 +54,6 @@ def test_hermitian_shape():
     assert B.involution(diag) == diag
 
 
-def test_hermitian_over_Q():
-    B = build_hermitian(QQ, -1)
-    assert len(B.sym_basis) == 9
-    with pytest.raises(NoQuadraticExtension):
-        build_hermitian(QQ, 4)
-    with pytest.raises(NoQuadraticExtension):
-        build_hermitian(QQ, F(9, 4))
-
-
 def test_involution_anti_multiplicative_random():
     rng = random.Random(1)
     B = build_hermitian(GF(3))
@@ -77,15 +64,16 @@ def test_involution_anti_multiplicative_random():
         assert B.involution(x * y) == B.involution(y) * B.involution(x)
 
 
+def _rand_base(A, rng):
+    return A.field.from_code(rng.randrange(A.field.size))
+
+
 def _rand_scalar(A, rng):
     """Random element of the coefficient ring of A's matrices."""
-    def base():
-        if A.field is QQ:
-            return F(rng.randint(-5, 5), rng.randint(1, 3))
-        return A.field.from_code(rng.randrange(A.field.size))
     if A.kind == HERMITIAN:
-        return A.ctx.embed_base(base()) + A.ctx.embed_base(base()) * A.ctx.delta
-    return base()
+        return (A.ctx.embed_base(_rand_base(A, rng))
+                + A.ctx.embed_base(_rand_base(A, rng)) * A.ctx.delta)
+    return _rand_base(A, rng)
 
 
 def _rand_elem(A, rng):
@@ -94,7 +82,7 @@ def _rand_elem(A, rng):
     return AlgElem(A, (m(), m()) if A.kind == SPLIT_EXCHANGE else (m(),))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(2, 2)], ids=["QQ", "F3", "F4"])
+@pytest.mark.parametrize("field", [GF(3), GF(2, 2)], ids=["F3", "F4"])
 @pytest.mark.parametrize("kind", [SPLIT_EXCHANGE, HERMITIAN])
 def test_model_identities(kind, field):
     """The identities both models satisfy by construction: the involution
@@ -106,7 +94,7 @@ def test_model_identities(kind, field):
         z3 = m3_from_entries({}, field.zero)
         center = AlgElem(A, (o3, z3))
     else:
-        A = build_hermitian(field, -1 if field is QQ else None)
+        A = build_hermitian(field)
         center = AlgElem(A, (tuple(tuple(A.ctx.delta * c for c in row)
                                    for row in A.one.data[0]),))
     inv = A.involution
@@ -125,21 +113,13 @@ def test_model_identities(kind, field):
 
 
 # the closed forms on the first matrix against the AlgElem arithmetic they
-# replace, on both models over GF(2), GF(3), GF(4), GF(9) and over Q
-_CLOSED_FORM_ALGEBRAS = [
-    *(build(f) for build in (build_split_exchange, build_hermitian)
-      for f in (GF(2), GF(3), GF(2, 2), GF(3, 2))),
-    build_split_exchange(QQ), build_hermitian(QQ, -1)]
+# replace, on both models over GF(2), GF(3), GF(4) and GF(9)
+_CLOSED_FORM_ALGEBRAS = [build(f) for build in (build_split_exchange, build_hermitian)
+                         for f in (GF(2), GF(3), GF(2, 2), GF(3, 2))]
 
 
 def _closed_form_id(A):
     return f"{A.kind}-{A.field}"
-
-
-def _rand_base(A, rng):
-    if A.field is QQ:
-        return F(rng.randint(-5, 5), rng.randint(1, 3))
-    return A.field.from_code(rng.randrange(A.field.size))
 
 
 def _scale_and_add(A, coords):
@@ -163,8 +143,8 @@ def test_closed_forms_match_algebra_arithmetic(A):
 
 
 def test_trace_form_examples():
-    for A in (build_split_exchange(QQ), build_hermitian(QQ, 2)):
-        assert trace_form(A, A.one, A.one) == QQ.from_int(3)
+    for A in (build_split_exchange(GF(7)), build_hermitian(GF(7))):
+        assert trace_form(A, A.one, A.one) == GF(7).from_int(3)
     A2 = build_split_exchange(GF(2))
     assert trace_form(A2, A2.one, A2.one) == GF(2).one  # 3 = 1 in char 2
 
@@ -186,14 +166,8 @@ def test_gram_nondegenerate_finite(p):
         assert mat_det_field(g, field)
 
 
-def test_gram_nondegenerate_rational():
-    for A in (build_split_exchange(QQ), build_hermitian(QQ, -1)):
-        g = gram_matrix(A, A.sym_basis)
-        assert mat_det_field(g, QQ)
-
-
 def test_orth_complement_split_diagonal():
-    A = build_split_exchange(QQ)
+    A = build_split_exchange(GF(3))
     L = diagonal_cubic(A)
     perp = orth_complement(L)
     assert len(perp) == 6
@@ -214,10 +188,11 @@ def test_orth_complement_degenerate_rejected():
 
 
 def test_adjoint_sharp_examples():
-    A = build_split_exchange(QQ)
+    F7 = GF(7)
+    A = build_split_exchange(F7)
     assert sharp(A, A.one) == A.one
     assert (A.trd_sym(A.one), A.s_sym(A.one), A.nrd_sym(A.one)) == (3, 3, 1)
-    e11 = split_exchange_sym(A, m3_unit(0, 0, QQ.one, QQ.zero))
+    e11 = split_exchange_sym(A, m3_unit(0, 0, F7.one, F7.zero))
     assert not sharp(A, e11)  # adjugate of a rank-one diagonal
 
 
@@ -255,12 +230,17 @@ def test_adjoint_hermitian_random():
         assert xs == x * x - x.scale(t) + B.one.scale(s)
 
 
+def _companion_123(field):
+    """The companion of (t-1)(t-2)(t-3) = t^3 - 6t^2 + 11t - 6."""
+    return companion_matrix(tuple(field.from_int(c) for c in (-6, 11, -6)), field)
+
+
 def test_cubic_from_generator_minpoly():
-    A = build_split_exchange(QQ)
-    cm = companion_matrix((F(-6), F(11), F(-6)), QQ)  # (t-1)(t-2)(t-3)
-    L = cubic_from_generator(A, split_exchange_sym(A, cm))
-    assert [c for c in L.minpoly] == [F(-6), F(11), F(-6), F(1)]
-    assert poly_roots(L.minpoly, QQ) == [1, 2, 3]
+    F7 = GF(7)
+    A = build_split_exchange(F7)
+    L = cubic_from_generator(A, split_exchange_sym(A, _companion_123(F7)))
+    assert list(L.minpoly) == [F7.from_int(c) for c in (-6, 11, -6, 1)]
+    assert poly_roots(L.minpoly, F7) == [F7.from_int(c) for c in (1, 2, 3)]
 
 
 def _hermitian_candidates(B):
@@ -309,30 +289,32 @@ def test_cubic_from_basis_diagonal_f2():
 
 
 def test_cubic_from_basis_validation():
-    A = build_split_exchange(QQ)
-    e01 = split_exchange_sym(A, m3_unit(0, 1, QQ.one, QQ.zero))
-    e10 = split_exchange_sym(A, m3_unit(1, 0, QQ.one, QQ.zero))
+    F7 = GF(7)
+    A = build_split_exchange(F7)
+    e01 = split_exchange_sym(A, m3_unit(0, 1, F7.one, F7.zero))
+    e10 = split_exchange_sym(A, m3_unit(1, 0, F7.one, F7.zero))
     with pytest.raises(DegenerateSubalgebra):
         cubic_from_basis(A, (A.one, e01, e10))  # not commutative/closed
 
 
 def test_split_normalize_identity_case():
-    A = build_split_exchange(QQ)
+    F7 = GF(7)
+    A = build_split_exchange(F7)
     L = diagonal_cubic(A)
     mats = [l.data[0] for l in L.basis]
-    cert = split_normalize(mats, QQ)
+    cert = split_normalize(mats, F7)
     assert cert.verify(mats)
     # an already-diagonal algebra needs only a permutation, det +-1
     rows = [[c for c in row] for row in cert.conjugator]
-    assert mat_det_field(rows, QQ) in (QQ.one, -QQ.one)
+    assert mat_det_field(rows, F7) in (F7.one, -F7.one)
 
 
-def test_split_normalize_companion_over_Q():
-    A = build_split_exchange(QQ)
-    cm = companion_matrix((F(-6), F(11), F(-6)), QQ)
-    L = cubic_from_generator(A, split_exchange_sym(A, cm))
+def test_split_normalize_companion_F7():
+    F7 = GF(7)
+    A = build_split_exchange(F7)
+    L = cubic_from_generator(A, split_exchange_sym(A, _companion_123(F7)))
     mats = [l.data[0] for l in L.basis]
-    cert = split_normalize(mats, QQ)
+    cert = split_normalize(mats, F7)
     assert cert.verify(mats)
 
 

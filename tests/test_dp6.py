@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,10 +16,8 @@ from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobe
                         surface_points, torus_count_check, verify_split_equivalence,
                         zeta_check)
 from dp6kit.errors import DegenerateSubalgebra, EnumerationBudgetExceeded
-from dp6kit.fields import GF, QQ, rref
+from dp6kit.fields import GF, rref
 from dp6kit.hexagon import HexAut
-
-F = Fraction
 
 
 def adjugate(a):
@@ -48,17 +45,17 @@ def test_twist_names_match_standard_twists(twists2):
     assert tuple(twists2) == TWIST_NAMES
 
 
-def _split_surface_over_Q():
-    A = build_split_exchange(QQ)
+def _split_surface_F7():
+    A = build_split_exchange(GF(7))
     return build_surface(A, diagonal_cubic(A))
 
 
 def test_build_surface_shape():
-    s = _split_surface_over_Q()
+    s = _split_surface_F7()
     assert len(s.coord_basis) == 7
     assert len(s.quadrics) == 9
     # the identity direction is not on the surface: 1# = 1 != 0
-    pt = [QQ.one] + [QQ.zero] * 6
+    pt = [GF(7).one] + [GF(7).zero] * 6
     assert any(s.evaluate(pt))
 
 
@@ -97,8 +94,8 @@ def _cofactor_expansion_quadrics(surface):
     return out
 
 
-def test_quadrics_match_cofactor_oracle_over_Q():
-    s = _split_surface_over_Q()
+def test_quadrics_match_cofactor_oracle_split_F7():
+    s = _split_surface_F7()
     oracle = _cofactor_expansion_quadrics(s)
     assert [dict(f) for f in s.quadrics] == oracle
 
@@ -393,14 +390,6 @@ def test_torus_counts(twists2):
 def test_torus_counts_f3(twists3):
     r = torus_count_check(twists3["split"])
     assert r["u_count"] == 4 and r["ok"]  # (3 - 1)^2
-
-
-def test_surface_over_Q_symbolic_only():
-    s = _split_surface_over_Q()
-    with pytest.raises(Exception):
-        raw_point_count(s, 1)
-    with pytest.raises(EnumerationBudgetExceeded):
-        fibration_point_count(s, 1)
 
 
 def test_provenance_serialization(twists2):

@@ -10,7 +10,11 @@ A second scan looks at calls: a parameter with a default that no call in
 the package sets is dead too, unless KEEP_PARAMETERS names it with its
 reason.
 
-Both scans go by name, so a definition can hide behind a same-named
+A third scan looks at class attributes: each non-dunder name a class body
+assigns, and each attribute a method assigns on its first parameter
+(``self.x = ...``), must be read as an attribute somewhere in the package.
+
+The scans go by name, so a definition can hide behind a same-named
 attribute elsewhere (``order``, ``inverse``, ``zero``); those cases are
 checked by hand, not here.
 """
@@ -35,8 +39,6 @@ KEEP = {
 # defaulted parameters that no call in the package sets, kept on purpose:
 # "module.function.parameter" -> reason
 KEEP_PARAMETERS = {
-    "algebra3.build_hermitian.d": "the Hermitian model over Q needs a nonsquare d; "
-                                  "the tests check the model identities over Q",
     "cli.main.argv": "tests and perfbench/cli_shim.py call main(argv) in-process",
     "dp6.find_lines.m": "the only way to find the lines over a larger field, "
                         "which reaches the embedding of coefficients through K",
@@ -163,6 +165,40 @@ def unset_parameters(sources):
     return sorted(found)
 
 
+def _assigned_attributes(tree):
+    """(class, attribute) for each name a class body assigns and each
+    attribute a method assigns on its first parameter."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.Assign):
+                for target in item.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield cls.name, name.id
+            elif isinstance(item, ast.FunctionDef) and item.args.args:
+                first = item.args.args[0].arg
+                for node in ast.walk(item):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == first):
+                        yield cls.name, node.attr
+
+
+def unread_attributes(sources):
+    """Non-dunder attributes that a class in sources (a {module: text} map)
+    assigns but no attribute load in sources reads, as sorted
+    "module.Class.attribute" strings."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    found = {f"{module}.{cls}.{name}"
+             for module, tree in trees.items()
+             for cls, name in _assigned_attributes(tree)
+             if name not in read and not (name.startswith("__") and name.endswith("__"))}
+    return sorted(found)
+
+
 def test_every_definition_is_reached_or_kept():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     dead = [name for name in unreached(sources) if name.split(".")[-1] not in KEEP]
@@ -179,6 +215,11 @@ def test_every_kept_name_is_still_defined():
 def test_every_unset_parameter_is_kept():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unset_parameters(sources) == sorted(KEEP_PARAMETERS)
+
+
+def test_every_class_attribute_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_attributes(sources) == []
 
 
 def test_scan_reports_unreached_definitions():
@@ -201,3 +242,13 @@ def test_scan_reports_unset_parameters():
         "b": "from .a import C, k\n\ndef h(**kw):\n    return k(**kw), C(), C().m(n=1)\n",
     }
     assert unset_parameters(sources) == ["a.C.v", "a.f.w", "a.f.z"]
+
+
+def test_scan_reports_unread_attributes():
+    sources = {
+        "a": "class C:\n    __slots__ = ('v', 'w')\n    k = 0\n    unused = 1\n\n"
+             "    def __init__(self, v):\n        self.v = v\n        self.w = v\n"
+             "        self.w = 2\n\n    def get(self):\n        return self.v + C.k\n",
+        "b": "from .a import C\n\ndef g(c):\n    c.x = 1\n    return c.get()\n",
+    }
+    assert unread_attributes(sources) == ["a.C.unused", "a.C.w"]
