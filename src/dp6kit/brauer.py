@@ -5,22 +5,22 @@ sum to zero, with real invariant 0 or 1/2.  Hilbert symbols use the standard
 closed formulas; restriction and corestriction to a quadratic field track
 places as (rational place, slot) pairs, never as ideals.
 
-Invariants are reduced Fractions n/d, 0 <= n < d, at every API boundary,
-and are handled on their integer numerators: m times n/d is (m n mod d)/d,
-and a sum vanishes in Q/Z exactly when the numerators, put over the lcm of
-the denominators, sum to a multiple of it.  They are interned: a proof
-replay meets a few dozen distinct invariants many thousands of times, so
-each JSON rational and each reduced (n mod d)/d is parsed or normalised once
-per process by one bounded cache, and equal invariants share one Fraction.
-
-Over a number field the Schur index of a division class equals the lcm of
-the local orders (Albert-Brauer-Hasse-Noether); index() computes that lcm
-and certificates that rely on the identification record it as an axiom.
+A class is stored as integers over one denominator, its order: the invariant
+at each place is n/order with 0 <= n < order, and the class is kept reduced,
+so the gcd of the order and all numerators is 1.  The order is then the lcm
+of the local denominators, which over a number field is the Schur index of a
+division class (Albert-Brauer-Hasse-Noether); index() reads it, and
+certificates that rely on the identification record it as an axiom.  Every
+operation works on these integers, and every class, derived ones included,
+is validated on them when it is made.  Fractions appear only at the edges:
+the constructors and invariant_vector() take them, and .real and .primes
+return them.  Those are interned: each JSON rational is parsed, and each
+n/d built, once per process by one bounded cache, so equal invariants share
+one Fraction; JSON text is formatted from the integers by another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -34,8 +34,6 @@ REAL_PLACE = "inf"
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
-
-HALF = Fraction(1, 2)
 
 # _factor trial-divides by the primes below this bound, and _rho_divisor
 # takes one gcd per this many steps.
@@ -55,29 +53,18 @@ _fraction = lru_cache(maxsize=_INTERNED, typed=True)(Fraction)
 _is_prime_place = lru_cache(maxsize=_INTERNED)(is_prime)
 
 
+@lru_cache(maxsize=_INTERNED)
+def _text(n, d):
+    """n/d in lowest terms as JSON text: "0", "1/2", "5/6"."""
+    return str(Fraction(n, d))
+
+
 def frac_mod1(x):
     """x in [0, 1) as a Fraction; one that is already there comes back as is."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
     n, d = x.numerator, x.denominator
     return x if 0 <= n < d else _fraction(n % d, d)
-
-
-def _times(m, f):
-    """m f in Q/Z, for an integer m and a reduced invariant f."""
-    d = f.denominator
-    return _fraction(m * f.numerator % d, d)
-
-
-def _numerator_sum(fracs):
-    """(num, den): den is the lcm of the denominators, num/den the sum."""
-    den = lcm(*(f.denominator for f in fracs))
-    return sum(f.numerator * (den // f.denominator) for f in fracs), den
-
-
-def _sum_mod1(fracs):
-    num, den = _numerator_sum(fracs)
-    return _fraction(num % den, den)
 
 
 def _check_place(v):
@@ -88,28 +75,57 @@ def _check_place(v):
     raise ValueError(f"not a place of Q: {v!r}")
 
 
-@dataclass(frozen=True)
 class InvariantVector:
-    """Brauer class over Q: real invariant plus a sorted prime support."""
+    """Brauer class over Q: invariant _real/order at the real place and
+    n/order at each (p, n) of _primes, sorted by p, nonzero n only."""
 
-    real: Fraction
-    primes: tuple  # ((p, Fraction), ...) sorted by p, nonzero values only
+    __slots__ = ("order", "_real", "_primes")
 
-    def __post_init__(self):
-        if self.real not in (0, HALF):
-            raise RealPlaceOrder(f"real invariant must be 0 or 1/2, got {self.real}")
+    def __init__(self, real, primes):
+        """The class with Fraction invariants: real, and f at each (p, f)."""
+        order = lcm(real.denominator, *(f.denominator for _, f in primes))
+        self.order = order
+        self._real = real.numerator * (order // real.denominator)
+        self._primes = tuple((p, f.numerator * (order // f.denominator))
+                             for p, f in primes)
+        self._validate()
+
+    def _validate(self):
+        order, real = self.order, self._real
+        if real and 2 * real != order:
+            raise RealPlaceOrder(
+                f"real invariant must be 0 or 1/2, got {Fraction(real, order)}")
         last = 0
-        for p, f in self.primes:
+        total = real
+        for p, n in self._primes:
             _check_place(p)
             if not (p > last):
                 raise ValueError("prime support must be strictly sorted")
             last = p
-            if not 0 < f.numerator < f.denominator:
+            if not 0 < n < order:
                 raise ValueError("invariants must be reduced, nonzero, in (0,1)")
-        num, den = _numerator_sum((self.real, *(f for _, f in self.primes)))
-        if num % den:
+            total += n
+        if total % order:
             raise ReciprocityViolation(
-                f"local invariants sum to {Fraction(num % den, den)}, not 0")
+                f"local invariants sum to {Fraction(total % order, order)}, not 0")
+
+    @property
+    def real(self):
+        return _fraction(self._real, self.order)
+
+    @property
+    def primes(self):
+        """((p, Fraction), ...) sorted by p, nonzero values only."""
+        return tuple((p, _fraction(n, self.order)) for p, n in self._primes)
+
+    def __eq__(self, other):
+        if other.__class__ is not InvariantVector:
+            return NotImplemented
+        return (self.order == other.order and self._real == other._real
+                and self._primes == other._primes)
+
+    def __hash__(self):
+        return hash((self.order, self._real, self._primes))
 
     def __repr__(self):
         parts = []
@@ -117,6 +133,22 @@ class InvariantVector:
             parts.append(f"inf:{self.real}")
         parts += [f"{p}:{f}" for p, f in self.primes]
         return "Br{" + ", ".join(parts) + "}"
+
+
+def _vector(order, real, primes):
+    """The class with invariant real/order at the real place and n/order at
+    each (p, n) of primes, sorted, 0 <= n < order: zeros dropped, reduced
+    and validated."""
+    primes = [(p, n) for p, n in primes if n]
+    g = gcd(order, real, *(n for _, n in primes))
+    if g > 1:
+        order //= g
+        real //= g
+        primes = [(p, n // g) for p, n in primes]
+    u = InvariantVector.__new__(InvariantVector)
+    u.order, u._real, u._primes = order, real, tuple(primes)
+    u._validate()
+    return u
 
 
 def invariant_vector(real=0, primes=None):
@@ -127,16 +159,17 @@ def invariant_vector(real=0, primes=None):
         f = frac_mod1(f)
         if f:
             entries.append((int(p), f))
-    return InvariantVector(real=real, primes=tuple(entries))
+    return InvariantVector(real, tuple(entries))
 
 
 def tensor(u, v):
     """Product in the Brauer group: pointwise addition in Q/Z."""
-    primes = {}
-    for p, f in u.primes + v.primes:
-        primes.setdefault(p, []).append(f)
-    return invariant_vector(_sum_mod1((u.real, v.real)),
-                            {p: _sum_mod1(fs) for p, fs in primes.items()})
+    order = lcm(u.order, v.order)
+    a, b = order // u.order, order // v.order
+    primes = {p: n * a for p, n in u._primes}
+    for p, n in v._primes:
+        primes[p] = (primes.get(p, 0) + n * b) % order
+    return _vector(order, (u._real * a + v._real * b) % order, sorted(primes.items()))
 
 
 def inverse(u):
@@ -144,21 +177,21 @@ def inverse(u):
 
 
 def is_split(u):
-    return not u.real and not u.primes
+    return u.order == 1
 
 
 def power(u, n):
-    return invariant_vector(_times(n, u.real),
-                            {p: _times(n, f) for p, f in u.primes})
+    order = u.order
+    return _vector(order, u._real * n % order, [(p, m * n % order) for p, m in u._primes])
 
 
 def order(u):
-    return lcm(*(f.denominator for _, f in u.primes), u.real.denominator)
+    return u.order
 
 
 def index(u):
     """lcm of the orders of the local invariants (= Schur index over Q)."""
-    return order(u)
+    return u.order
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +320,8 @@ def quaternion_class(a, b):
     ai = _squareclass_int(a)
     bi = _squareclass_int(b)
     candidates = {2} | set(_factor(ai)) | set(_factor(bi))
-    primes = {}
-    for p in sorted(candidates):
-        if hilbert_symbol(ai, bi, p) == -1:
-            primes[p] = HALF
-    real = HALF if hilbert_symbol(ai, bi, REAL_PLACE) == -1 else Fraction(0)
-    return invariant_vector(real, primes)
+    primes = [(p, 1) for p in sorted(candidates) if hilbert_symbol(ai, bi, p) == -1]
+    return _vector(2, int(hilbert_symbol(ai, bi, REAL_PLACE) == -1), primes)
 
 
 def order3_class(local_data):
@@ -323,17 +352,24 @@ def _squarefree(n):
     return True
 
 
-@dataclass(frozen=True)
 class QuadField:
     """Q(sqrt(d)) for squarefree d, or the split algebra Q x Q (d = None)."""
 
-    d: object  # int or None
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d is None:
-            return
-        if not isinstance(self.d, int) or self.d in (0, 1) or not _squarefree(self.d):
-            raise ValueError(f"d must be a squarefree integer != 0, 1: {self.d!r}")
+    def __init__(self, d):
+        if d is not None and (not isinstance(d, int) or d in (0, 1)
+                              or not _squarefree(d)):
+            raise ValueError(f"d must be a squarefree integer != 0, 1: {d!r}")
+        self.d = d
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadField:
+            return NotImplemented
+        return self.d == other.d
+
+    def __hash__(self):
+        return hash(self.d)
 
     @staticmethod
     def split():
@@ -373,60 +409,111 @@ def splitting_in_quadratic(K, v):
     return SPLIT if _legendre(d, p) == 1 else INERT
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=_INTERNED)
+def _slot_count(K, p):
+    """Invariant slots at the prime p of Q over K: 2 where p splits, else 1."""
+    return 2 if splitting_in_quadratic(K, p) == SPLIT else 1
+
+
 class InvariantVectorK:
     """Brauer class over a quadratic field, places as (rational place, slot).
 
     Split places carry two slots, inert and ramified places one.  The real
     entry has two slots when K has two real embeddings (d > 0 or split K)
     and a single forced-zero slot when the archimedean place is complex.
+    Each slot holds n for the invariant n/order: _real is a tuple of one or
+    two numerators, _primes ((p, (n0,) or (n0, n1)), ...) sorted by p, with
+    some slot nonzero.
     """
 
-    K: QuadField
-    real: tuple  # one or two fractions
-    primes: tuple  # ((p, (f0,) or (f0, f1)), ...) sorted, some slot nonzero
+    __slots__ = ("K", "order", "_real", "_primes")
 
-    def __post_init__(self):
-        n_real = self.K.real_slots
-        if len(self.real) != n_real:
+    def __init__(self, K, real, primes):
+        """The class over K with Fraction slot invariants: real, a tuple,
+        and the slots at each (p, slots) of primes."""
+        order = lcm(*(f.denominator for f in real),
+                    *(f.denominator for _, slots in primes for f in slots))
+        self.K, self.order = K, order
+        self._real = tuple(f.numerator * (order // f.denominator) for f in real)
+        self._primes = tuple(
+            (p, tuple(f.numerator * (order // f.denominator) for f in slots))
+            for p, slots in primes)
+        self._validate()
+
+    def _validate(self):
+        K, order, real = self.K, self.order, self._real
+        n_real = K.real_slots
+        if len(real) != n_real:
             raise ValueError("wrong number of real slots for this field")
-        for f in self.real:
-            if n_real == 1:
-                if f:
-                    raise RealPlaceOrder("complex place carries no Brauer invariant")
-            elif f not in (0, HALF):
-                raise RealPlaceOrder("real invariant must be 0 or 1/2")
+        if n_real == 1:
+            if real[0]:
+                raise RealPlaceOrder("complex place carries no Brauer invariant")
+        elif any(n and 2 * n != order for n in real):
+            raise RealPlaceOrder("real invariant must be 0 or 1/2")
         last = 0
-        for p, slots in self.primes:
+        total = sum(real)
+        for p, slots in self._primes:
             _check_place(p)
             if not p > last:
                 raise ValueError("prime support must be strictly sorted")
             last = p
-            expected = 2 if splitting_in_quadratic(self.K, p) == SPLIT else 1
+            expected = _slot_count(K, p)
             if len(slots) != expected:
                 raise ValueError(f"place {p} needs {expected} slot(s)")
             if not any(slots):
                 raise ValueError("support entries must be nonzero somewhere")
-            for f in slots:
-                if not 0 <= f.numerator < f.denominator:
+            for n in slots:
+                if not 0 <= n < order:
                     raise ValueError("invariants must be reduced")
-        every = self.real + tuple(f for _, slots in self.primes for f in slots)
-        num, den = _numerator_sum(every)
-        if num % den:
+                total += n
+        if total % order:
             raise ReciprocityViolation("invariants over K do not sum to 0")
-        if self.K.is_split:
+        if K.is_split:
             # Br(F x F) = Br F x Br F: each factor is reciprocal on its own
             for slot in (0, 1):
-                part = [self.real[slot]] + [s[slot] for _, s in self.primes]
-                num, den = _numerator_sum(part)
-                if num % den:
+                if (real[slot] + sum(s[slot] for _, s in self._primes)) % order:
                     raise ReciprocityViolation(
                         f"factor {slot} of the split algebra violates reciprocity")
+
+    @property
+    def real(self):
+        return tuple(_fraction(n, self.order) for n in self._real)
+
+    @property
+    def primes(self):
+        """((p, (f0,) or (f0, f1)), ...) as Fractions, sorted by p."""
+        return tuple((p, tuple(_fraction(n, self.order) for n in slots))
+                     for p, slots in self._primes)
+
+    def __eq__(self, other):
+        if other.__class__ is not InvariantVectorK:
+            return NotImplemented
+        return (self.K == other.K and self.order == other.order
+                and self._real == other._real and self._primes == other._primes)
+
+    def __hash__(self):
+        return hash((self.K, self.order, self._real, self._primes))
 
     def __repr__(self):
         parts = [f"inf:({','.join(str(f) for f in self.real)})"] if any(self.real) else []
         parts += [f"{p}:({','.join(str(f) for f in slots)})" for p, slots in self.primes]
         return f"Br_{self.K}{{" + ", ".join(parts) + "}"
+
+
+def _vector_K(K, order, real, primes):
+    """The class over K with slot numerators real and ((p, slots), ...)
+    over order, each in [0, order): places with all slots zero dropped,
+    reduced and validated."""
+    primes = [(p, slots) for p, slots in primes if any(slots)]
+    g = gcd(order, *real, *(n for _, slots in primes for n in slots))
+    if g > 1:
+        order //= g
+        real = tuple(n // g for n in real)
+        primes = [(p, tuple(n // g for n in slots)) for p, slots in primes]
+    u = InvariantVectorK.__new__(InvariantVectorK)
+    u.K, u.order, u._real, u._primes = K, order, real, tuple(primes)
+    u._validate()
+    return u
 
 
 def invariant_vector_K(K, real=None, primes=None):
@@ -440,20 +527,19 @@ def invariant_vector_K(K, real=None, primes=None):
         slots = tuple(frac_mod1(f) for f in slots)
         if any(slots):
             entries.append((int(p), slots))
-    return InvariantVectorK(K=K, real=real, primes=tuple(entries))
+    return InvariantVectorK(K, real, tuple(entries))
 
 
 def split_components(u):
     """The two factor classes of a class over split K."""
     if not u.K.is_split:
         raise ValueError("class is not over the split algebra")
-    c1 = invariant_vector(u.real[0], {p: s[0] for p, s in u.primes})
-    c2 = invariant_vector(u.real[1], {p: s[1] for p, s in u.primes})
-    return c1, c2
+    return tuple(_vector(u.order, u._real[slot], [(p, s[slot]) for p, s in u._primes])
+                 for slot in (0, 1))
 
 
 def is_split_K(u):
-    return not any(u.real) and not u.primes
+    return u.order == 1
 
 
 def restriction(u, K):
@@ -462,25 +548,18 @@ def restriction(u, K):
     Split places copy the invariant to both slots; inert and ramified places
     have local degree 2.
     """
-    kind_real = splitting_in_quadratic(K, REAL_PLACE)
-    if kind_real == SPLIT:
-        real = (u.real, u.real)
-    else:
-        real = (_times(2, u.real),)
-    primes = {}
-    for p, f in u.primes:
-        if splitting_in_quadratic(K, p) == SPLIT:
-            primes[p] = (f, f)
-        else:
-            primes[p] = (_times(2, f),)
-    return invariant_vector_K(K, real, primes)
+    order, real = u.order, u._real
+    real = (real, real) if K.real_slots == 2 else (2 * real % order,)
+    primes = [(p, (n, n) if _slot_count(K, p) == 2 else (2 * n % order,))
+              for p, n in u._primes]
+    return _vector_K(K, order, real, primes)
 
 
 def corestriction(u):
     """Sum of the invariants over the places above each rational place."""
-    real = _sum_mod1(u.real)
-    primes = {p: _sum_mod1(slots) for p, slots in u.primes}
-    return invariant_vector(real, primes)
+    order = u.order
+    return _vector(order, sum(u._real) % order,
+                   [(p, sum(slots) % order) for p, slots in u._primes])
 
 
 def admits_unitary_involution(u):
@@ -492,8 +571,7 @@ def admits_unitary_involution(u):
 def chatelet_kernel(u):
     """Multiples 0, u, 2u, ... up to the order of u: the classes killed by
     the function field of the associated twisted projective space."""
-    n = order(u)
-    return [power(u, t) for t in range(n)]
+    return [power(u, t) for t in range(u.order)]
 
 
 def decompose_degree6(u):
@@ -502,7 +580,7 @@ def decompose_degree6(u):
     C = 3u has order dividing 2, D = 4u has order dividing 3, and C x D
     recovers u.
     """
-    if 6 % order(u):
+    if 6 % u.order:
         raise OrderViolation("class does not have order dividing 6")
     C = power(u, 3)
     D = power(u, 4)
@@ -514,9 +592,9 @@ def decompose_degree6(u):
 
 
 def to_json(u):
-    out = {"primes": {str(p): str(f) for p, f in u.primes}}
-    if u.real:
-        out["inf"] = str(u.real)
+    out = {"primes": {str(p): _text(n, u.order) for p, n in u._primes}}
+    if u._real:
+        out["inf"] = _text(u._real, u.order)
     return out
 
 
@@ -551,12 +629,12 @@ def from_json(obj):
 
 
 def to_json_K(u):
-    out = {
+    order = u.order
+    return {
         "d": u.K.d,
-        "inf": [str(f) for f in u.real],
-        "primes": {str(p): [str(f) for f in slots] for p, slots in u.primes},
+        "inf": [_text(n, order) for n in u._real],
+        "primes": {str(p): [_text(n, order) for n in slots] for p, slots in u._primes},
     }
-    return out
 
 
 def _slots_json(slots):

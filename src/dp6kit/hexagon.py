@@ -331,7 +331,7 @@ def subgroup_report(index):
         "fixed_rank": fixed.cols,
         "fixed_rank_by_traces": fixed_rank_by_traces(pic, G),
         "h1": h1(pic, G),
-        "sequences_exact": bool(first.ok and second.ok),
+        "sequences_exact": first and second,
         "stable_iso_found": bool(iso_ok),
     }
 

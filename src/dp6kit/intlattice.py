@@ -13,7 +13,7 @@ the tests rather than on every construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from .errors import CompositionMismatch, InvariantViolation
 
@@ -430,32 +430,20 @@ class LatticeMap:
             raise CompositionMismatch("source and target must share the group")
 
 
-@dataclass
-class ExactnessReport:
-    ok: bool
-    failures: list = dfield(default_factory=list)
-
-
 def is_exact(maps):
-    """Exactness of a chain of lattice maps at every interior node.
-
-    Checks that consecutive maps compose to zero and that image equals
-    kernel (as sublattices, compared through canonical Hermite forms).
-    """
-    failures = []
+    """Whether a chain of lattice maps is exact at every interior node:
+    consecutive maps compose to zero and image equals kernel (as
+    sublattices, compared through canonical Hermite forms)."""
+    exact = True
     for i in range(len(maps) - 1):
         f, g = maps[i], maps[i + 1]
         if f.target is not g.source and f.target.rank != g.source.rank:
             raise CompositionMismatch(f"maps {i} and {i + 1} are not composable")
         comp = g.matrix * f.matrix
-        if any(x for row in comp.data for x in row):
-            failures.append((i + 1, "composition of consecutive maps is nonzero"))
-            continue
-        image = column_span_canonical(f.matrix)
-        kernel = column_span_canonical(kernel_basis(g.matrix))
-        if image != kernel:
-            failures.append((i + 1, "image differs from kernel"))
-    return ExactnessReport(ok=not failures, failures=failures)
+        if any(x for row in comp.data for x in row) or \
+                column_span_canonical(f.matrix) != column_span_canonical(kernel_basis(g.matrix)):
+            exact = False
+    return exact
 
 
 def fixed_submodule(L, G):

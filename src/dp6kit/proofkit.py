@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .brauer import (InvariantVector, InvariantVectorK, QuadField,
-                     admits_unitary_involution, chatelet_kernel, corestriction,
+                     admits_unitary_involution, corestriction,
                      decompose_degree6, from_json, from_json_K, index,
                      invariant_vector, is_split, is_split_K, order, power,
                      restriction, split_components, tensor, to_json, to_json_K)
@@ -173,11 +173,6 @@ def _comp_degree_forced(inputs):
     return {"solutions": [d for d in range(lo, hi + 1) if d % mult == 0]}
 
 
-def _comp_restriction(inputs):
-    K = QuadField(inputs["d"])
-    return to_json_K(restriction(from_json(inputs["class"]), K))
-
-
 def _comp_corestriction(inputs):
     u = from_json_K(inputs["classK"])
     return to_json(corestriction(u))
@@ -189,10 +184,6 @@ def _comp_admits_involution(inputs):
 
 def _comp_is_split(inputs):
     return {"split": is_split(from_json(inputs["class"]))}
-
-
-def _comp_order(inputs):
-    return {"order": order(from_json(inputs["class"]))}
 
 
 def lemma_number_check(K, B_class, observed):
@@ -242,28 +233,16 @@ def _comp_corollary_3or4(inputs):
     return out
 
 
-def _comp_chatelet_kernel(inputs):
-    return {"kernel": [to_json(v) for v in chatelet_kernel(from_json(inputs["class"]))]}
-
-
-def _comp_tensor(inputs):
-    return to_json(tensor(from_json(inputs["left"]), from_json(inputs["right"])))
-
-
 COMPUTATIONS = {
     "index": _comp_index,
     "decompose_degree6": _comp_decompose,
     "divisibility_filter": _comp_divisibility_filter,
     "degree_forced": _comp_degree_forced,
-    "restriction": _comp_restriction,
     "corestriction": _comp_corestriction,
     "admits_unitary_involution": _comp_admits_involution,
     "is_split": _comp_is_split,
-    "order": _comp_order,
     "lemma_number_check": _comp_lemma_number_check,
     "corollary_3or4_check": _comp_corollary_3or4,
-    "chatelet_kernel": _comp_chatelet_kernel,
-    "tensor": _comp_tensor,
 }
 
 
@@ -502,7 +481,7 @@ def _require_index6(A):
         raise IndexMismatch(f"replay requires index 6, got {index(A)}")
 
 
-def _replay_certificate(title, A, steps, refuting):
+def _replay_certificate(title, algebra, steps, refuting):
     """Certificate whose verdict is read off the recorded VERIFIED results.
 
     `refuting` maps a computation name to the result fields that refute the
@@ -515,24 +494,24 @@ def _replay_certificate(title, A, steps, refuting):
         for s in decisive for key, want in refuting[s.computation].items())
     return ProofCertificate(
         title=title,
-        algebra=to_json(A),
+        algebra=algebra,
         steps=tuple(steps),
         contradiction=contradiction,
         verdict=_REPLAY_VERDICT if contradiction else _REPLAY_NO_VERDICT,
     )
 
 
-def _common_head(A):
-    steps = [
+def _common_head(algebra):
+    """The opening steps on the input class, given as its JSON form."""
+    return [
         _verified("the input class has index 6 (period-index identification "
-                  "recorded below)", "index", {"class": to_json(A)}),
+                  "recorded below)", "index", {"class": algebra}),
         _axiom("the index of the input class equals its period",
                "period_index_number_field"),
         _verified("degree-6 factorization: C of degree 2 and D of degree 3 "
                   "with C x D the input class", "decompose_degree6",
-                  {"class": to_json(A)}),
+                  {"class": algebra}),
     ]
-    return steps
 
 
 def replay_first_proof(A):
@@ -547,10 +526,13 @@ def replay_first_proof(A):
     """
     _require_index6(A)
     _, D = decompose_degree6(A)
+    D2 = power(D, 2)
     K = QuadField(2)
-    resD = restriction(D, K)
-    res2D = restriction(power(D, 2), K)
-    steps = _common_head(A)
+    # each input is built once and shared: no computation mutates its inputs
+    algebra = to_json(A)
+    resD = to_json_K(restriction(D, K))
+    res2D = to_json_K(restriction(D2, K))
+    steps = _common_head(algebra)
     steps += [
         _axiom("assume the splitting dimension is at most 2: the product of "
                "the quaternion and cubic Severi-Brauer varieties admits a "
@@ -585,7 +567,7 @@ def replay_first_proof(A):
         _verified("consistency of the observed data (index 6, nonsplit "
                   "candidates) with the splitting implications, on the "
                   "concrete candidate below", "lemma_number_check",
-                  {"d": 2, "classK": to_json_K(resD), "observed": {"n_S": 6}}),
+                  {"d": 2, "classK": resD, "observed": {"n_S": 6}}),
         _axiom("the function field tower over the cubic factor is the "
                "function field of a conic; an odd-order class split there "
                "is split already", "conic_kernel_two_torsion"),
@@ -595,24 +577,24 @@ def replay_first_proof(A):
         _axiom("the unitary involution forces the corestriction of the "
                "rank-9 class to vanish", "unitary_involution_corestriction"),
         _verified("corestriction of the first candidate equals twice the "
-                  "cubic class", "corestriction", {"classK": to_json_K(resD)}),
+                  "cubic class", "corestriction", {"classK": resD}),
         _verified("corestriction of the second candidate equals the cubic "
-                  "class", "corestriction", {"classK": to_json_K(res2D)}),
+                  "class", "corestriction", {"classK": res2D}),
         _verified("twice the cubic class is not split", "is_split",
-                  {"class": to_json(power(D, 2))}),
+                  {"class": to_json(D2)}),
         _verified("the cubic class is not split", "is_split",
                   {"class": to_json(D)}),
         _verified("neither candidate admits a unitary involution",
-                  "admits_unitary_involution", {"classK": to_json_K(resD)}),
+                  "admits_unitary_involution", {"classK": resD}),
         _verified("neither candidate admits a unitary involution (square)",
-                  "admits_unitary_involution", {"classK": to_json_K(res2D)}),
+                  "admits_unitary_involution", {"classK": res2D}),
         _axiom("the splitting dimension is at most 3",
                "cdim_upper_bound"),
     ]
     # the contradiction: both corestrictions are nonzero, so neither
     # candidate carries the unitary involution the surface requires
     return _replay_certificate(
-        "first replay: degree-6 del Pezzo argument", A, steps,
+        "first replay: degree-6 del Pezzo argument", algebra, steps,
         {"is_split": {"split": False},
          "admits_unitary_involution": {"admits": False}})
 
@@ -623,7 +605,8 @@ def replay_second_proof(A):
     analysis forbids."""
     _require_index6(A)
     C, D = decompose_degree6(A)
-    steps = _common_head(A)
+    algebra = to_json(A)
+    steps = _common_head(algebra)
     steps += [
         _axiom("assume the splitting dimension is at most 2 for the product "
                "of the two Severi-Brauer varieties", "generic_splitting"),
@@ -641,7 +624,7 @@ def replay_second_proof(A):
         _axiom("the splitting dimension is at most 3", "cdim_upper_bound"),
     ]
     return _replay_certificate(
-        "second replay: Brauer kernel argument", A, steps,
+        "second replay: Brauer kernel argument", algebra, steps,
         {"corollary_3or4_check": {"compatible": False, "witness_order": 6}})
 
 

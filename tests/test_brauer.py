@@ -1,6 +1,7 @@
+import json
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -332,6 +333,137 @@ def test_reciprocity_acceptance_over_K_matches_oracle(K, values):
         assert total or factor0
     else:
         assert total == 0 and factor0 == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a Fraction reference: a class over Q is
+# {place: invariant in (0, 1)}, one over K {place: slot tuple, some slot
+# nonzero}, and every operation is recomputed on those maps
+
+
+def _ref(entries):
+    """A reference class over Q: entries mod 1, zeros dropped."""
+    return {v: mod1(f) for v, f in entries.items() if mod1(f)}
+
+
+def _ref_K(entries):
+    return {v: tuple(mod1(f) for f in s) for v, s in entries.items() if any(map(mod1, s))}
+
+
+def _view(u):
+    """The reference form of u, read through .real and .primes."""
+    assert type(u.real) is Fraction and u.real in (0, HALF)
+    assert all(type(f) is Fraction and 0 < f < 1 for _, f in u.primes)
+    ref = _ref({REAL_PLACE: u.real, **dict(u.primes)})
+    assert order(u) == index(u) == _ref_order(ref) and is_split(u) == (not ref)
+    return ref
+
+
+def _view_K(u):
+    slots = [u.real] + [s for _, s in u.primes]
+    assert all(type(f) is Fraction and 0 <= f < 1 for s in slots for f in s)
+    assert all(any(s) for _, s in u.primes)
+    ref = _ref_K({REAL_PLACE: u.real, **dict(u.primes)})
+    assert is_split_K(u) == (not ref)
+    return ref
+
+
+def _class(ref):
+    return invariant_vector(ref.get(REAL_PLACE, 0),
+                            {p: f for p, f in ref.items() if p != REAL_PLACE})
+
+
+def _ref_power(ref, n):
+    return _ref({v: n * f for v, f in ref.items()})
+
+
+def _ref_order(ref):
+    return lcm(*(f.denominator for f in ref.values()))
+
+
+@st.composite
+def classes_K(draw):
+    """(K, class over K): slot invariants of denominator <= 12 on SUPPORT,
+    real slots 0 or 1/2 when K has real places, and each reciprocity sum
+    (one per factor over QxQ) closed in the first slot at CLOSING."""
+    K = draw(st.sampled_from(FIELDS))
+    n_real = K.real_slots
+    real = [draw(st.sampled_from([F(0), HALF])) for _ in range(n_real)] \
+        if n_real == 2 else [F(0)]
+    primes = {p: tuple(draw(fractions) for _ in
+                       range(2 if splitting_in_quadratic(K, p) == SPLIT else 1))
+              for p in draw(st.lists(st.sampled_from(SUPPORT), unique=True, max_size=4))}
+    if K.is_split:
+        primes[CLOSING] = tuple(-(real[i] + sum((s[i] for s in primes.values()), F(0)))
+                                for i in (0, 1))
+    else:
+        closing = -(sum(real) + sum((f for s in primes.values() for f in s), F(0)))
+        n = 2 if splitting_in_quadratic(K, CLOSING) == SPLIT else 1
+        primes[CLOSING] = (closing,) + (F(0),) * (n - 1)
+    return K, invariant_vector_K(K, tuple(real), primes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), w=classes(), n=st.integers(-13, 13))
+def test_q_operations_match_fraction_reference(u, w, n):
+    a, b = _view(u), _view(w)
+    assert _view(power(u, n)) == _ref_power(a, n)
+    assert _view(inverse(u)) == _ref_power(a, -1)
+    assert _view(tensor(u, w)) == _ref({v: a.get(v, 0) + b.get(v, 0)
+                                        for v in a.keys() | b.keys()})
+    assert [_view(k) for k in chatelet_kernel(u)] == \
+        [_ref_power(a, t) for t in range(_ref_order(a))]
+    if 6 % _ref_order(a):
+        with pytest.raises(OrderViolation):
+            decompose_degree6(u)
+    else:
+        C, D = decompose_degree6(u)
+        assert (_view(C), _view(D)) == (_ref_power(a, 3), _ref_power(a, 4))
+    # equality and hash follow the reference, whatever route built the class
+    assert (u == w) == (a == b)
+    again = _class(a)
+    assert again == u and hash(again) == hash(u)
+    shifted = power(u, n + order(u))
+    assert shifted == power(u, n) and hash(shifted) == hash(power(u, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), K=st.sampled_from(FIELDS))
+def test_json_matches_fraction_reference(u, K):
+    a = _view(u)
+    want = {"primes": {str(p): str(f) for p, f in sorted(
+        (p, f) for p, f in a.items() if p != REAL_PLACE)}}
+    if REAL_PLACE in a:
+        want["inf"] = str(a[REAL_PLACE])
+    assert json.dumps(to_json(u)) == json.dumps(want)
+    back = from_json(json.loads(json.dumps(to_json(u))))
+    assert back == u and hash(back) == hash(u)
+    r = restriction(u, K)
+    want = {"d": K.d, "inf": [str(f) for f in r.real],
+            "primes": {str(p): [str(f) for f in s] for p, s in r.primes}}
+    assert json.dumps(to_json_K(r)) == json.dumps(want)
+    back = from_json_K(json.loads(json.dumps(to_json_K(r))))
+    assert back == r and hash(back) == hash(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), Kx=classes_K())
+def test_k_operations_match_fraction_reference(u, Kx):
+    K, x = Kx
+    a, ref = _view(u), _view_K(x)
+    want = {}
+    for v, f in a.items():
+        split = splitting_in_quadratic(K, v) == SPLIT
+        want[v] = (f, f) if split else (mod1(2 * f),)
+    assert _view_K(restriction(u, K)) == _ref_K(want)
+    assert _view(corestriction(x)) == _ref({v: sum(s) for v, s in ref.items()})
+    if K.is_split:
+        c1, c2 = split_components(x)
+        assert (_view(c1), _view(c2)) == tuple(
+            _ref({v: s[i] for v, s in ref.items()}) for i in (0, 1))
+    again = invariant_vector_K(K, x.real, dict(x.primes))
+    assert again == x and hash(again) == hash(x)
+    assert (x == restriction(u, K)) == (ref == _view_K(restriction(u, K)))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def _layers(*names):
     return [f"dp6kit.{name}" for name in names]
 
 
-# surface commands build their twists from plain classes: no dataclasses
+# surface commands and Brauer classes are plain classes: no dataclasses
 @pytest.mark.parametrize("commands, unloaded", [
     ([], _layers("fields", "algebra3", "dp6", "hexagon", "intlattice", "brauer")),
     ([["surface", "build", "--model", "ksplit-l3", "--q", "2"],
@@ -128,7 +128,7 @@ def _layers(*names):
      _layers("brauer", "intlattice") + ["dataclasses"]),
     ([["lattice", "snf", "[[2,0],[0,3]]"]], _layers("dp6", "algebra3", "brauer")),
     ([["brauer", "index", '{"primes":{"7":"1/6","13":"5/6"}}']],
-     _layers("dp6", "algebra3", "hexagon")),
+     _layers("dp6", "algebra3", "hexagon") + ["dataclasses"]),
     ([["replay", "--proof", "first", "--corollary",
        "--algebra", '{"primes":{"7":"1/6","13":"5/6"}}'],
       ["replay", "--proof", "second", "--transcript",

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from lattice_checks import check_action, check_equivariant, check_group
 
 from dp6kit.errors import CompositionMismatch
@@ -26,25 +27,39 @@ def test_snf_examples():
     assert S == IntMat.zeros(2, 2)
 
 
-def test_snf_random_roundtrip():
+def check_snf(rows):
+    """U M V = S with S diagonal, its nonzero entries a positive divisibility
+    chain equal to sympy's invariant factors, and U, V unimodular."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
+    M = IntMat(rows)
+    S, U, V = smith_normal_form(M)
+    assert U * M * V == S
+    assert abs(U.det()) == 1 and abs(V.det()) == 1
+    assert all(S.data[i][j] == 0 for i in range(M.rows) for j in range(M.cols) if i != j)
+    diag = [S.data[i][i] for i in range(min(M.rows, M.cols))]
+    nz = [d for d in diag if d]
+    assert diag[:len(nz)] == nz and all(d > 0 for d in nz)
+    assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
+    factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    assert [abs(int(d)) for d in factors if d] == nz
+
+
+def test_snf_random_roundtrip():
     rng = random.Random(99)
     for _ in range(200):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
-        M = IntMat([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
-        S, U, V = smith_normal_form(M)
-        assert U * M * V == S
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
-        diag = [S.data[i][i] for i in range(min(r, c))]
-        assert all(S.data[i][j] == 0 for i in range(r) for j in range(c) if i != j)
-        nz = [d for d in diag if d]
-        assert diag[:len(nz)] == nz and all(d > 0 for d in nz)
-        for i in range(len(nz) - 1):
-            assert nz[i + 1] % nz[i] == 0
-        # a second oracle for the diagonal
-        factors = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
-        assert [abs(int(d)) for d in factors if d] == nz
+        check_snf([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+
+
+small_matrices = st.integers(1, 5).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=1, max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=small_matrices)
+def test_snf_invariants_under_hypothesis(rows):
+    check_snf(rows)
 
 
 def test_kernel_examples():
@@ -146,14 +161,13 @@ def test_is_exact_examples():
         LatticeMap(triv, triv, IntMat([[1]])),
         LatticeMap(triv, z, IntMat([], rows=0, cols=1)),
     ]
-    assert is_exact(ident).ok
+    assert is_exact(ident) is True
     doubling = [
         LatticeMap(z, triv, IntMat([], rows=1, cols=0)),
         LatticeMap(triv, triv, IntMat([[2]])),
         LatticeMap(triv, z, IntMat([], rows=0, cols=1)),
     ]
-    report = is_exact(doubling)
-    assert not report.ok and report.failures
+    assert is_exact(doubling) is False
 
 
 def test_is_exact_composition_mismatch():

@@ -11,8 +11,9 @@ the package sets is dead too, unless KEEP_PARAMETERS names it with its
 reason.
 
 A third scan looks at class attributes: each non-dunder name a class body
-assigns, and each attribute a method assigns on its first parameter
-(``self.x = ...``), must be read as an attribute somewhere in the package.
+assigns or annotates (``x = ...``, a dataclass field ``x: int``), and each
+attribute a method assigns on its first parameter (``self.x = ...``), must
+be read as an attribute somewhere in the package.
 
 The scans go by name, so a definition can hide behind a same-named
 attribute elsewhere (``order``, ``inverse``, ``zero``); those cases are
@@ -166,14 +167,16 @@ def unset_parameters(sources):
 
 
 def _assigned_attributes(tree):
-    """(class, attribute) for each name a class body assigns and each
-    attribute a method assigns on its first parameter."""
+    """(class, attribute) for each name a class body assigns or annotates
+    (a dataclass field) and each attribute a method assigns on its first
+    parameter."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for item in cls.body:
-            if isinstance(item, ast.Assign):
-                for target in item.targets:
+            if isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                for target in targets:
                     for name in ast.walk(target):
                         if isinstance(name, ast.Name):
                             yield cls.name, name.id
@@ -252,3 +255,14 @@ def test_scan_reports_unread_attributes():
         "b": "from .a import C\n\ndef g(c):\n    c.x = 1\n    return c.get()\n",
     }
     assert unread_attributes(sources) == ["a.C.unused", "a.C.w"]
+
+
+def test_scan_reports_unread_annotated_fields():
+    sources = {
+        "a": "from dataclasses import dataclass, field\n\n@dataclass\nclass R:\n"
+             "    ok: bool\n    failures: list = field(default_factory=list)\n"
+             "    note: str = ''\n",
+        "b": "from .a import R\n\ndef g():\n    r = R(ok=True)\n"
+             "    return r.ok, R.note\n",
+    }
+    assert unread_attributes(sources) == ["a.R.failures"]

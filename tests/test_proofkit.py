@@ -166,6 +166,13 @@ def test_replays_on_corpus():
         assert c2.contradiction and verify_certificate(c2)
 
 
+def test_every_computation_is_emitted_by_a_replay():
+    certs = [replay_first_proof(DEGREE6_WITNESS), replay_second_proof(DEGREE6_WITNESS)]
+    certs += [corollary_cdpgl(cert) for cert in certs]
+    emitted = {s.computation for cert in certs for s in cert.steps if s.kind == "VERIFIED"}
+    assert emitted == set(COMPUTATIONS)
+
+
 def test_certificate_tamper_detection():
     cert = replay_second_proof(STANDING)
     tampered_steps = []
