@@ -12,11 +12,13 @@ of the local denominators, which over a number field is the Schur index of a
 division class (Albert-Brauer-Hasse-Noether); index() reads it, and
 certificates that rely on the identification record it as an axiom.  Every
 operation works on these integers, and every class, derived ones included,
-is validated on them when it is made.  Fractions appear only at the edges:
-the constructors and invariant_vector() take them, and .real and .primes
-return them.  Those are interned: each JSON rational is parsed, and each
-n/d built, once per process by one bounded cache, so equal invariants share
-one Fraction; JSON text is formatted from the integers by another.
+is validated on them when it is made.  Fractions appear only at the public
+constructors (InvariantVector, InvariantVectorK, invariant_vector() and
+invariant_vector_K() take them) and at .real and .primes, which return them
+interned by one bounded cache, so equal invariants share one Fraction.  JSON
+goes straight to and from the integers: from_json and from_json_K decode
+each JSON rational to (n mod d, d) through one bounded cache, and to_json
+and to_json_K format n/order through another.
 """
 
 from __future__ import annotations
@@ -598,16 +600,33 @@ def to_json(u):
     return out
 
 
+def _check_rational(x):
+    if type(x) is not int and not isinstance(x, str):
+        raise Dp6kitError(f"rational must be a JSON string or integer, got {x!r}")
+
+
 def parse_rational(x):
     """A rational number from JSON: an integer or a string such as "5/6".
     Floats, booleans, lists and zero denominators are refused."""
-    if type(x) is not int and not isinstance(x, str):
-        raise Dp6kitError(f"rational must be a JSON string or integer, got {x!r}")
+    _check_rational(x)
     try:
         return _fraction(x)
     except ZeroDivisionError:
         raise Dp6kitError(f"rational must be a JSON fraction with a nonzero "
                           f"denominator, got {x!r}") from None
+
+
+@lru_cache(maxsize=_INTERNED, typed=True)
+def _residue_of(x):
+    f = parse_rational(x)
+    return f.numerator % f.denominator, f.denominator
+
+
+def _residue(x):
+    """A JSON rational mod 1 as ints (n, d) in lowest terms, 0 <= n < d,
+    with parse_rational's checks; each distinct value is parsed once."""
+    _check_rational(x)
+    return _residue_of(x)
 
 
 def primes_from_json(primes, parse):
@@ -623,9 +642,11 @@ def primes_from_json(primes, parse):
 
 
 def from_json(obj):
-    real = parse_rational(obj.get("inf", "0"))
-    primes = primes_from_json(obj.get("primes", {}), parse_rational)
-    return invariant_vector(real, primes)
+    real_n, real_d = _residue(obj.get("inf", "0"))
+    primes = sorted(primes_from_json(obj.get("primes", {}), _residue).items())
+    order = lcm(real_d, *(d for _, (_, d) in primes))
+    return _vector(order, real_n * (order // real_d),
+                   [(p, n * (order // d)) for p, (n, d) in primes])
 
 
 def to_json_K(u):
@@ -638,14 +659,18 @@ def to_json_K(u):
 
 
 def _slots_json(slots):
-    """Per-slot invariants over a quadratic field: a JSON array of rationals."""
+    """Per-slot invariants over a quadratic field, a JSON array of
+    rationals, as _residue pairs."""
     if not isinstance(slots, list):
         raise Dp6kitError(f"slot invariants must be a JSON array, got {slots!r}")
-    return tuple(parse_rational(f) for f in slots)
+    return [_residue(f) for f in slots]
 
 
 def from_json_K(obj):
     K = QuadField(obj.get("d"))
-    real = _slots_json(obj.get("inf", [])) or None
-    primes = primes_from_json(obj.get("primes", {}), _slots_json)
-    return invariant_vector_K(K, real, primes)
+    real = _slots_json(obj.get("inf", [])) or [(0, 1)] * K.real_slots
+    primes = sorted(primes_from_json(obj.get("primes", {}), _slots_json).items())
+    order = lcm(*(d for _, d in real), *(d for _, slots in primes for _, d in slots))
+    return _vector_K(K, order, tuple(n * (order // d) for n, d in real),
+                     [(p, tuple(n * (order // d) for n, d in slots))
+                      for p, slots in primes])

@@ -90,25 +90,7 @@ class IntMat:
         """Bareiss fraction-free determinant."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pr = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if pr is None:
-                    return 0
-                m[k], m[pr] = m[pr], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _bareiss_det([list(r) for r in self.data])
 
     def is_unimodular(self):
         return self.rows == self.cols and abs(self.det()) == 1
@@ -118,6 +100,29 @@ class IntMat:
 
     def __repr__(self):
         return f"IntMat({self.to_lists()})"
+
+
+def _bareiss_det(m):
+    """Bareiss fraction-free determinant of the square matrix m, a list of
+    int row lists, which it overwrites."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pr is None:
+                return 0
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def mat_from_columns(cols, nrows):
@@ -582,27 +587,23 @@ def equivariant_iso_search(L1, L2):
     basis = kernel_basis(IntMat(rows) if rows else IntMat([], rows=0, cols=n * n))
     if basis.cols == 0:
         return None, 0
-    cols = [basis.col(j) for j in range(basis.cols)]
-
-    def to_mat(vec):
-        return IntMat([[vec[i * n + j] for j in range(n)] for i in range(n)])
-
     # identity first when available, then combinations by growing sup-norm
     ident_flat = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)]
     x = solve_integer(basis, ident_flat)
     if x is not None:
         return IntMat.identity(n), 0
-    m = basis.cols
+    cols = [basis.col(j) for j in range(basis.cols)]
+    nn = n * n
     for b in range(1, ISO_SEARCH_BOUND + 1):
-        for combo in itertools.product(range(-b, b + 1), repeat=m):
-            if max(abs(c) for c in combo) != b:
+        # scaled[k][c] is c times kernel vector k, as a flat list
+        scaled = [{c: [c * x for x in col] for c in range(-b, b + 1) if c}
+                  for col in cols]
+        for combo in itertools.product(range(-b, b + 1), repeat=len(cols)):
+            if b not in combo and -b not in combo:
                 continue
-            first = next((c for c in combo if c), 0)
-            if first < 0:
+            if next(c for c in combo if c) < 0:
                 continue
-            vec = [sum(c * col[i] for c, col in zip(combo, cols))
-                   for i in range(n * n)]
-            M = to_mat(vec)
-            if abs(M.det()) == 1:
-                return M, b
+            vec = list(map(sum, zip(*(s[c] for s, c in zip(scaled, combo) if c))))
+            if abs(_bareiss_det([vec[i:i + n] for i in range(0, nn, n)])) == 1:
+                return IntMat([vec[i:i + n] for i in range(0, nn, n)]), b
     return None, ISO_SEARCH_BOUND

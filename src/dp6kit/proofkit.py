@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .brauer import (InvariantVector, InvariantVectorK, QuadField,
                      admits_unitary_involution, corestriction,
                      decompose_degree6, from_json, from_json_K, index,
                      invariant_vector, is_split, is_split_K, order, power,
                      restriction, split_components, tensor, to_json, to_json_K)
-from .errors import InconsistentObservation, IndexMismatch, MalformedCase
+from .errors import (Dp6kitError, InconsistentObservation, IndexMismatch,
+                     MalformedCase)
 
 # ---------------------------------------------------------------------------
 # the cited statements, as first-class data
@@ -34,15 +36,6 @@ AXIOMS = {
                       "d produces a closed d-dimensional subvariety receiving a "
                       "dominant rational map."),
         "source": "Karpenko-Merkurjev, canonical dimension of smooth varieties",
-    },
-    "lueroth": {
-        "statement": "A unirational curve is rational.",
-        "source": "Lueroth's theorem",
-    },
-    "castelnuovo": {
-        "statement": ("A unirational surface over an algebraically closed field "
-                      "of characteristic zero is rational."),
-        "source": "Castelnuovo's rationality criterion",
     },
     "resolution_surfaces": {
         "statement": ("An integral projective surface over a perfect field has a "
@@ -107,19 +100,6 @@ AXIOMS = {
                       "second kind has trivial corestriction to the base field."),
         "source": "Knus-Merkurjev-Rost-Tignol, involutions of the second kind",
     },
-    "weil_restriction_cor": {
-        "statement": ("For a quadratic field K and a conic C over K, the Brauer "
-                      "kernel of the Weil restriction equals the corestriction "
-                      "of the kernel over K."),
-        "source": "Merkurjev-Tignol, Weil restriction of conics",
-    },
-    "index_reduction": {
-        "statement": ("Index reduction over the function field of a conic: if a "
-                      "class has index at most 2 over the function field, then "
-                      "the class or its product with the conic class has index "
-                      "at most 2 over the base."),
-        "source": "Schofield-van den Bergh index reduction",
-    },
     "rank_one_kernel": {
         "statement": ("A del Pezzo surface with Picard rank 1 and non-divisible "
                       "canonical class has trivial Brauer kernel: the fixed "
@@ -142,15 +122,28 @@ AXIOMS = {
 
 
 # ---------------------------------------------------------------------------
-# the computation registry: JSON in, JSON out, rerunnable bit for bit
+# the computation registry: each entry is (decode, compute).  compute takes
+# classes and plain values and returns the result as JSON; decode rebuilds
+# its arguments from a step's recorded JSON inputs.  A replay calls compute
+# on the classes it already holds and records their JSON forms as the
+# inputs; verify_certificate alone calls decode.  The two routes meet in the
+# canonical JSON of the result, which also checks the to_json/from_json
+# round trip of every recorded class.
 
 
-def _comp_index(inputs):
-    return {"index": index(from_json(inputs["class"]))}
+def _decode_class(inputs):
+    return (from_json(inputs["class"]),)
 
 
-def _comp_decompose(inputs):
-    u = from_json(inputs["class"])
+def _decode_class_K(inputs):
+    return (from_json_K(inputs["classK"]),)
+
+
+def _comp_index(u):
+    return {"index": index(u)}
+
+
+def _comp_decompose(u):
     C, D = decompose_degree6(u)
     return {
         "C": to_json(C),
@@ -161,29 +154,25 @@ def _comp_decompose(inputs):
     }
 
 
-def _comp_divisibility_filter(inputs):
-    mult, dividing = inputs["multiple_of"], inputs["dividing"]
+def _comp_divisibility_filter(mult, dividing):
     sols = [n for n in range(1, dividing + 1) if dividing % n == 0 and n % mult == 0]
     return {"solutions": sols}
 
 
-def _comp_degree_forced(inputs):
-    mult = inputs["multiple_of"]
-    lo, hi = inputs["min"], inputs["max"]
+def _comp_degree_forced(mult, lo, hi):
     return {"solutions": [d for d in range(lo, hi + 1) if d % mult == 0]}
 
 
-def _comp_corestriction(inputs):
-    u = from_json_K(inputs["classK"])
+def _comp_corestriction(u):
     return to_json(corestriction(u))
 
 
-def _comp_admits_involution(inputs):
-    return {"admits": admits_unitary_involution(from_json_K(inputs["classK"]))}
+def _comp_admits_involution(u):
+    return {"admits": admits_unitary_involution(u)}
 
 
-def _comp_is_split(inputs):
-    return {"split": is_split(from_json(inputs["class"]))}
+def _comp_is_split(u):
+    return {"split": is_split(u)}
 
 
 def lemma_number_check(K, B_class, observed):
@@ -218,14 +207,22 @@ def lemma_number_check(K, B_class, observed):
     return "consistent"
 
 
-def _comp_lemma_number_check(inputs):
-    K = QuadField(inputs["d"])
-    B = from_json_K(inputs["classK"]) if inputs.get("classK") is not None else None
-    return {"verdict": lemma_number_check(K, B, inputs["observed"])}
+def _decode_lemma_number_check(inputs):
+    B = inputs.get("classK")
+    return (QuadField(inputs["d"]), None if B is None else from_json_K(B),
+            inputs["observed"])
 
 
-def _comp_corollary_3or4(inputs):
-    res = corollary_3or4_check(from_json(inputs["A"]), from_json(inputs["A2"]))
+def _comp_lemma_number_check(K, B, observed):
+    return {"verdict": lemma_number_check(K, B, observed)}
+
+
+def _decode_pair(inputs):
+    return from_json(inputs["A"]), from_json(inputs["A2"])
+
+
+def _comp_corollary_3or4(A, A2):
+    res = corollary_3or4_check(A, A2)
     out = {"compatible": res.compatible}
     if res.witness is not None:
         out["witness"] = to_json(res.witness)
@@ -234,15 +231,16 @@ def _comp_corollary_3or4(inputs):
 
 
 COMPUTATIONS = {
-    "index": _comp_index,
-    "decompose_degree6": _comp_decompose,
-    "divisibility_filter": _comp_divisibility_filter,
-    "degree_forced": _comp_degree_forced,
-    "corestriction": _comp_corestriction,
-    "admits_unitary_involution": _comp_admits_involution,
-    "is_split": _comp_is_split,
-    "lemma_number_check": _comp_lemma_number_check,
-    "corollary_3or4_check": _comp_corollary_3or4,
+    "index": (_decode_class, _comp_index),
+    "decompose_degree6": (_decode_class, _comp_decompose),
+    "divisibility_filter": (itemgetter("multiple_of", "dividing"),
+                            _comp_divisibility_filter),
+    "degree_forced": (itemgetter("multiple_of", "min", "max"), _comp_degree_forced),
+    "corestriction": (_decode_class_K, _comp_corestriction),
+    "admits_unitary_involution": (_decode_class_K, _comp_admits_involution),
+    "is_split": (_decode_class, _comp_is_split),
+    "lemma_number_check": (_decode_lemma_number_check, _comp_lemma_number_check),
+    "corollary_3or4_check": (_decode_pair, _comp_corollary_3or4),
 }
 
 
@@ -292,8 +290,10 @@ class ProofCertificate:
         return _canon(self.as_dict())
 
 
-def _verified(statement, computation, inputs):
-    result = COMPUTATIONS[computation](inputs)
+def _verified(statement, computation, inputs, *args):
+    """A VERIFIED step: the computation run on args, the classes and values
+    whose JSON form is inputs."""
+    result = COMPUTATIONS[computation][1](*args)
     return Step(statement=statement, kind="VERIFIED", computation=computation,
                 inputs=inputs, result=result)
 
@@ -305,12 +305,22 @@ def _axiom(statement, key):
 
 
 def verify_certificate(cert):
-    """Re-run every VERIFIED step and compare outputs bit for bit."""
+    """Re-run every VERIFIED step from its recorded JSON inputs and compare
+    the canonical JSON of the result with the recorded one, bit for bit.
+
+    This is the one place a certificate's inputs are decoded; the replays
+    computed on the classes they held.  A step whose inputs the decoders
+    refuse (a tampered class that breaks reciprocity, say) does not verify.
+    """
     for step in cert.steps:
         if step.kind != "VERIFIED":
             continue
-        rerun = COMPUTATIONS[step.computation](step.inputs)
-        if _canon(rerun) != _canon(step.result):
+        decode, compute = COMPUTATIONS[step.computation]
+        try:
+            args = decode(step.inputs)
+        except (Dp6kitError, ValueError):
+            return False
+        if _canon(compute(*args)) != _canon(step.result):
             return False
     return True
 
@@ -501,16 +511,16 @@ def _replay_certificate(title, algebra, steps, refuting):
     )
 
 
-def _common_head(algebra):
-    """The opening steps on the input class, given as its JSON form."""
+def _common_head(A, algebra):
+    """The opening steps on the input class A, whose JSON form is algebra."""
     return [
         _verified("the input class has index 6 (period-index identification "
-                  "recorded below)", "index", {"class": algebra}),
+                  "recorded below)", "index", {"class": algebra}, A),
         _axiom("the index of the input class equals its period",
                "period_index_number_field"),
         _verified("degree-6 factorization: C of degree 2 and D of degree 3 "
                   "with C x D the input class", "decompose_degree6",
-                  {"class": algebra}),
+                  {"class": algebra}, A),
     ]
 
 
@@ -528,11 +538,11 @@ def replay_first_proof(A):
     _, D = decompose_degree6(A)
     D2 = power(D, 2)
     K = QuadField(2)
-    # each input is built once and shared: no computation mutates its inputs
-    algebra = to_json(A)
-    resD = to_json_K(restriction(D, K))
-    res2D = to_json_K(restriction(D2, K))
-    steps = _common_head(algebra)
+    rD, r2D = restriction(D, K), restriction(D2, K)
+    # each JSON input is built once and shared: no computation mutates its inputs
+    algebra, resD, res2D = to_json(A), to_json_K(rD), to_json_K(r2D)
+    observed = {"n_S": 6}
+    steps = _common_head(A, algebra)
     steps += [
         _axiom("assume the splitting dimension is at most 2: the product of "
                "the quaternion and cubic Severi-Brauer varieties admits a "
@@ -551,12 +561,12 @@ def replay_first_proof(A):
                "conic_bundle_quartic_point"),
         _verified("no positive integer is divisible by 6 and divides 4, so "
                   "the conic bundle case is impossible", "divisibility_filter",
-                  {"multiple_of": 6, "dividing": 4}),
+                  {"multiple_of": 6, "dividing": 4}, 6, 4),
         _axiom("for a del Pezzo surface the index divides the degree",
                "dp6_index_divides_degree"),
         _verified("the only degree in 1..9 divisible by 6 is 6: the minimal "
                   "model is a degree-6 del Pezzo surface", "degree_forced",
-                  {"multiple_of": 6, "min": 1, "max": 9}),
+                  {"multiple_of": 6, "min": 1, "max": 9}, 6, 1, 9),
         _axiom("the surface arises from a rank-9 algebra with unitary "
                "involution over a quadratic etale algebra and a cubic etale "
                "subalgebra of symmetric elements", "dp6_triples"),
@@ -567,7 +577,7 @@ def replay_first_proof(A):
         _verified("consistency of the observed data (index 6, nonsplit "
                   "candidates) with the splitting implications, on the "
                   "concrete candidate below", "lemma_number_check",
-                  {"d": 2, "classK": resD, "observed": {"n_S": 6}}),
+                  {"d": 2, "classK": resD, "observed": observed}, K, rD, observed),
         _axiom("the function field tower over the cubic factor is the "
                "function field of a conic; an odd-order class split there "
                "is split already", "conic_kernel_two_torsion"),
@@ -577,17 +587,17 @@ def replay_first_proof(A):
         _axiom("the unitary involution forces the corestriction of the "
                "rank-9 class to vanish", "unitary_involution_corestriction"),
         _verified("corestriction of the first candidate equals twice the "
-                  "cubic class", "corestriction", {"classK": resD}),
+                  "cubic class", "corestriction", {"classK": resD}, rD),
         _verified("corestriction of the second candidate equals the cubic "
-                  "class", "corestriction", {"classK": res2D}),
+                  "class", "corestriction", {"classK": res2D}, r2D),
         _verified("twice the cubic class is not split", "is_split",
-                  {"class": to_json(D2)}),
+                  {"class": to_json(D2)}, D2),
         _verified("the cubic class is not split", "is_split",
-                  {"class": to_json(D)}),
+                  {"class": to_json(D)}, D),
         _verified("neither candidate admits a unitary involution",
-                  "admits_unitary_involution", {"classK": resD}),
+                  "admits_unitary_involution", {"classK": resD}, rD),
         _verified("neither candidate admits a unitary involution (square)",
-                  "admits_unitary_involution", {"classK": res2D}),
+                  "admits_unitary_involution", {"classK": res2D}, r2D),
         _axiom("the splitting dimension is at most 3",
                "cdim_upper_bound"),
     ]
@@ -606,7 +616,7 @@ def replay_second_proof(A):
     _require_index6(A)
     C, D = decompose_degree6(A)
     algebra = to_json(A)
-    steps = _common_head(algebra)
+    steps = _common_head(A, algebra)
     steps += [
         _axiom("assume the splitting dimension is at most 2 for the product "
                "of the two Severi-Brauer varieties", "generic_splitting"),
@@ -620,7 +630,7 @@ def replay_second_proof(A):
         _verified("the degree-2 and degree-3 parts are not simultaneously "
                   "quaternion-like or simultaneously cubic: contradiction "
                   "with an explicit order-6 witness", "corollary_3or4_check",
-                  {"A": to_json(C), "A2": to_json(D)}),
+                  {"A": to_json(C), "A2": to_json(D)}, C, D),
         _axiom("the splitting dimension is at most 3", "cdim_upper_bound"),
     ]
     return _replay_certificate(
@@ -639,7 +649,8 @@ def corollary_cdpgl(replay_cert):
                "central simple algebras with identical splitting behavior",
                "torsor_algebra"),
         _verified("a degree-6 division class exists: the standing witness "
-                  "has index 6", "index", {"class": to_json(DEGREE6_WITNESS)}),
+                  "has index 6", "index", {"class": to_json(DEGREE6_WITNESS)},
+                  DEGREE6_WITNESS),
     ]
     steps += list(replay_cert.steps)
     if replay_cert.contradiction:

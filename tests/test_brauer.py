@@ -428,8 +428,8 @@ def test_q_operations_match_fraction_reference(u, w, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(u=classes(), K=st.sampled_from(FIELDS))
-def test_json_matches_fraction_reference(u, K):
+@given(u=classes(), K=st.sampled_from(FIELDS), Kx=classes_K())
+def test_json_matches_fraction_reference(u, K, Kx):
     a = _view(u)
     want = {"primes": {str(p): str(f) for p, f in sorted(
         (p, f) for p, f in a.items() if p != REAL_PLACE)}}
@@ -444,6 +444,9 @@ def test_json_matches_fraction_reference(u, K):
     assert json.dumps(to_json_K(r)) == json.dumps(want)
     back = from_json_K(json.loads(json.dumps(to_json_K(r))))
     assert back == r and hash(back) == hash(r)
+    _, x = Kx
+    back = from_json_K(json.loads(json.dumps(to_json_K(x))))
+    assert back == x and hash(back) == hash(x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -521,6 +524,158 @@ def test_interning_stays_bounded_and_exact():
         assert brauer._fraction(n % 997, 997) == Fraction(n % 997, 997)
         assert parse_rational(f"{n}/{n + 1}") == Fraction(n, n + 1)
     assert brauer._fraction.cache_info().currsize <= brauer._INTERNED
+
+
+# ---------------------------------------------------------------------------
+# the JSON decoders against the Fraction route: parse_rational for every
+# value, then invariant_vector or invariant_vector_K
+
+
+def _fraction_route(obj):
+    real = parse_rational(obj.get("inf", "0"))
+    return invariant_vector(real, primes_from_json(obj.get("primes", {}), parse_rational))
+
+
+def _fraction_slots(slots):
+    if not isinstance(slots, list):
+        raise Dp6kitError(f"slot invariants must be a JSON array, got {slots!r}")
+    return tuple(parse_rational(f) for f in slots)
+
+
+def _fraction_route_K(obj):
+    K = QuadField(obj.get("d"))
+    real = _fraction_slots(obj.get("inf", [])) or None
+    return invariant_vector_K(K, real,
+                              primes_from_json(obj.get("primes", {}), _fraction_slots))
+
+
+def _outcome(decode, obj):
+    """decode(obj), or the type and message of the exception it raised."""
+    try:
+        return decode(obj)
+    except Exception as exc:  # noqa: BLE001 - every refusal is compared
+        return type(exc), str(exc)
+
+
+def _decoders_agree(decode, reference, obj):
+    want = _outcome(reference, obj)
+    for _ in range(2):  # the second decode may come from the cache
+        got = _outcome(decode, obj)
+        assert got == want
+        assert type(got) is type(want) and hash(got) == hash(want)
+
+
+JSON_VALUES = st.one_of(
+    st.sampled_from(["0", "1/2", "1/3", "2/3", "1/6", "5/6", "-1/2", "7/6", "4/2",
+                     "1/0", "-3/0", "1.5", "x", "", " 1/2 "]),
+    st.builds("{}/{}".format, st.integers(-13, 13), st.integers(-2, 13)),
+    st.integers(-13, 13),
+    st.floats(allow_nan=False, width=16),
+    st.booleans(),
+    st.none(),
+    st.lists(st.sampled_from(["0", "1/2"]), max_size=2),
+    st.just({}),
+)
+PRIME_KEYS = st.sampled_from(["07", "+7", " 13", "13 ", "1_3", "\u0663", "x", "-7",
+                              "0", "1", "4", "9", "2", "3", "23"])
+
+
+def _mutate_primes(draw, primes, value):
+    """Rename, drop or add one prime key of primes, reverse their order, or
+    set one entry to a value drawn from the strategy value."""
+    keys = sorted(primes)
+    op = draw(st.sampled_from(["value", "key", "drop", "add", "reverse"]
+                              if keys else ["add"]))
+    if op == "reverse":  # a JSON object's keys may come in any order
+        items = list(primes.items())[::-1]
+        primes.clear()
+        primes.update(items)
+    elif op == "value":
+        primes[draw(st.sampled_from(keys))] = draw(value)
+    elif op == "key":
+        primes[draw(PRIME_KEYS)] = primes.pop(draw(st.sampled_from(keys)))
+    elif op == "drop":
+        del primes[draw(st.sampled_from(keys))]
+    else:
+        primes[draw(PRIME_KEYS)] = draw(value)
+
+
+@st.composite
+def payloads(draw):
+    """to_json of a class, with up to two changes to its entries."""
+    obj = json.loads(json.dumps(to_json(draw(classes()))))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            obj["inf"] = draw(JSON_VALUES)
+        else:
+            _mutate_primes(draw, obj["primes"], JSON_VALUES)
+    return obj
+
+
+@st.composite
+def payloads_K(draw):
+    """to_json_K of a class over K, with up to two changes: a slot value, a
+    slot list or its length, a prime key, the real slots or d."""
+    obj = json.loads(json.dumps(to_json_K(draw(classes_K())[1])))
+    primes = obj["primes"]
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["slot", "count", "primes", "inf", "d"]))
+        lists = sorted(p for p, s in primes.items() if isinstance(s, list) and s)
+        if op == "slot" and lists:
+            slots = primes[draw(st.sampled_from(lists))]
+            slots[draw(st.integers(0, len(slots) - 1))] = draw(JSON_VALUES)
+        elif op == "count" and lists:
+            slots = primes[draw(st.sampled_from(lists))]
+            if draw(st.booleans()):
+                slots.append(draw(JSON_VALUES))
+            else:
+                slots.pop()
+        elif op == "primes":
+            _mutate_primes(draw, primes, st.one_of(st.lists(JSON_VALUES, max_size=3),
+                                                   JSON_VALUES))
+        elif op == "inf":
+            obj["inf"] = draw(st.one_of(st.lists(JSON_VALUES, max_size=3), JSON_VALUES))
+        else:
+            obj["d"] = draw(st.sampled_from([None, 2, 5, -1, -3, 3, 4, 8, -4, 18, 0, 1,
+                                             True, "2", 2.0]))
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=payloads())
+@example(obj={"primes": {"7": "1/6", "13": "5/6"}})
+@example(obj={"primes": {"13": "5/6", "7": "1/6"}})           # unsorted keys
+@example(obj={"primes": {"07": "1/3", "13": "2/3"}})         # non-canonical key
+@example(obj={"primes": {"7": "1/0", "13": "5/6"}})          # zero denominator
+@example(obj={"inf": 0.5, "primes": {"2": "1/2"}})           # a float
+@example(obj={"inf": True, "primes": {"2": "1/2"}})          # a bool
+@example(obj={"primes": {"7": ["1/2"], "13": "1/2"}})        # a list
+@example(obj={"primes": {"7": "1/3", "13": "1/3"}})          # reciprocity
+@example(obj={"inf": "1/3", "primes": {"3": "2/3"}})         # real place
+@example(obj={"primes": {"4": "1/2", "7": "1/2"}})           # not a prime
+def test_from_json_matches_fraction_route(obj):
+    _decoders_agree(from_json, _fraction_route, obj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=payloads_K())
+@example(obj={"d": 2, "inf": ["0", "0"], "primes": {"7": ["1/3", "1/3"], "13": ["1/3"]}})
+@example(obj={"d": 2, "primes": {"07": ["1/2", "1/2"]}})     # non-canonical key
+@example(obj={"d": 2, "primes": {"7": ["1/0", "0"]}})        # zero denominator
+@example(obj={"d": 2, "primes": {"7": [0.5, "1/2"]}})        # a float
+@example(obj={"d": 2, "primes": {"7": [False, "1/2"]}})      # a bool
+@example(obj={"d": 2, "inf": "0"})                           # slots not a list
+@example(obj={"d": 2, "primes": {"7": "1/2"}})               # slots not a list
+@example(obj={"d": 2, "primes": {"7": ["1/2"], "5": ["1/2"]}})      # slot count
+@example(obj={"d": 2, "inf": ["0"]})                         # real slot count
+@example(obj={"d": 12, "primes": {}})                        # d not squarefree
+@example(obj={"d": 2, "primes": {"5": ["1/3"]}})             # reciprocity
+@example(obj={"d": None, "primes": {"7": ["1/2", "0"], "11": ["0", "1/2"]}})
+@example(obj={"d": -1, "inf": ["1/2"], "primes": {"3": ["1/2"]}})   # complex place
+@example(obj={"d": 2, "primes": {"7": [], "5": ["0"]}})      # empty and zero slots
+@example(obj={"d": 2, "primes": {"13": ["1/3"], "7": ["1/3", "1/3"]}})   # unsorted keys
+def test_from_json_K_matches_fraction_route(obj):
+    _decoders_agree(from_json_K, _fraction_route_K, obj)
 
 
 @settings(max_examples=200, deadline=None)
@@ -605,6 +760,10 @@ HALF = F(1, 2)
                   f"below {PRIME_BOUND}"),
     (lambda: parse_rational(0.5), Dp6kitError,
      "rational must be a JSON string or integer, got 0.5"),
+    (lambda: from_json({"inf": True, "primes": {}}), Dp6kitError,
+     "rational must be a JSON string or integer, got True"),
+    (lambda: from_json_K({"d": 2, "primes": {"7": [1.0, 0]}}), Dp6kitError,
+     "rational must be a JSON string or integer, got 1.0"),
     (lambda: parse_rational("1/0"), Dp6kitError,
      "rational must be a JSON fraction with a nonzero denominator, got '1/0'"),
     (lambda: from_json_K({"d": 2, "inf": "0"}), Dp6kitError,

@@ -185,7 +185,10 @@ def test_is_K_divisible_examples():
 def test_stable_iso_witness():
     M, bound = stable_iso_witness()
     assert M is not None and M.is_unimodular()
-    assert bound <= 3
+    # the first unimodular combination of the search, found at bound 1
+    assert bound == 1
+    assert M == IntMat([[1, 1, 0, 0, -1], [1, 0, 1, 0, -1], [1, 0, 0, 1, -1],
+                        [-1, 0, 0, 0, 1], [-2, -1, -1, -1, 1]])
     left, right = stable_iso_lattices()
     for lbl in hexagon_group().labels:
         assert M * left.action[lbl] == right.action[lbl] * M

@@ -1,4 +1,6 @@
+import copy
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -149,7 +151,8 @@ def test_replay_second_proof():
 ])
 def test_replay_verdict_derived_from_results(monkeypatch, replay, computation,
                                              result):
-    monkeypatch.setitem(COMPUTATIONS, computation, lambda inputs: result)
+    decode, _ = COMPUTATIONS[computation]
+    monkeypatch.setitem(COMPUTATIONS, computation, (decode, lambda *args: result))
     cert = replay(STANDING)
     assert not cert.contradiction
     assert cert.verdict.startswith("no verdict")
@@ -166,11 +169,25 @@ def test_replays_on_corpus():
         assert c2.contradiction and verify_certificate(c2)
 
 
-def test_every_computation_is_emitted_by_a_replay():
+# axioms that no replay cites yet, each with the reason it stays
+UNCITED_AXIOMS = {
+    "rank_one_kernel": "the planned lattice step for minimal del Pezzo surfaces of "
+                       "Picard rank 1 (ROADMAP item 6) cites it",
+}
+
+
+def _all_certificates():
     certs = [replay_first_proof(DEGREE6_WITNESS), replay_second_proof(DEGREE6_WITNESS)]
-    certs += [corollary_cdpgl(cert) for cert in certs]
-    emitted = {s.computation for cert in certs for s in cert.steps if s.kind == "VERIFIED"}
+    return certs + [corollary_cdpgl(cert) for cert in certs]
+
+
+def test_every_computation_is_emitted_by_a_replay():
+    steps = [s for cert in _all_certificates() for s in cert.steps]
+    emitted = {s.computation for s in steps if s.kind == "VERIFIED"}
     assert emitted == set(COMPUTATIONS)
+    cited = {s.axiom for s in steps if s.kind == "AXIOM"}
+    assert cited.isdisjoint(UNCITED_AXIOMS)
+    assert cited | set(UNCITED_AXIOMS) == set(AXIOMS)
 
 
 def test_certificate_tamper_detection():
@@ -183,6 +200,69 @@ def test_certificate_tamper_detection():
             tampered_steps.append(s)
     tampered = replace(cert, steps=tuple(tampered_steps))
     assert not verify_certificate(tampered)
+
+
+def _tamper_inputs(cert, computation, change):
+    """cert with change applied to a copy of the inputs of its first step
+    that runs computation."""
+    steps = list(cert.steps)
+    i = next(i for i, s in enumerate(steps) if s.computation == computation)
+    inputs = copy.deepcopy(steps[i].inputs)
+    change(inputs)
+    steps[i] = replace(steps[i], inputs=inputs)
+    return replace(cert, steps=tuple(steps))
+
+
+def _first_slot_to_one_third(inputs):
+    slots = next(iter(inputs["classK"]["primes"].values()))
+    assert slots[0] != "1/3"
+    slots[0] = "1/3"
+
+
+def _split_class(inputs):
+    inputs["class"] = {"primes": {}}
+
+
+@pytest.mark.parametrize("computation, change", [
+    ("corestriction", _first_slot_to_one_third),   # refused: breaks reciprocity
+    ("is_split", _split_class),                  # decodes, but the result differs
+])
+def test_certificate_input_tamper_detection(computation, change):
+    cert = replay_first_proof(STANDING)
+    assert verify_certificate(cert)
+    assert not verify_certificate(_tamper_inputs(cert, computation, change))
+    # the shared inputs of the original certificate are untouched
+    assert verify_certificate(cert)
+
+
+def test_replays_decode_nothing_and_verify_decodes_each_class_once(monkeypatch):
+    from dp6kit import brauer, proofkit
+    calls = Counter()
+
+    def counted(name, decode):
+        def wrapper(obj):
+            calls[name] += 1
+            return decode(obj)
+        return wrapper
+
+    for name in ("from_json", "from_json_K"):
+        wrapper = counted(name, getattr(brauer, name))
+        for module in (brauer, proofkit):
+            monkeypatch.setattr(module, name, wrapper)
+    certs = [replay(A) for A in (STANDING, *index6_corpus(3, seed=7))
+             for replay in (replay_first_proof, replay_second_proof)]
+    certs += [corollary_cdpgl(cert) for cert in certs]
+    assert not calls
+    inputs = [(key, value) for cert in certs for s in cert.steps if s.kind == "VERIFIED"
+              for key, value in s.inputs.items()]
+    want = Counter()
+    for key, value in inputs:
+        if key in ("class", "A", "A2"):
+            want["from_json"] += 1
+        elif key == "classK" and value is not None:
+            want["from_json_K"] += 1
+    assert all(verify_certificate(cert) for cert in certs)
+    assert calls == want and want["from_json"] and want["from_json_K"]
 
 
 def test_certificate_json_and_transcript():
