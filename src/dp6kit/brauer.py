@@ -11,8 +11,14 @@ so the gcd of the order and all numerators is 1.  The order is then the lcm
 of the local denominators, which over a number field is the Schur index of a
 division class (Albert-Brauer-Hasse-Noether); index() reads it, and
 certificates that rely on the identification record it as an axiom.  Every
-operation works on these integers, and every class, derived ones included,
-is validated on them when it is made.  Fractions appear only at the public
+operation works on these integers.  A class is validated where outside data
+enters: the public constructors, from_json, from_json_K and
+quaternion_class.  The group operations (power, tensor, restriction,
+corestriction, split_components and what is built on them) make classes
+from validated ones without re-checking them, since the group laws keep a
+class valid; tests/test_brauer.py checks that property.  The decoders also
+check the place of every entry, and the slot count of every entry over K,
+before they drop the zero ones.  Fractions appear only at the public
 constructors (InvariantVector, InvariantVectorK, invariant_vector() and
 invariant_vector_K() take them) and at .real and .primes, which return them
 interned by one bounded cache, so equal invariants share one Fraction.  JSON
@@ -110,6 +116,7 @@ class InvariantVector:
         if total % order:
             raise ReciprocityViolation(
                 f"local invariants sum to {Fraction(total % order, order)}, not 0")
+        return self
 
     @property
     def real(self):
@@ -139,8 +146,9 @@ class InvariantVector:
 
 def _vector(order, real, primes):
     """The class with invariant real/order at the real place and n/order at
-    each (p, n) of primes, sorted, 0 <= n < order: zeros dropped, reduced
-    and validated."""
+    each (p, n) of primes, sorted, 0 <= n < order: zeros dropped and
+    reduced, not validated: callers that take outside data call
+    _validate(), which returns the class."""
     primes = [(p, n) for p, n in primes if n]
     g = gcd(order, real, *(n for _, n in primes))
     if g > 1:
@@ -149,18 +157,19 @@ def _vector(order, real, primes):
         primes = [(p, n // g) for p, n in primes]
     u = InvariantVector.__new__(InvariantVector)
     u.order, u._real, u._primes = order, real, tuple(primes)
-    u._validate()
     return u
 
 
 def invariant_vector(real=0, primes=None):
-    """Validated constructor from a real invariant and a prime->fraction map."""
+    """Validated constructor from a real invariant and a prime->fraction map.
+    Every key must be a place, zero entries included."""
     real = frac_mod1(real)
     entries = []
     for p, f in sorted((primes or {}).items()):
+        p = _check_place(int(p))
         f = frac_mod1(f)
         if f:
-            entries.append((int(p), f))
+            entries.append((p, f))
     return InvariantVector(real, tuple(entries))
 
 
@@ -323,7 +332,7 @@ def quaternion_class(a, b):
     bi = _squareclass_int(b)
     candidates = {2} | set(_factor(ai)) | set(_factor(bi))
     primes = [(p, 1) for p in sorted(candidates) if hilbert_symbol(ai, bi, p) == -1]
-    return _vector(2, int(hilbert_symbol(ai, bi, REAL_PLACE) == -1), primes)
+    return _vector(2, int(hilbert_symbol(ai, bi, REAL_PLACE) == -1), primes)._validate()
 
 
 def order3_class(local_data):
@@ -459,9 +468,7 @@ class InvariantVectorK:
             if not p > last:
                 raise ValueError("prime support must be strictly sorted")
             last = p
-            expected = _slot_count(K, p)
-            if len(slots) != expected:
-                raise ValueError(f"place {p} needs {expected} slot(s)")
+            _check_slots(K, p, slots)
             if not any(slots):
                 raise ValueError("support entries must be nonzero somewhere")
             for n in slots:
@@ -476,6 +483,7 @@ class InvariantVectorK:
                 if (real[slot] + sum(s[slot] for _, s in self._primes)) % order:
                     raise ReciprocityViolation(
                         f"factor {slot} of the split algebra violates reciprocity")
+        return self
 
     @property
     def real(self):
@@ -504,8 +512,9 @@ class InvariantVectorK:
 
 def _vector_K(K, order, real, primes):
     """The class over K with slot numerators real and ((p, slots), ...)
-    over order, each in [0, order): places with all slots zero dropped,
-    reduced and validated."""
+    over order, each in [0, order): places with all slots zero dropped and
+    reduced, not validated: callers that take outside data call
+    _validate(), which returns the class."""
     primes = [(p, slots) for p, slots in primes if any(slots)]
     g = gcd(order, *real, *(n for _, slots in primes for n in slots))
     if g > 1:
@@ -514,11 +523,22 @@ def _vector_K(K, order, real, primes):
         primes = [(p, tuple(n // g for n in slots)) for p, slots in primes]
     u = InvariantVectorK.__new__(InvariantVectorK)
     u.K, u.order, u._real, u._primes = K, order, real, tuple(primes)
-    u._validate()
     return u
 
 
+def _check_slots(K, p, slots):
+    """slots, after checking that p is a place of Q with len(slots) slots
+    over K."""
+    expected = _slot_count(K, p)
+    if len(slots) != expected:
+        raise ValueError(f"place {p} needs {expected} slot(s)")
+    return slots
+
+
 def invariant_vector_K(K, real=None, primes=None):
+    """Validated constructor over K from real slots and a prime->slots map.
+    Every key must be a place with the right slot count, zero entries
+    included."""
     if real is None:
         real = (Fraction(0),) * K.real_slots
     real = tuple(frac_mod1(f) for f in real)
@@ -526,9 +546,10 @@ def invariant_vector_K(K, real=None, primes=None):
     for p, slots in sorted((primes or {}).items()):
         if isinstance(slots, (int, Fraction)):
             slots = (slots,)
-        slots = tuple(frac_mod1(f) for f in slots)
+        p = int(p)
+        slots = tuple(frac_mod1(f) for f in _check_slots(K, p, slots))
         if any(slots):
-            entries.append((int(p), slots))
+            entries.append((p, slots))
     return InvariantVectorK(K, real, tuple(entries))
 
 
@@ -644,9 +665,11 @@ def primes_from_json(primes, parse):
 def from_json(obj):
     real_n, real_d = _residue(obj.get("inf", "0"))
     primes = sorted(primes_from_json(obj.get("primes", {}), _residue).items())
+    for p, _ in primes:
+        _check_place(p)
     order = lcm(real_d, *(d for _, (_, d) in primes))
     return _vector(order, real_n * (order // real_d),
-                   [(p, n * (order // d)) for p, (n, d) in primes])
+                   [(p, n * (order // d)) for p, (n, d) in primes])._validate()
 
 
 def to_json_K(u):
@@ -670,7 +693,9 @@ def from_json_K(obj):
     K = QuadField(obj.get("d"))
     real = _slots_json(obj.get("inf", [])) or [(0, 1)] * K.real_slots
     primes = sorted(primes_from_json(obj.get("primes", {}), _slots_json).items())
+    for p, slots in primes:
+        _check_slots(K, p, slots)
     order = lcm(*(d for _, d in real), *(d for _, slots in primes for _, d in slots))
     return _vector_K(K, order, tuple(n * (order // d) for n, d in real),
                      [(p, tuple(n * (order // d) for n, d in slots))
-                      for p, slots in primes])
+                      for p, slots in primes])._validate()

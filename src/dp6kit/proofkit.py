@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .brauer import (InvariantVector, InvariantVectorK, QuadField,
@@ -244,8 +245,8 @@ COMPUTATIONS = {
 }
 
 
-def _canon(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# canonical JSON text: sorted keys, no spaces; one encoder for every call
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,10 @@ def _verified(statement, computation, inputs, *args):
                 inputs=inputs, result=result)
 
 
+@lru_cache(maxsize=None)
 def _axiom(statement, key):
+    """The AXIOM step citing key; the replays cite a fixed set, so each
+    (statement, key) is one shared frozen Step."""
     if key not in AXIOMS:
         raise KeyError(f"unknown axiom {key}")
     return Step(statement=statement, kind="AXIOM", axiom=key)

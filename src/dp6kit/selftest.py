@@ -279,12 +279,14 @@ def crit_hexagon_suite():
 
 
 def crit_stable_iso():
-    """5: unimodular intertwiner for Pic + Z vs Z[L/F] + Z[K/F], full group."""
+    """5: unimodular intertwiner for Pic + Z vs Z[L/F] + Z[K/F], full group;
+    the search must find the matrix the hexagon reports check,
+    hexagon.STABLE_ISO_WITNESS."""
     M, bound = hexagon.stable_iso_witness()
     if M is None:
         return False, {"found": False, "bound": bound}
     left, right = hexagon.stable_iso_lattices()
-    ok = M.is_unimodular()
+    ok = M.is_unimodular() and M.data == hexagon.STABLE_ISO_WITNESS
     for lbl in hexagon.hexagon_group().labels:
         if M * left.action[lbl] != right.action[lbl] * M:
             ok = False

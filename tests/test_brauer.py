@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -470,6 +470,43 @@ def test_k_operations_match_fraction_reference(u, Kx):
 
 
 # ---------------------------------------------------------------------------
+# the group operations keep a class valid: they build their results without
+# _validate(), which every result must still pass
+
+REAL_FIELDS = [K for K in FIELDS if not K.is_split and K.d > 0]
+IMAGINARY_FIELDS = [K for K in FIELDS if not K.is_split and K.d < 0]
+
+
+def _valid(u):
+    assert u._validate() is u
+    return u
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), w=classes(), n=st.integers(-13, 13), Kx=classes_K(),
+       K_real=st.sampled_from(REAL_FIELDS), K_imaginary=st.sampled_from(IMAGINARY_FIELDS))
+def test_group_operations_keep_classes_valid(u, w, n, Kx, K_real, K_imaginary):
+    _valid(power(u, n))
+    _valid(inverse(u))
+    _valid(tensor(u, w))
+    for t in chatelet_kernel(u):
+        _valid(t)
+    # a power of u whose order divides 6
+    for t in decompose_degree6(power(u, order(u) // gcd(order(u), 6))):
+        _valid(t)
+    for K in (QuadField.split(), K_real, K_imaginary):
+        _valid(corestriction(_valid(restriction(u, K))))
+    for x in (restriction(u, QuadField.split()), split_pair_K(u, w)):
+        for c in split_components(x):
+            _valid(c)
+    K, x = Kx
+    _valid(corestriction(x))
+    if K.is_split:
+        for c in split_components(x):
+            _valid(c)
+
+
+# ---------------------------------------------------------------------------
 # the interned invariants against plain Fraction
 
 
@@ -653,6 +690,7 @@ def payloads_K(draw):
 @example(obj={"primes": {"7": "1/3", "13": "1/3"}})          # reciprocity
 @example(obj={"inf": "1/3", "primes": {"3": "2/3"}})         # real place
 @example(obj={"primes": {"4": "1/2", "7": "1/2"}})           # not a prime
+@example(obj={"primes": {"4": "0", "1": "3/3"}})             # zeros at non-places
 def test_from_json_matches_fraction_route(obj):
     _decoders_agree(from_json, _fraction_route, obj)
 
@@ -674,6 +712,8 @@ def test_from_json_matches_fraction_route(obj):
 @example(obj={"d": -1, "inf": ["1/2"], "primes": {"3": ["1/2"]}})   # complex place
 @example(obj={"d": 2, "primes": {"7": [], "5": ["0"]}})      # empty and zero slots
 @example(obj={"d": 2, "primes": {"13": ["1/3"], "7": ["1/3", "1/3"]}})   # unsorted keys
+@example(obj={"d": 2, "primes": {"7": ["0", "0", "0"], "4": ["0"]}})    # zero entries
+@example(obj={"d": 2, "primes": {"7": []}})                  # an empty slot list
 def test_from_json_K_matches_fraction_route(obj):
     _decoders_agree(from_json_K, _fraction_route_K, obj)
 
@@ -783,6 +823,24 @@ def test_validation_path(make, exc, message):
     with pytest.raises(exc) as info:
         make()
     assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: from_json({"primes": {"4": "0", "1": "3/3"}}), "not a place of Q: 1"),
+    (lambda: invariant_vector(0, {7: F(0), 9: F(1)}), "not a place of Q: 9"),
+    (lambda: from_json_K({"d": 2, "primes": {"7": ["0", "0", "0"], "4": ["0"]}}),
+     "not a place of Q: 4"),
+    (lambda: invariant_vector_K(KS, None, {4: (F(0), F(0))}), "not a place of Q: 4"),
+    (lambda: from_json_K({"d": 2, "primes": {"7": ["0", "0", "0"]}}),
+     "place 7 needs 2 slot(s)"),
+    (lambda: from_json_K({"d": 2, "primes": {"7": []}}), "place 7 needs 2 slot(s)"),
+    (lambda: invariant_vector_K(K2, None, {5: (F(0), F(0))}), "place 5 needs 1 slot(s)"),
+], ids=["from_json", "invariant_vector", "from_json_K-place", "invariant_vector_K-place",
+        "from_json_K-slots", "from_json_K-empty", "invariant_vector_K-slots"])
+def test_zero_entries_are_checked_before_they_are_dropped(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_real_slots():

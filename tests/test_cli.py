@@ -192,6 +192,24 @@ def test_prime_named_twice_or_not_canonically_is_refused(capsys, argv, message):
                                "message": message}
 
 
+# entries that are zero are checked like any other: a key that names no
+# place, or a slot list of the wrong length, is refused
+@pytest.mark.parametrize("argv, message", [
+    (["brauer", "index", '{"primes":{"4":"0","1":"3/3"}}'], "not a place of Q: 1"),
+    (["brauer", "corestriction",
+      '{"classK":{"d":2,"primes":{"7":["0","0","0"],"4":["0"]}}}'], "not a place of Q: 4"),
+    (["brauer", "corestriction", '{"classK":{"d":2,"primes":{"7":["0","0","0"]}}}'],
+     "place 7 needs 2 slot(s)"),
+    (["brauer", "involution", '{"classK":{"d":2,"primes":{"7":[]}}}'],
+     "place 7 needs 2 slot(s)"),
+], ids=["index", "corestriction-place", "corestriction-slots", "involution-empty"])
+def test_zero_entries_are_checked_before_they_are_dropped(capsys, argv, message):
+    code, out = _run(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"schema": "dp6kit/1", "error": "ValueError",
+                               "message": message}
+
+
 MERSENNE_61 = str(2**61 - 1)
 
 
@@ -433,6 +451,25 @@ def test_q_side_stdout_matches_recorded_digest(capsys):
     assert len({op for op, _ in _BRAUER_PAYLOADS}) == 13  # every brauer op
     assert len(_Q_SIDE_COMMANDS) == 52
     assert digest.hexdigest() == _Q_SIDE_STDOUT_SHA256
+
+
+# sha256 of `hexagon --all-subgroups` stdout, and of the concatenated stdout
+# of `hexagon --subgroup 0` .. `--subgroup 15`.  Update them only together
+# with a declared stdout change.
+_HEXAGON_ALL_STDOUT_SHA256 = "294ad43fbe8f2eed8011833a11a430115cc254b517093cae4674e40834ebe67a"
+_HEXAGON_EACH_STDOUT_SHA256 = "1e8710d68314643e32debf1a6ae5ccdcfeaf1f6583d493ce77ed5408a509fee0"
+
+
+def test_hexagon_stdout_matches_recorded_digests(capsys):
+    code, out = _run(capsys, ["hexagon", "--all-subgroups"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _HEXAGON_ALL_STDOUT_SHA256
+    digest = hashlib.sha256()
+    for index in range(16):
+        code, out = _run(capsys, ["hexagon", "--subgroup", str(index)])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == _HEXAGON_EACH_STDOUT_SHA256
 
 
 # ---------------------------------------------------------------------------

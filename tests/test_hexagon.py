@@ -2,6 +2,7 @@ import json
 
 from lattice_checks import check_action, check_equivariant, check_group
 
+from dp6kit import hexagon, intlattice
 from dp6kit.hexagon import (ALL_AUTS, K_CLASS, LINE_LABELS, HexAut,
                             all_subgroup_reports, aut_from_label,
                             divisor_map, divisor_matrix, first_sequence,
@@ -192,6 +193,22 @@ def test_stable_iso_witness():
     left, right = stable_iso_lattices()
     for lbl in hexagon_group().labels:
         assert M * left.action[lbl] == right.action[lbl] * M
+    # the reports check this recorded copy
+    assert M.data == hexagon.STABLE_ISO_WITNESS
+
+
+def test_reports_check_the_recorded_witness_without_searching(monkeypatch):
+    def no_search(L1, L2):
+        raise AssertionError("a report ran the stable-isomorphism search")
+    monkeypatch.setattr(intlattice, "equivariant_iso_search", no_search)
+    assert all(r["stable_iso_found"] for r in all_subgroup_reports())
+    # twice the witness intertwines but is not unimodular
+    twice = tuple(tuple(2 * x for x in row) for row in hexagon.STABLE_ISO_WITNESS)
+    monkeypatch.setattr(hexagon, "STABLE_ISO_WITNESS", twice)
+    assert [r["stable_iso_found"] for r in all_subgroup_reports()] == [False] * 16
+    # the identity is unimodular but intertwines only over the trivial subgroup
+    monkeypatch.setattr(hexagon, "STABLE_ISO_WITNESS", IntMat.identity(5).data)
+    assert [r["stable_iso_found"] for r in all_subgroup_reports()] == [True] + [False] * 15
 
 
 def test_subgroup_reports():

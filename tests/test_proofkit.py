@@ -16,7 +16,7 @@ from dp6kit.proofkit import (AXIOMS, COMPUTATIONS, DEGREE6_WITNESS,
                              corollary_3or4_check, corollary_cdpgl,
                              kernel_shapes, lemma_number_check, replay_first_proof,
                              replay_second_proof, transcript,
-                             verify_certificate)
+                             verify_certificate, _axiom)
 from dp6kit.selftest import index6_corpus, random_surface_case
 
 F = Fraction
@@ -273,6 +273,17 @@ def test_certificate_json_and_transcript():
     assert parsed["steps"][0]["kind"] == "VERIFIED"
     text = transcript(cert)
     assert "[AXIOM]" in text and "[VERIFIED]" in text and "verdict" in text
+    # the shared encoder writes what json.dumps writes
+    assert blob == json.dumps(cert.as_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def test_axiom_steps_are_shared_and_unknown_keys_refused():
+    first, second = replay_first_proof(STANDING), replay_first_proof(STANDING)
+    axioms = [(a, b) for a, b in zip(first.steps, second.steps) if a.kind == "AXIOM"]
+    assert axioms and all(a is b for a, b in axioms)
+    for _ in range(2):  # a refusal is not remembered as an answer
+        with pytest.raises(KeyError):
+            _axiom("a statement", "no_such_axiom")
 
 
 def test_corollary_cdpgl():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from dp6kit import dp6, selftest
+from dp6kit import dp6, hexagon, selftest
 from dp6kit.brauer import hilbert_symbol, index
 
 
@@ -61,3 +61,12 @@ def test_random_reciprocal_vector_valid():
         u = selftest.random_reciprocal_vector(rng)
         total = u.real + sum((f for _, f in u.primes), Fraction(0))
         assert total.denominator == 1
+
+
+def test_criterion_5_requires_the_recorded_witness(monkeypatch):
+    M, bound = hexagon.stable_iso_witness()
+    assert selftest.crit_stable_iso()[0]
+    # -M is a unimodular intertwiner too, but not the matrix the reports check
+    monkeypatch.setattr(hexagon, "stable_iso_witness", lambda: (-M, bound))
+    ok, detail = selftest.crit_stable_iso()
+    assert not ok and detail["unimodular"]
