@@ -47,6 +47,8 @@ class _FiniteQuadExt:
         self.zero = self.K.zero
         self.one = self.K.one
         self.delta = self._pick_delta()
+        # 1 / (delta - conj delta), which coords divides by
+        self._dd_inv = (self.delta - self.conj(self.delta)).inverse()
 
     def _pick_delta(self):
         # smallest-code element with a nontrivial conjugate; together with 1
@@ -69,8 +71,7 @@ class _FiniteQuadExt:
     def coords(self, z):
         """(u, v) in F with z = u + v * delta, via the conjugate trick:
         v = (z - conj z) / (delta - conj delta), then u = z - v delta."""
-        dd = self.delta - self.conj(self.delta)
-        vk = (z - self.conj(z)) * dd.inverse()
+        vk = (z - self.conj(z)) * self._dd_inv
         uk = z - vk * self.delta
         return (retract(uk, self.F), retract(vk, self.F))
 

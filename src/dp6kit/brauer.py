@@ -24,7 +24,13 @@ invariant_vector_K() take them) and at .real and .primes, which return them
 interned by one bounded cache, so equal invariants share one Fraction.  JSON
 goes straight to and from the integers: from_json and from_json_K decode
 each JSON rational to (n mod d, d) through one bounded cache, and to_json
-and to_json_K format n/order through another.
+and to_json_K format n/order through another.  Classes are interned too:
+from_json and from_json_K keep one bounded cache of validated classes,
+keyed by the exact content of the payload, so a payload seen before is not
+decoded or validated again.  Only payloads whose invariants are all JSON
+strings (and, over K, lists of them, with an int d) are keyed, with their
+types checked exactly; any other payload is decoded each time, and a
+refused payload is refused each time, with the same error.
 """
 
 from __future__ import annotations
@@ -49,7 +55,9 @@ _TRIAL_BOUND = 1000
 _RHO_BLOCK = 128
 
 # Entries each cache below keeps.  A pass over the proof-lattice benchmark
-# corpus makes some 40 000 lookups of 18 distinct invariants and 12 places.
+# corpus makes some 40 000 lookups of 18 distinct invariants and 12 places,
+# and decodes 2400 class payloads, 308 of them proofkit's DEGREE6_WITNESS,
+# with 539 distinct payloads among them.
 _INTERNED = 1024
 
 # Fraction(n, d) or Fraction(text) for ints n, d or a JSON string; typed,
@@ -662,7 +670,50 @@ def primes_from_json(primes, parse):
     return out
 
 
+# Validated classes by the exact content of their JSON payload (see
+# _INTERNED for how often a payload repeats).
+_classes = {}
+
+
+def _interned(decode, key, obj):
+    """decode(obj), remembered under key, the exact content of obj.  A
+    payload with no key (None) takes the uncached route, and a refusal
+    raises each time: it is never remembered.  The oldest entry goes once
+    _INTERNED are kept."""
+    if key is None:
+        return decode(obj)
+    u = _classes.get(key)
+    if u is None:
+        u = decode(obj)
+        if len(_classes) >= _INTERNED:
+            del _classes[next(iter(_classes))]
+        _classes[key] = u
+    return u
+
+
+def _json_key(obj):
+    """The exact content of a class payload over Q whose invariants are
+    all JSON strings, as a hashable key; None for any other payload.  The
+    types are checked exactly, since 1, True and 1.0 are equal keys."""
+    if type(obj) is not dict:
+        return None
+    inf, primes = obj.get("inf", "0"), obj.get("primes", {})
+    if type(inf) is not str or type(primes) is not dict:
+        return None
+    items = tuple(primes.items())
+    for p, f in items:
+        if type(p) is not str or type(f) is not str:
+            return None
+    return inf, items
+
+
 def from_json(obj):
+    """The validated class of a JSON payload {"inf": .., "primes": {..}};
+    each distinct payload of string invariants is decoded once."""
+    return _interned(_from_json, _json_key(obj), obj)
+
+
+def _from_json(obj):
     real_n, real_d = _residue(obj.get("inf", "0"))
     primes = sorted(primes_from_json(obj.get("primes", {}), _residue).items())
     for p, _ in primes:
@@ -689,7 +740,35 @@ def _slots_json(slots):
     return [_residue(f) for f in slots]
 
 
+def _json_key_K(obj):
+    """The exact content of a class payload over K with an int d and every
+    invariant in a list of JSON strings, as a hashable key (a 3-tuple, so
+    never equal to a _json_key); None for any other payload."""
+    if type(obj) is not dict:
+        return None
+    d, inf, primes = obj.get("d"), obj.get("inf", []), obj.get("primes", {})
+    if type(d) is not int or type(primes) is not dict:
+        return None
+    for p in primes:
+        if type(p) is not str:
+            return None
+    for values in (inf, *primes.values()):
+        if type(values) is not list:
+            return None
+        for f in values:
+            if type(f) is not str:
+                return None
+    return d, tuple(inf), tuple([(p, tuple(slots)) for p, slots in primes.items()])
+
+
 def from_json_K(obj):
+    """The validated class over K of a JSON payload {"d": .., "inf": [..],
+    "primes": {..}}; each distinct payload of string invariants is decoded
+    once."""
+    return _interned(_from_json_K, _json_key_K(obj), obj)
+
+
+def _from_json_K(obj):
     K = QuadField(obj.get("d"))
     real = _slots_json(obj.get("inf", [])) or [(0, 1)] * K.real_slots
     primes = sorted(primes_from_json(obj.get("primes", {}), _slots_json).items())

@@ -28,7 +28,6 @@ algebra over any of these fields (elements only need +, -, *, / and ==).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -389,10 +388,12 @@ _FF_RE = re.compile(r"^\[([0-9,\s]*)\]@(\d+)\^(\d+)$")
 
 
 def format_element(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, FFElem):
         return "[" + ",".join(str(c) for c in x.coeffs) + f"]@{x.field.p}^{x.field.k}"
+    # rationals only: a surface command never loads fractions
+    from fractions import Fraction
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
     raise FieldMismatch(f"cannot serialize {x!r}")
 
 
@@ -403,6 +404,7 @@ def parse_element(s):
         coeffs = [int(c) for c in m.group(1).split(",")] if m.group(1).strip() else []
         field = GF(int(m.group(2)), int(m.group(3)))
         return field.elem(coeffs)
+    from fractions import Fraction
     return Fraction(s)
 
 

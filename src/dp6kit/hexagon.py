@@ -171,7 +171,7 @@ def _perm_lattice(basis, image):
         rows = [[0] * len(basis) for _ in basis]
         for j, b in enumerate(basis):
             rows[index[image(g, b)]][j] = 1
-        action[lbl] = IntMat(rows)
+        action[lbl] = IntMat.trusted(rows, len(basis), len(basis))
     return GLattice(len(basis), G, action)
 
 
@@ -240,7 +240,7 @@ def t_hat(subgroup=None):
 
 def _zero_lattice(G):
     from .intlattice import GLattice, IntMat
-    return GLattice(0, G, {g: IntMat([], rows=0, cols=0) for g in G.labels})
+    return GLattice(0, G, {g: IntMat.trusted((), 0, 0) for g in G.labels})
 
 
 def first_sequence(subgroup=None):

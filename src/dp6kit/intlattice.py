@@ -19,7 +19,15 @@ from .errors import CompositionMismatch, InvariantViolation
 
 
 class IntMat:
-    """Immutable integer matrix, row-major tuple of tuples."""
+    """Immutable integer matrix, row-major tuple of tuples.
+
+    IntMat(data) is the checking constructor, for data from outside the
+    package (a CLI lattice payload, a caller's rows): it converts every
+    entry with int() and refuses ragged rows.  IntMat.trusted(data, rows,
+    cols) takes rows of ints the package computed itself (products, sums,
+    transposes, identities, normal forms, kernels, hexagon's action
+    matrices) as they are, with their shape.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -36,13 +44,20 @@ class IntMat:
         self.data = data
 
     @staticmethod
+    def trusted(data, rows, cols):
+        """The rows x cols matrix on data, rows of ints that the package
+        computed, taken without int() or the ragged check."""
+        m = IntMat.__new__(IntMat)
+        m.data, m.rows, m.cols = tuple(map(tuple, data)), rows, cols
+        return m
+
+    @staticmethod
     def identity(n):
-        return IntMat([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                      rows=n, cols=n)
+        return IntMat.trusted(_identity_rows(n), n, n)
 
     @staticmethod
     def zeros(r, c):
-        return IntMat([[0] * c for _ in range(r)], rows=r, cols=c)
+        return IntMat.trusted([(0,) * c] * r, r, c)
 
     def __mul__(self, other):
         if isinstance(other, IntMat):
@@ -51,22 +66,27 @@ class IntMat:
                     f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
             out = [[sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
                     for j in range(other.cols)] for i in range(self.rows)]
-            return IntMat(out, rows=self.rows, cols=other.cols)
+            return IntMat.trusted(out, self.rows, other.cols)
+        # a scalar from the caller: the checking constructor
         return IntMat([[other * x for x in row] for row in self.data],
                       rows=self.rows, cols=self.cols)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return IntMat([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)],
-                      rows=self.rows, cols=self.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise CompositionMismatch(
+                f"shape mismatch {self.rows}x{self.cols} + {other.rows}x{other.cols}")
+        return IntMat.trusted([[a + b for a, b in zip(r1, r2)]
+                               for r1, r2 in zip(self.data, other.data)],
+                              self.rows, self.cols)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self + -other
 
     def __neg__(self):
-        return (-1) * self
+        return IntMat.trusted([[-x for x in row] for row in self.data],
+                              self.rows, self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, IntMat) and other.rows == self.rows
@@ -76,8 +96,8 @@ class IntMat:
         return hash((self.rows, self.cols, self.data))
 
     def transpose(self):
-        return IntMat([[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], rows=self.cols, cols=self.rows)
+        return IntMat.trusted([[self.data[i][j] for i in range(self.rows)]
+                               for j in range(self.cols)], self.cols, self.rows)
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -125,9 +145,17 @@ def _bareiss_det(m):
     return sign * m[n - 1][n - 1]
 
 
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def mat_from_columns(cols, nrows):
-    return IntMat([[c[i] for c in cols] for i in range(nrows)],
-                  rows=nrows, cols=len(cols))
+    """The nrows x len(cols) matrix with the int columns cols."""
+    return IntMat.trusted([[c[i] for c in cols] for i in range(nrows)],
+                          nrows, len(cols))
 
 
 def smith_normal_form(M):
@@ -136,9 +164,9 @@ def smith_normal_form(M):
     A = [list(r) for r in M.data] or [[0] * M.cols for _ in range(M.rows)]
     nr, nc = M.rows, M.cols
     if nr == 0 or nc == 0:
-        return (IntMat([], rows=nr, cols=nc), IntMat.identity(nr), IntMat.identity(nc))
-    U = IntMat.identity(nr).to_lists()
-    V = IntMat.identity(nc).to_lists()
+        return (IntMat.trusted((), nr, nc), IntMat.identity(nr), IntMat.identity(nc))
+    U = _identity_rows(nr)
+    V = _identity_rows(nc)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
@@ -220,8 +248,8 @@ def smith_normal_form(M):
                         A[t] = [-x for x in A[t]]
                         U[t] = [-x for x in U[t]]
                 changed = True
-    return (IntMat(A, rows=nr, cols=nc), IntMat(U, rows=nr, cols=nr),
-            IntMat(V, rows=nc, cols=nc))
+    return (IntMat.trusted(A, nr, nc), IntMat.trusted(U, nr, nr),
+            IntMat.trusted(V, nc, nc))
 
 
 def snf_diagonal(M):
@@ -236,7 +264,7 @@ def row_hnf(M):
     A = [list(r) for r in M.data]
     nr, nc = M.rows, M.cols
     if nr == 0 or nc == 0:
-        return IntMat([], rows=0, cols=nc)
+        return IntMat.trusted((), 0, nc)
     r = 0
     for c in range(nc):
         # gcd the column below r into one entry
@@ -265,8 +293,8 @@ def row_hnf(M):
             r += 1
             if r == nr:
                 break
-    rows = [tuple(row) for row in A[:r] if any(row)]
-    return IntMat(rows, rows=len(rows), cols=nc)
+    rows = [row for row in A[:r] if any(row)]
+    return IntMat.trusted(rows, len(rows), nc)
 
 
 def column_span_canonical(M):
@@ -284,8 +312,8 @@ def kernel_basis(M):
     rank = sum(1 for i in range(n) if S.data[i][i])
     cols = [V.col(j) for j in range(rank, M.cols)]
     if not cols:
-        return IntMat([], rows=M.cols, cols=0)
-    canon = row_hnf(IntMat([list(c) for c in cols]))
+        return IntMat.trusted((), M.cols, 0)
+    canon = row_hnf(IntMat.trusted(cols, len(cols), M.cols))
     return canon.transpose()
 
 
@@ -416,7 +444,7 @@ class GLattice:
             a, b = self.action[g], other.action[g]
             rows = [list(a.data[i]) + [0] * m for i in range(n)]
             rows += [[0] * n + list(b.data[i]) for i in range(m)]
-            act[g] = IntMat(rows, rows=n + m, cols=n + m)
+            act[g] = IntMat.trusted(rows, n + m, n + m)
         return GLattice(n + m, self.group, act)
 
 
@@ -460,7 +488,7 @@ def fixed_submodule(L, G):
         rows.extend(diff.to_lists())
     if not rows:
         return IntMat.identity(L.rank)
-    return kernel_basis(IntMat(rows))
+    return kernel_basis(IntMat.trusted(rows, len(rows), L.rank))
 
 
 def fixed_rank_by_traces(L, G):
@@ -525,8 +553,7 @@ def h1(L, G):
                     row = [a - b for a, b in zip(r1, r2)]
                     if any(row):
                         constraint_rows.append(row)
-    Z = kernel_basis(IntMat(constraint_rows) if constraint_rows
-                     else IntMat([], rows=0, cols=nm))
+    Z = kernel_basis(IntMat.trusted(constraint_rows, len(constraint_rows), nm))
     if Z.cols == 0:
         return []
     # coboundary generators: m_g = (g - 1) x for x in standard basis of L
@@ -584,7 +611,7 @@ def equivariant_iso_search(L1, L2):
                         if coeff:
                             row[a * n + b] += coeff
                 rows.append(row)
-    basis = kernel_basis(IntMat(rows) if rows else IntMat([], rows=0, cols=n * n))
+    basis = kernel_basis(IntMat.trusted(rows, len(rows), n * n))
     if basis.cols == 0:
         return None, 0
     # identity first when available, then combinations by growing sup-norm
@@ -605,5 +632,5 @@ def equivariant_iso_search(L1, L2):
                 continue
             vec = list(map(sum, zip(*(s[c] for s, c in zip(scaled, combo) if c))))
             if abs(_bareiss_det([vec[i:i + n] for i in range(0, nn, n)])) == 1:
-                return IntMat([vec[i:i + n] for i in range(0, nn, n)]), b
+                return IntMat.trusted([vec[i:i + n] for i in range(0, nn, n)], n, n), b
     return None, ISO_SEARCH_BOUND

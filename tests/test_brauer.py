@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -561,6 +562,10 @@ def test_interning_stays_bounded_and_exact():
         assert brauer._fraction(n % 997, 997) == Fraction(n % 997, 997)
         assert parse_rational(f"{n}/{n + 1}") == Fraction(n, n + 1)
     assert brauer._fraction.cache_info().currsize <= brauer._INTERNED
+    for n in range(3 * brauer._INTERNED):
+        assert from_json({"primes": {"7": f"{n}/2", "13": f"{n + 2}/2"}}) == \
+            invariant_vector(0, {7: F(n, 2), 13: F(n, 2)})
+    assert len(brauer._classes) <= brauer._INTERNED
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +721,56 @@ def test_from_json_matches_fraction_route(obj):
 @example(obj={"d": 2, "primes": {"7": []}})                  # an empty slot list
 def test_from_json_K_matches_fraction_route(obj):
     _decoders_agree(from_json_K, _fraction_route_K, obj)
+
+
+# ---------------------------------------------------------------------------
+# the class cache of from_json and from_json_K: a payload that differs from a
+# cached valid one only in the JSON type of one entry (1, true or 1.0 for
+# "1"; a tuple for a list; 2.0 for d = 2) is decoded or refused as the
+# uncached route does it, though Python finds those values equal
+
+
+def _retyped(value):
+    """value, then the values that differ from it only in type."""
+    if isinstance(value, list):
+        return [value, tuple(value)]
+    if isinstance(value, int):
+        return [value, float(value)]
+    return [value, int(value), bool(int(value)), float(value)]
+
+
+@st.composite
+def retyped_payloads(draw):
+    """(decoder, its uncached route, payloads): a valid payload, then copies
+    that differ from it only in the type of one entry, the valid ones first.
+    Over Q the entry is an extra zero invariant, "0" or "1", at the real
+    place or at 23; over K it is d, the real slots or one place's slots."""
+    if draw(st.booleans()):
+        decode, uncached = from_json, brauer._from_json
+        obj = to_json(draw(classes()))
+        entry = draw(st.sampled_from(["0", "1"]))
+        at = obj if "inf" not in obj and draw(st.booleans()) else obj["primes"]
+        key = "inf" if at is obj else "23"
+    else:
+        decode, uncached = from_json_K, brauer._from_json_K
+        obj = to_json_K(draw(classes_K())[1])
+        fields = ["inf"] + (["d"] if obj["d"] is not None else [])
+        choice = draw(st.sampled_from(fields + sorted(obj["primes"])))
+        at, key = (obj, choice) if choice in fields else (obj["primes"], choice)
+        entry = at[key]
+    payloads = []
+    for value in _retyped(entry):
+        at[key] = value
+        payloads.append(copy.deepcopy(obj))
+    return decode, uncached, payloads
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=retyped_payloads())
+def test_interned_decoders_keep_json_types_apart(case):
+    decode, uncached, payloads = case
+    for obj in payloads:
+        _decoders_agree(decode, uncached, obj)
 
 
 @settings(max_examples=200, deadline=None)

@@ -102,6 +102,13 @@ def test_cli_import_leaves_numpy_unloaded():
     assert _loaded_by_cli_import(["numpy"]) == "[]"
 
 
+def test_surface_commands_leave_fractions_unloaded():
+    commands = [["surface", "build", "--model", "split", "--q", "2"],
+                ["surface", "frobenius", "--model", "kinert-l3", "--q", "2"],
+                ["surface", "check-zeta", "--model", "ksplit-l21", "--q", "2"]]
+    assert _loaded_by_cli_import(["fractions"], commands) == "[]"
+
+
 def test_surface_counts_leave_numpy_unloaded():
     commands = [["surface", "count", "--model", "kinert-l21", "--q", "2"],
                 ["surface", "check-zeta", "--model", "split", "--q", "3"]]

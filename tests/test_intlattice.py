@@ -62,6 +62,44 @@ def test_snf_invariants_under_hypothesis(rows):
     check_snf(rows)
 
 
+def _matrices(rows, cols):
+    """rows x cols integer matrices, built through the checking constructor."""
+    return st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: IntMat(data, rows=rows, cols=cols))
+
+
+def _check_built(m):
+    """m holds tuple rows of ints of its shape, and equals the matrix the
+    checking constructor builds on its data.  A matrix with no columns may
+    leave its rows implicit, data (), as IntMat([], rows=n, cols=0) does."""
+    assert type(m.data) is tuple
+    assert len(m.data) == m.rows or (m.data == () and m.cols == 0)
+    for row in m.data:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(x) is int for x in row)
+    assert m == IntMat(m.data, rows=m.rows, cols=m.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_built_matrices_are_int_tuples_of_their_shape(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A, A2 = data.draw(_matrices(r, k)), data.draw(_matrices(r, k))
+    B = data.draw(_matrices(k, c))
+    S, U, V = smith_normal_form(A)
+    for m in (A * B, 3 * A, A + A2, A - A2, -A, A.transpose(), IntMat.identity(r),
+              IntMat.zeros(r, k), S, U, V, row_hnf(A), kernel_basis(A)):
+        _check_built(m)
+
+
+def test_sum_of_different_shapes_is_refused():
+    with pytest.raises(CompositionMismatch):
+        IntMat([[1, 2]]) + IntMat([[1], [2]])
+    with pytest.raises(CompositionMismatch):
+        IntMat([[1, 2]]) - IntMat([[1, 2, 3]])
+
+
 def test_kernel_examples():
     assert kernel_basis(IntMat.identity(3)).cols == 0
     kb = kernel_basis(IntMat([[1, 1]]))
