@@ -11,26 +11,28 @@ so the gcd of the order and all numerators is 1.  The order is then the lcm
 of the local denominators, which over a number field is the Schur index of a
 division class (Albert-Brauer-Hasse-Noether); index() reads it, and
 certificates that rely on the identification record it as an axiom.  Every
-operation works on these integers.  A class is validated where outside data
-enters: the public constructors, from_json, from_json_K and
-quaternion_class.  The group operations (power, tensor, restriction,
-corestriction, split_components and what is built on them) make classes
-from validated ones without re-checking them, since the group laws keep a
-class valid; tests/test_brauer.py checks that property.  The decoders also
+operation works on these integers.
+
+There is one way into a class from outside data, and it is validated there:
+from_json and from_json_K decode a JSON payload, and quaternion_class and
+order3_class build the classes the CLI names by their data.  The decoders
 check the place of every entry, and the slot count of every entry over K,
-before they drop the zero ones.  Fractions appear only at the public
-constructors (InvariantVector, InvariantVectorK, invariant_vector() and
-invariant_vector_K() take them) and at .real and .primes, which return them
-interned by one bounded cache, so equal invariants share one Fraction.  JSON
-goes straight to and from the integers: from_json and from_json_K decode
-each JSON rational to (n mod d, d) through one bounded cache, and to_json
-and to_json_K format n/order through another.  Classes are interned too:
-from_json and from_json_K keep one bounded cache of validated classes,
-keyed by the exact content of the payload, so a payload seen before is not
-decoded or validated again.  Only payloads whose invariants are all JSON
-strings (and, over K, lists of them, with an int d) are keyed, with their
-types checked exactly; any other payload is decoded each time, and a
-refused payload is refused each time, with the same error.
+before they drop the zero ones.  The group operations (power, tensor,
+restriction, corestriction, split_components and what is built on them)
+make classes from validated ones without re-checking them, since the group
+laws keep a class valid; tests/test_brauer.py checks that property.
+
+JSON goes straight to and from the integers: the decoders take each JSON
+rational to (n mod d, d) through one bounded cache, and to_json and
+to_json_K format n/order through another.  Fractions appear only at
+parse_rational and at the .real and .primes of a class over Q, which return
+them interned by one bounded cache.  Classes are interned too: the decoders
+keep one bounded cache of validated classes, keyed by the exact content of
+the payload, so a payload seen before is not decoded or validated again.
+Only payloads whose invariants are all JSON strings (and, over K, lists of
+them, with an int d) are keyed, with their types checked exactly; any other
+payload is decoded each time, and a refused payload is refused each time,
+with the same error.
 """
 
 from __future__ import annotations
@@ -75,20 +77,9 @@ def _text(n, d):
     return str(Fraction(n, d))
 
 
-def frac_mod1(x):
-    """x in [0, 1) as a Fraction; one that is already there comes back as is."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    n, d = x.numerator, x.denominator
-    return x if 0 <= n < d else _fraction(n % d, d)
-
-
 def _check_place(v):
-    if v == REAL_PLACE:
-        return v
-    if isinstance(v, int) and _is_prime_place(v):
-        return v
-    raise ValueError(f"not a place of Q: {v!r}")
+    if v != REAL_PLACE and not (isinstance(v, int) and _is_prime_place(v)):
+        raise ValueError(f"not a place of Q: {v!r}")
 
 
 class InvariantVector:
@@ -96,15 +87,6 @@ class InvariantVector:
     n/order at each (p, n) of _primes, sorted by p, nonzero n only."""
 
     __slots__ = ("order", "_real", "_primes")
-
-    def __init__(self, real, primes):
-        """The class with Fraction invariants: real, and f at each (p, f)."""
-        order = lcm(real.denominator, *(f.denominator for _, f in primes))
-        self.order = order
-        self._real = real.numerator * (order // real.denominator)
-        self._primes = tuple((p, f.numerator * (order // f.denominator))
-                             for p, f in primes)
-        self._validate()
 
     def _validate(self):
         order, real = self.order, self._real
@@ -145,18 +127,17 @@ class InvariantVector:
         return hash((self.order, self._real, self._primes))
 
     def __repr__(self):
-        parts = []
-        if self.real:
-            parts.append(f"inf:{self.real}")
-        parts += [f"{p}:{f}" for p, f in self.primes]
+        order = self.order
+        parts = [f"inf:{_text(self._real, order)}"] if self._real else []
+        parts += [f"{p}:{_text(n, order)}" for p, n in self._primes]
         return "Br{" + ", ".join(parts) + "}"
 
 
 def _vector(order, real, primes):
     """The class with invariant real/order at the real place and n/order at
     each (p, n) of primes, sorted, 0 <= n < order: zeros dropped and
-    reduced, not validated: callers that take outside data call
-    _validate(), which returns the class."""
+    reduced, not validated: from_json, quaternion_class and order3_class
+    call _validate(), which returns the class."""
     primes = [(p, n) for p, n in primes if n]
     g = gcd(order, real, *(n for _, n in primes))
     if g > 1:
@@ -166,19 +147,6 @@ def _vector(order, real, primes):
     u = InvariantVector.__new__(InvariantVector)
     u.order, u._real, u._primes = order, real, tuple(primes)
     return u
-
-
-def invariant_vector(real=0, primes=None):
-    """Validated constructor from a real invariant and a prime->fraction map.
-    Every key must be a place, zero entries included."""
-    real = frac_mod1(real)
-    entries = []
-    for p, f in sorted((primes or {}).items()):
-        p = _check_place(int(p))
-        f = frac_mod1(f)
-        if f:
-            entries.append((p, f))
-    return InvariantVector(real, tuple(entries))
 
 
 def tensor(u, v):
@@ -343,21 +311,16 @@ def quaternion_class(a, b):
     return _vector(2, int(hilbert_symbol(ai, bi, REAL_PLACE) == -1), primes)._validate()
 
 
-def order3_class(local_data):
-    """Validated class of order dividing 3 from (place, fraction) pairs."""
-    primes = {}
-    for place, f in (local_data.items() if isinstance(local_data, dict)
-                     else local_data):
-        f = frac_mod1(f)
-        if place == REAL_PLACE:
-            if f:
-                raise RealPlaceOrder("order-3 class cannot ramify at the real place")
-            continue
-        if f.denominator not in (1, 3):
-            raise OrderViolation(f"invariant {f} does not have order dividing 3")
-        if f:
-            primes[place] = f
-    return invariant_vector(0, primes)
+def order3_class(primes):
+    """The validated class of order dividing 3 with the invariants of a JSON
+    "primes" object.  Each invariant must have order dividing 3, in key
+    order; then the place of each nonzero one, and reciprocity."""
+    residues = primes_from_json(primes, _residue)
+    for n, d in residues.values():
+        if d not in (1, 3):
+            raise OrderViolation(f"invariant {_text(n, d)} does not have order dividing 3")
+    entries = sorted((p, n * 3 // d) for p, (n, d) in residues.items())
+    return _vector(3, 0, entries)._validate()
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +410,6 @@ class InvariantVectorK:
 
     __slots__ = ("K", "order", "_real", "_primes")
 
-    def __init__(self, K, real, primes):
-        """The class over K with Fraction slot invariants: real, a tuple,
-        and the slots at each (p, slots) of primes."""
-        order = lcm(*(f.denominator for f in real),
-                    *(f.denominator for _, slots in primes for f in slots))
-        self.K, self.order = K, order
-        self._real = tuple(f.numerator * (order // f.denominator) for f in real)
-        self._primes = tuple(
-            (p, tuple(f.numerator * (order // f.denominator) for f in slots))
-            for p, slots in primes)
-        self._validate()
-
     def _validate(self):
         K, order, real = self.K, self.order, self._real
         n_real = K.real_slots
@@ -493,16 +444,6 @@ class InvariantVectorK:
                         f"factor {slot} of the split algebra violates reciprocity")
         return self
 
-    @property
-    def real(self):
-        return tuple(_fraction(n, self.order) for n in self._real)
-
-    @property
-    def primes(self):
-        """((p, (f0,) or (f0, f1)), ...) as Fractions, sorted by p."""
-        return tuple((p, tuple(_fraction(n, self.order) for n in slots))
-                     for p, slots in self._primes)
-
     def __eq__(self, other):
         if other.__class__ is not InvariantVectorK:
             return NotImplemented
@@ -513,16 +454,21 @@ class InvariantVectorK:
         return hash((self.K, self.order, self._real, self._primes))
 
     def __repr__(self):
-        parts = [f"inf:({','.join(str(f) for f in self.real)})"] if any(self.real) else []
-        parts += [f"{p}:({','.join(str(f) for f in slots)})" for p, slots in self.primes]
+        order = self.order
+
+        def text(slots):
+            return "(" + ",".join(_text(n, order) for n in slots) + ")"
+
+        parts = [f"inf:{text(self._real)}"] if any(self._real) else []
+        parts += [f"{p}:{text(slots)}" for p, slots in self._primes]
         return f"Br_{self.K}{{" + ", ".join(parts) + "}"
 
 
 def _vector_K(K, order, real, primes):
     """The class over K with slot numerators real and ((p, slots), ...)
     over order, each in [0, order): places with all slots zero dropped and
-    reduced, not validated: callers that take outside data call
-    _validate(), which returns the class."""
+    reduced, not validated: from_json_K calls _validate(), which returns
+    the class."""
     primes = [(p, slots) for p, slots in primes if any(slots)]
     g = gcd(order, *real, *(n for _, slots in primes for n in slots))
     if g > 1:
@@ -535,30 +481,10 @@ def _vector_K(K, order, real, primes):
 
 
 def _check_slots(K, p, slots):
-    """slots, after checking that p is a place of Q with len(slots) slots
-    over K."""
+    """Check that p is a place of Q with len(slots) slots over K."""
     expected = _slot_count(K, p)
     if len(slots) != expected:
         raise ValueError(f"place {p} needs {expected} slot(s)")
-    return slots
-
-
-def invariant_vector_K(K, real=None, primes=None):
-    """Validated constructor over K from real slots and a prime->slots map.
-    Every key must be a place with the right slot count, zero entries
-    included."""
-    if real is None:
-        real = (Fraction(0),) * K.real_slots
-    real = tuple(frac_mod1(f) for f in real)
-    entries = []
-    for p, slots in sorted((primes or {}).items()):
-        if isinstance(slots, (int, Fraction)):
-            slots = (slots,)
-        p = int(p)
-        slots = tuple(frac_mod1(f) for f in _check_slots(K, p, slots))
-        if any(slots):
-            entries.append((p, slots))
-    return InvariantVectorK(K, real, tuple(entries))
 
 
 def split_components(u):

@@ -94,8 +94,7 @@ def _cmd_brauer(args):
                                     brauer.parse_rational(data["b"]))
         _emit({"class": brauer.to_json(u)})
     elif op == "order3":
-        u = brauer.order3_class(brauer.primes_from_json(_class(data)["primes"],
-                                                        brauer.parse_rational))
+        u = brauer.order3_class(_class(data)["primes"])
         _emit({"class": brauer.to_json(u)})
     elif op == "hilbert":
         _emit({"symbol": brauer.hilbert_symbol(brauer.parse_rational(data["a"]),
@@ -143,7 +142,9 @@ def _cmd_lattice(args):
         S, U, V = intlattice.smith_normal_form(M)
         _emit({"S": _mat_json(S), "U": _mat_json(U), "V": _mat_json(V)})
     elif args.op == "kernel":
-        _emit({"kernel_columns": _mat_json(intlattice.kernel_basis(M))})
+        K = intlattice.kernel_basis(M)
+        # a kernel with no columns prints as no rows, as it always has
+        _emit({"kernel_columns": _mat_json(K) if K.cols else []})
     elif args.op == "hnf":
         _emit({"hnf": _mat_json(intlattice.row_hnf(M))})
     else:

@@ -26,7 +26,9 @@ class IntMat:
     entry with int() and refuses ragged rows.  IntMat.trusted(data, rows,
     cols) takes rows of ints the package computed itself (products, sums,
     transposes, identities, normal forms, kernels, hexagon's action
-    matrices) as they are, with their shape.
+    matrices) as they are, with their shape.  data always holds rows
+    tuples, so an n x 0 matrix has n empty rows and equal matrices
+    compare equal.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -39,8 +41,10 @@ class IntMat:
             if any(len(r) != self.cols for r in data):
                 raise ValueError("ragged matrix")
         else:
-            self.rows = rows if rows is not None else 0
-            self.cols = cols if cols is not None else 0
+            self.rows, self.cols = rows or 0, cols or 0
+            if self.rows and self.cols:
+                raise ValueError(f"no entries for a {self.rows}x{self.cols} matrix")
+            data = ((),) * self.rows
         self.data = data
 
     @staticmethod
@@ -67,9 +71,10 @@ class IntMat:
             out = [[sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
                     for j in range(other.cols)] for i in range(self.rows)]
             return IntMat.trusted(out, self.rows, other.cols)
-        # a scalar from the caller: the checking constructor
-        return IntMat([[other * x for x in row] for row in self.data],
-                      rows=self.rows, cols=self.cols)
+        if not isinstance(other, int):
+            return NotImplemented  # so a Fraction or float scalar raises TypeError
+        return IntMat.trusted([[other * x for x in row] for row in self.data],
+                              self.rows, self.cols)
 
     __rmul__ = __mul__
 
@@ -161,10 +166,10 @@ def mat_from_columns(cols, nrows):
 def smith_normal_form(M):
     """Return (S, U, V) with U*M*V = S, S diagonal with d1 | d2 | ...,
     nonnegative diagonal, and U, V unimodular."""
-    A = [list(r) for r in M.data] or [[0] * M.cols for _ in range(M.rows)]
+    A = [list(r) for r in M.data]
     nr, nc = M.rows, M.cols
     if nr == 0 or nc == 0:
-        return (IntMat.trusted((), nr, nc), IntMat.identity(nr), IntMat.identity(nc))
+        return (IntMat.zeros(nr, nc), IntMat.identity(nr), IntMat.identity(nc))
     U = _identity_rows(nr)
     V = _identity_rows(nc)
 
@@ -312,7 +317,7 @@ def kernel_basis(M):
     rank = sum(1 for i in range(n) if S.data[i][i])
     cols = [V.col(j) for j in range(rank, M.cols)]
     if not cols:
-        return IntMat.trusted((), M.cols, 0)
+        return IntMat.zeros(M.cols, 0)
     canon = row_hnf(IntMat.trusted(cols, len(cols), M.cols))
     return canon.transpose()
 

@@ -22,8 +22,8 @@ from operator import itemgetter
 from .brauer import (InvariantVector, InvariantVectorK, QuadField,
                      admits_unitary_involution, corestriction,
                      decompose_degree6, from_json, from_json_K, index,
-                     invariant_vector, is_split, is_split_K, order, power,
-                     restriction, split_components, tensor, to_json, to_json_K)
+                     is_split, is_split_K, order, power, restriction,
+                     split_components, tensor, to_json, to_json_K)
 from .errors import (Dp6kitError, InconsistentObservation, IndexMismatch,
                      MalformedCase)
 
@@ -424,7 +424,7 @@ def kernel_shapes(case):
         u = case.conic
         if case.K != u.K:
             raise MalformedCase("conic class lives over a different quadratic algebra")
-        if any(f.denominator > 2 for _, slots in u.primes for f in slots):
+        if order(u) > 2:
             raise MalformedCase("conic class over K must be 2-torsion")
         if case.K.is_split:
             c1, c2 = split_components(u)
@@ -642,7 +642,7 @@ def replay_second_proof(A):
         {"corollary_3or4_check": {"compatible": False, "witness_order": 6}})
 
 
-DEGREE6_WITNESS = invariant_vector(0, {7: "1/6", 13: "5/6"})
+DEGREE6_WITNESS = from_json({"primes": {"7": "1/6", "13": "5/6"}})
 
 
 def corollary_cdpgl(replay_cert):

@@ -15,8 +15,8 @@ from functools import lru_cache
 from time import perf_counter
 
 from . import brauer, dp6, hexagon, intlattice, proofkit
-from .brauer import (QuadField, corestriction, hilbert_symbol, index,
-                     invariant_vector, power, quaternion_class, restriction,
+from .brauer import (QuadField, corestriction, from_json, hilbert_symbol,
+                     index, power, quaternion_class, restriction,
                      splitting_in_quadratic)
 from .errors import Dp6kitError
 from .fields import GF
@@ -101,13 +101,12 @@ def random_reciprocal_vector(rng):
         d = rng.choice((2, 3, 6))
         n = rng.randrange(1, d)
         f = Fraction(n, d)
-        entries[p] = f
+        entries[str(p)] = str(f)
         total += f
-    closing = 31
-    rem = brauer.frac_mod1(-total)
+    rem = -total % 1
     if rem:
-        entries[closing] = rem
-    return invariant_vector(0, entries)
+        entries["31"] = str(rem)  # the closing prime
+    return from_json({"primes": entries})
 
 
 def index6_corpus(count, seed=20_240_601):
@@ -117,18 +116,17 @@ def index6_corpus(count, seed=20_240_601):
     while len(out) < count:
         pool = [5, 7, 11, 13, 17, 19, 23]
         primes = sorted(rng.sample(pool, rng.randint(2, 3)))
-        entries = {}
-        entries[primes[0]] = Fraction(rng.choice([1, 5]), 6)
-        total = entries[primes[0]]
+        total = Fraction(rng.choice([1, 5]), 6)
+        entries = {str(primes[0]): str(total)}
         for p in primes[1:-1]:
             d = rng.choice([2, 3, 6])
             f = Fraction(rng.randrange(1, d), d)
-            entries[p] = f
+            entries[str(p)] = str(f)
             total += f
-        rem = brauer.frac_mod1(-total)
+        rem = -total % 1
         if rem:
-            entries[primes[-1]] = rem
-        u = invariant_vector(0, entries)
+            entries[str(primes[-1])] = str(rem)
+        u = from_json({"primes": entries})
         if index(u) == 6:
             out.append(u)
     return out
@@ -137,7 +135,6 @@ def index6_corpus(count, seed=20_240_601):
 def random_quaternion_K(rng, K):
     """Random 2-torsion class over a quadratic field, valid slot structure."""
     pool = [3, 5, 7, 11, 13, 17]
-    half = Fraction(1, 2)
     candidates = []  # (place, slot) spots that may carry 1/2
     if K.real_slots == 2:
         candidates += [("inf", 0), ("inf", 1)]
@@ -161,17 +158,15 @@ def random_quaternion_K(rng, K):
             if len(slots[sl]) % 2:
                 slots[sl].pop()
         chosen = slots[0] + slots[1]
-    real = [Fraction(0)] * K.real_slots
+    real = ["0"] * K.real_slots
     primes = {}
     for place, slot in chosen:
         if place == "inf":
-            real[slot] = half
+            real[slot] = "1/2"
         else:
             nslots = 2 if splitting_in_quadratic(K, place) == brauer.SPLIT else 1
-            cur = list(primes.get(place, (Fraction(0),) * nslots))
-            cur[slot] = half
-            primes[place] = tuple(cur)
-    return brauer.invariant_vector_K(K, tuple(real), primes)
+            primes.setdefault(str(place), ["0"] * nslots)[slot] = "1/2"
+    return brauer.from_json_K({"d": K.d, "inf": real, "primes": primes})
 
 
 def random_surface_case(rng):
@@ -179,10 +174,10 @@ def random_surface_case(rng):
     if kind == "sb":
         p, q = sorted(rng.sample([7, 13, 19, 31], 2))
         t = rng.choice([1, 2])
-        u = invariant_vector(0, {p: Fraction(t, 3), q: Fraction(3 - t, 3)})
+        u = from_json({"primes": {str(p): f"{t}/3", str(q): f"{3 - t}/3"}})
         return proofkit.SeveriBrauerSurface(u)
     if kind == "sb0":
-        return proofkit.SeveriBrauerSurface(invariant_vector())
+        return proofkit.SeveriBrauerSurface(from_json({}))
     if kind == "p1p1_field":
         K = QuadField(rng.choice([-1, 2, -3, 5, 6]))
         return proofkit.FormP1xP1(K, random_quaternion_K(rng, K))
@@ -194,7 +189,7 @@ def random_surface_case(rng):
         b = rng.choice([-1, -2, 5, 11])
         return proofkit.ConicBundle(quaternion_class(a, b))
     if kind == "conic0":
-        return proofkit.ConicBundle(invariant_vector())
+        return proofkit.ConicBundle(from_json({}))
     return proofkit.DelPezzoRankOne()
 
 
@@ -230,7 +225,7 @@ def crit_reciprocity():
         b = rng.choice([n for n in range(-50, 51) if n])
         u = quaternion_class(a, b)
         total = u.real + sum((f for _, f in u.primes), Fraction(0))
-        if brauer.frac_mod1(total) != 0:
+        if total.denominator != 1:
             bad += 1
     return bad == 0, {"classes": 500, "violations": bad}
 

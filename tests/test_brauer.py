@@ -11,9 +11,8 @@ from dp6kit import brauer
 from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT,
                            InvariantVector, InvariantVectorK, QuadField,
                            admits_unitary_involution, chatelet_kernel,
-                           corestriction, decompose_degree6, frac_mod1,
-                           from_json, from_json_K, hilbert_symbol, index,
-                           invariant_vector, invariant_vector_K, inverse,
+                           corestriction, decompose_degree6, from_json,
+                           from_json_K, hilbert_symbol, index, inverse,
                            is_split, is_split_K, order, order3_class,
                            parse_rational, power, primes_from_json,
                            quaternion_class, restriction, split_components,
@@ -24,6 +23,10 @@ from dp6kit.fields import PRIME_BOUND
 from dp6kit.selftest import solvability_oracle
 
 F = Fraction
+HALF = F(1, 2)
+ZERO = from_json({})
+STANDING = from_json({"primes": {"7": "1/6", "13": "5/6"}})
+ORDER3 = {"7": "1/3", "13": "2/3"}
 
 
 def at(u, v):
@@ -36,8 +39,9 @@ def at(u, v):
 def split_pair_K(c1, c2):
     """Class over K = F x F from its two factor classes."""
     places = sorted(set(dict(c1.primes)) | set(dict(c2.primes)))
-    primes = {p: (at(c1, p), at(c2, p)) for p in places}
-    return invariant_vector_K(QuadField.split(), (c1.real, c2.real), primes)
+    return from_json_K({"d": None, "inf": [str(c1.real), str(c2.real)],
+                        "primes": {str(p): [str(at(c1, p)), str(at(c2, p))]
+                                   for p in places}})
 
 
 def test_hilbert_symbol_examples():
@@ -74,33 +78,33 @@ def test_quaternion_reciprocity_random():
 
 
 def test_order3_class():
-    u = order3_class({7: F(1, 3), 13: F(2, 3)})
-    assert order(u) == 3
+    u = order3_class(ORDER3)
+    assert order(u) == 3 and u == from_json({"primes": ORDER3})
     assert is_split(order3_class({}))
     with pytest.raises(ReciprocityViolation):
-        order3_class({7: F(1, 3)})
-    with pytest.raises(RealPlaceOrder):
-        order3_class({REAL_PLACE: F(1, 2), 7: F(1, 2)})
+        order3_class({"7": "1/3"})
+    with pytest.raises(ValueError):  # the real place is not a prime key
+        order3_class({"inf": "1/2", "7": "1/2"})
     with pytest.raises(OrderViolation):
-        order3_class({7: F(1, 2), 13: F(1, 2)})
+        order3_class({"7": "1/2", "13": "1/2"})
 
 
 def test_group_operations():
-    u = invariant_vector(0, {7: F(1, 6), 13: F(5, 6)})
+    u = STANDING
     assert is_split(tensor(u, inverse(u)))
     doubled = tensor(u, u)
-    assert doubled == invariant_vector(0, {7: F(1, 3), 13: F(2, 3)})
+    assert doubled == from_json({"primes": {"7": "1/3", "13": "2/3"}})
     q = quaternion_class(-1, -1)
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    d = order3_class(ORDER3)
     mix = tensor(q, d)  # disjoint supports just merge
-    assert mix == invariant_vector(F(1, 2), {2: F(1, 2), 7: F(1, 3), 13: F(2, 3)})
+    assert mix == from_json({"inf": "1/2", "primes": {"2": "1/2", **ORDER3}})
     assert index(mix) == 6
 
 
 def test_index_examples():
-    assert index(invariant_vector()) == 1
+    assert index(ZERO) == 1
     assert index(quaternion_class(-1, -1)) == 2
-    assert index(invariant_vector(0, {7: F(1, 6), 13: F(5, 6)})) == 6
+    assert index(STANDING) == 6
 
 
 def test_splitting_in_quadratic():
@@ -124,17 +128,17 @@ def test_splitting_in_quadratic():
 def test_restriction_examples():
     q = quaternion_class(-1, -1)
     assert is_split_K(restriction(q, QuadField(-1)))
-    assert is_split_K(restriction(invariant_vector(), QuadField(2)))
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    assert is_split_K(restriction(ZERO, QuadField(2)))
+    d = order3_class(ORDER3)
     r = restriction(d, QuadField(2))
-    assert dict(r.primes) == {7: (F(1, 3), F(1, 3)), 13: (F(1, 3),)}
+    assert to_json_K(r)["primes"] == {"7": ["1/3", "1/3"], "13": ["1/3"]}
 
 
 def test_corestriction_and_projection_formula():
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    d = order3_class(ORDER3)
     K = QuadField(2)
     assert corestriction(restriction(d, K)) == power(d, 2)
-    assert is_split(corestriction(invariant_vector_K(K)))
+    assert is_split(corestriction(from_json_K({"d": 2})))
     q = quaternion_class(-1, -1)
     assert is_split(corestriction(restriction(q, QuadField(-1))))
 
@@ -150,38 +154,38 @@ def test_projection_formula_random():
 
 def test_admits_unitary_involution():
     K = QuadField(2)
-    assert admits_unitary_involution(invariant_vector_K(K))
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    assert admits_unitary_involution(from_json_K({"d": 2}))
+    d = order3_class(ORDER3)
     assert not admits_unitary_involution(restriction(d, K))
     # 2-torsion restrictions always do (cor res = x2 kills them)
     q = quaternion_class(-1, 3)
     assert admits_unitary_involution(restriction(q, K))
     # slot cancellation at a split place
-    u = invariant_vector_K(K, primes={7: (F(1, 3), F(2, 3))})
+    u = from_json_K({"d": 2, "primes": {"7": ["1/3", "2/3"]}})
     assert admits_unitary_involution(u)
 
 
 def test_chatelet_kernel():
-    assert chatelet_kernel(invariant_vector()) == [invariant_vector()]
+    assert chatelet_kernel(ZERO) == [ZERO]
     q = quaternion_class(-1, -1)
-    assert chatelet_kernel(q) == [invariant_vector(), q]
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    assert chatelet_kernel(q) == [ZERO, q]
+    d = order3_class(ORDER3)
     k = chatelet_kernel(d)
     assert len(k) == 3 and k[1] == d and k[2] == power(d, 2)
 
 
 def test_decompose_degree6():
-    u = invariant_vector(0, {7: F(1, 6), 13: F(5, 6)})
+    u = STANDING
     C, D = decompose_degree6(u)
-    assert C == invariant_vector(0, {7: F(1, 2), 13: F(1, 2)})
-    assert D == invariant_vector(0, {7: F(2, 3), 13: F(1, 3)})
+    assert C == from_json({"primes": {"7": "1/2", "13": "1/2"}})
+    assert D == from_json({"primes": {"7": "2/3", "13": "1/3"}})
     assert tensor(C, D) == u
     q = quaternion_class(-1, -1)
     C2, D2 = decompose_degree6(q)
     assert C2 == q and is_split(D2)
-    C3, D3 = decompose_degree6(invariant_vector())
+    C3, D3 = decompose_degree6(ZERO)
     assert is_split(C3) and is_split(D3)
-    bad = invariant_vector(0, {5: F(1, 5), 11: F(4, 5)})
+    bad = from_json({"primes": {"5": "1/5", "11": "4/5"}})
     with pytest.raises(OrderViolation):
         decompose_degree6(bad)
 
@@ -194,14 +198,14 @@ def test_decompose_then_tensor_random():
         assert order(C) in (1, 2) and order(D) in (1, 3)
 
 
-def test_invariant_vector_validation():
+def test_class_validation():
     with pytest.raises(ReciprocityViolation):
-        invariant_vector(0, {7: F(1, 3)})
+        from_json({"primes": {"7": "1/3"}})
     with pytest.raises(RealPlaceOrder):
-        invariant_vector(F(1, 3), {3: F(2, 3)})
+        from_json({"inf": "1/3", "primes": {"3": "2/3"}})
     # complex place of an imaginary field carries no invariant
     with pytest.raises(RealPlaceOrder):
-        invariant_vector_K(QuadField(-1), (F(1, 2),), {7: (F(1, 2),)})
+        from_json_K({"d": -1, "inf": ["1/2"], "primes": {"7": ["1/2"]}})
 
 
 def test_split_algebra_classes():
@@ -213,20 +217,22 @@ def test_split_algebra_classes():
     assert corestriction(u) == tensor(c1, c2)
     with pytest.raises(ReciprocityViolation):
         # factor 0 alone violates reciprocity even though the total is fine
-        invariant_vector_K(QuadField.split(), (F(0), F(0)),
-                           {7: (F(1, 2), F(0)), 11: (F(0), F(1, 2))})
+        from_json_K({"d": None, "primes": {"7": ["1/2", "0"], "11": ["0", "1/2"]}})
 
 
 def test_json_roundtrip():
-    u = invariant_vector(F(1, 2), {2: F(1, 2), 7: F(1, 6), 13: F(5, 6)})
-    assert from_json(to_json(u)) == u
+    u = from_json({"inf": "1/2", "primes": {"2": "1/2", "7": "1/6", "13": "5/6"}})
+    assert brauer._from_json(to_json(u)) == u  # the uncached decoder
     K = QuadField(2)
     r = restriction(u, K)
-    assert from_json_K(to_json_K(r)) == r
+    assert brauer._from_json_K(to_json_K(r)) == r
 
 
 # ---------------------------------------------------------------------------
-# the Q/Z arithmetic against a plain x - floor(x) oracle, denominators <= 12
+# the classes the decoders build against a Fraction reference: a class over
+# Q is {place: invariant in (0, 1)}, one over K {place: slot tuple, some slot
+# nonzero}, invariants of denominator <= 12, reduced by x - floor(x); every
+# operation is recomputed on those maps
 
 
 def mod1(x):
@@ -236,150 +242,28 @@ def mod1(x):
 fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 SUPPORT = (5, 7, 11, 13, 17)
 CLOSING = 19
-PLACES = (REAL_PLACE, *SUPPORT, CLOSING)
 FIELDS = [QuadField(d) for d in (-1, 2, -3, 5, 6, -7)] + [QuadField.split()]
+
+
+def _payload(real, primes):
+    """The JSON payload of a real invariant and {p: invariant}, any values."""
+    return {"inf": str(real), "primes": {str(p): str(f) for p, f in primes.items()}}
+
+
+def _payload_K(K, real, primes):
+    """The JSON payload over K of real slots and {p: slots}, any values."""
+    return {"d": K.d, "inf": [str(f) for f in real],
+            "primes": {str(p): [str(f) for f in s] for p, s in primes.items()}}
 
 
 @st.composite
 def classes(draw):
     """A class with invariants of denominator <= 12 on SUPPORT, closed at 19."""
-    real = draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    real = draw(st.sampled_from([Fraction(0), HALF]))
     primes = {p: draw(fractions) for p in
               draw(st.lists(st.sampled_from(SUPPORT), unique=True, max_size=4))}
     primes[CLOSING] = -(real + sum(primes.values(), Fraction(0)))
-    return invariant_vector(real, primes)
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=fractions)
-def test_frac_mod1_matches_oracle(x):
-    y = frac_mod1(x)
-    assert type(y) is Fraction and y == mod1(x)
-    if 0 <= x < 1:
-        assert y is x
-    assert frac_mod1(str(x)) == y
-
-
-@settings(max_examples=100, deadline=None)
-@given(u=classes(), n=st.integers(-13, 13))
-def test_power_and_inverse_match_oracle(u, n):
-    for v in PLACES:
-        assert at(power(u, n), v) == mod1(n * at(u, v))
-        assert at(inverse(u), v) == mod1(-at(u, v))
-
-
-@settings(max_examples=100, deadline=None)
-@given(u=classes(), w=classes())
-def test_tensor_matches_oracle(u, w):
-    t = tensor(u, w)
-    for v in PLACES:
-        assert at(t, v) == mod1(at(u, v) + at(w, v))
-    assert all(type(f) is Fraction for _, f in t.primes)
-
-
-@settings(max_examples=100, deadline=None)
-@given(u=classes(), K=st.sampled_from(FIELDS))
-def test_restriction_matches_oracle(u, K):
-    r = restriction(u, K)
-    slots = dict(r.primes)
-    for v in PLACES:
-        split = splitting_in_quadratic(K, v) == SPLIT
-        want = (at(u, v),) * 2 if split else (mod1(2 * at(u, v)),)
-        got = r.real if v == REAL_PLACE else slots.get(v, (Fraction(0),) * len(want))
-        assert got == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(u=classes(), w=classes(), K=st.sampled_from(FIELDS))
-def test_corestriction_matches_oracle(u, w, K):
-    for x in (restriction(u, K), split_pair_K(u, w)):
-        c = corestriction(x)
-        slots = dict(x.primes)
-        assert c.real == mod1(sum(x.real))
-        for v in PLACES[1:]:
-            assert at(c, v) == mod1(sum(slots.get(v, (Fraction(0),))))
-
-
-@settings(max_examples=200, deadline=None)
-@given(real=st.sampled_from([Fraction(0), Fraction(1, 2)]),
-       values=st.lists(fractions, max_size=4))
-def test_reciprocity_acceptance_matches_oracle(real, values):
-    primes = dict(zip(SUPPORT, values))
-    total = mod1(real + sum(primes.values(), Fraction(0)))
-    if total == 0:
-        u = invariant_vector(real, primes)
-        assert all(f == mod1(primes[p]) for p, f in u.primes)
-    else:
-        with pytest.raises(ReciprocityViolation) as exc:
-            invariant_vector(real, primes)
-        assert str(exc.value) == f"local invariants sum to {total}, not 0"
-
-
-@settings(max_examples=200, deadline=None)
-@given(K=st.sampled_from(FIELDS), values=st.lists(fractions, min_size=2, max_size=8))
-def test_reciprocity_acceptance_over_K_matches_oracle(K, values):
-    values = iter(values)
-    primes = {}
-    for p in SUPPORT:
-        n = 2 if splitting_in_quadratic(K, p) == SPLIT else 1
-        primes[p] = tuple(next(values, Fraction(0)) for _ in range(n))
-    total = mod1(sum(f for s in primes.values() for f in s))
-    # over split K the two factors sum to total, so factor 0 decides
-    factor0 = mod1(sum(s[0] for s in primes.values())) if K.is_split else 0
-    try:
-        invariant_vector_K(K, None, primes)
-    except ReciprocityViolation as exc:
-        assert str(exc) == ("invariants over K do not sum to 0" if total else
-                            "factor 0 of the split algebra violates reciprocity")
-        assert total or factor0
-    else:
-        assert total == 0 and factor0 == 0
-
-
-# ---------------------------------------------------------------------------
-# the integer representation against a Fraction reference: a class over Q is
-# {place: invariant in (0, 1)}, one over K {place: slot tuple, some slot
-# nonzero}, and every operation is recomputed on those maps
-
-
-def _ref(entries):
-    """A reference class over Q: entries mod 1, zeros dropped."""
-    return {v: mod1(f) for v, f in entries.items() if mod1(f)}
-
-
-def _ref_K(entries):
-    return {v: tuple(mod1(f) for f in s) for v, s in entries.items() if any(map(mod1, s))}
-
-
-def _view(u):
-    """The reference form of u, read through .real and .primes."""
-    assert type(u.real) is Fraction and u.real in (0, HALF)
-    assert all(type(f) is Fraction and 0 < f < 1 for _, f in u.primes)
-    ref = _ref({REAL_PLACE: u.real, **dict(u.primes)})
-    assert order(u) == index(u) == _ref_order(ref) and is_split(u) == (not ref)
-    return ref
-
-
-def _view_K(u):
-    slots = [u.real] + [s for _, s in u.primes]
-    assert all(type(f) is Fraction and 0 <= f < 1 for s in slots for f in s)
-    assert all(any(s) for _, s in u.primes)
-    ref = _ref_K({REAL_PLACE: u.real, **dict(u.primes)})
-    assert is_split_K(u) == (not ref)
-    return ref
-
-
-def _class(ref):
-    return invariant_vector(ref.get(REAL_PLACE, 0),
-                            {p: f for p, f in ref.items() if p != REAL_PLACE})
-
-
-def _ref_power(ref, n):
-    return _ref({v: n * f for v, f in ref.items()})
-
-
-def _ref_order(ref):
-    return lcm(*(f.denominator for f in ref.values()))
+    return from_json(_payload(real, primes))
 
 
 @st.composite
@@ -401,7 +285,109 @@ def classes_K(draw):
         closing = -(sum(real) + sum((f for s in primes.values() for f in s), F(0)))
         n = 2 if splitting_in_quadratic(K, CLOSING) == SPLIT else 1
         primes[CLOSING] = (closing,) + (F(0),) * (n - 1)
-    return K, invariant_vector_K(K, tuple(real), primes)
+    return K, from_json_K(_payload_K(K, real, primes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real=st.sampled_from([Fraction(0), HALF]),
+       values=st.lists(fractions, max_size=4))
+def test_reciprocity_acceptance_matches_oracle(real, values):
+    primes = dict(zip(SUPPORT, values))
+    total = mod1(real + sum(primes.values(), Fraction(0)))
+    if total == 0:
+        u = from_json(_payload(real, primes))
+        assert all(f == mod1(primes[p]) for p, f in u.primes)
+    else:
+        with pytest.raises(ReciprocityViolation) as exc:
+            from_json(_payload(real, primes))
+        assert str(exc.value) == f"local invariants sum to {total}, not 0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.sampled_from(FIELDS), values=st.lists(fractions, min_size=2, max_size=8))
+def test_reciprocity_acceptance_over_K_matches_oracle(K, values):
+    values = iter(values)
+    primes = {}
+    for p in SUPPORT:
+        n = 2 if splitting_in_quadratic(K, p) == SPLIT else 1
+        primes[p] = tuple(next(values, Fraction(0)) for _ in range(n))
+    total = mod1(sum(f for s in primes.values() for f in s))
+    # over split K the two factors sum to total, so factor 0 decides
+    factor0 = mod1(sum(s[0] for s in primes.values())) if K.is_split else 0
+    try:
+        from_json_K(_payload_K(K, (F(0),) * K.real_slots, primes))
+    except ReciprocityViolation as exc:
+        assert str(exc) == ("invariants over K do not sum to 0" if total else
+                            "factor 0 of the split algebra violates reciprocity")
+        assert total or factor0
+    else:
+        assert total == 0 and factor0 == 0
+
+
+def _ref(entries):
+    """A reference class over Q: entries mod 1, zeros dropped."""
+    return {v: mod1(f) for v, f in entries.items() if mod1(f)}
+
+
+def _ref_K(entries):
+    return {v: tuple(mod1(f) for f in s) for v, s in entries.items() if any(map(mod1, s))}
+
+
+def _ref_order(ref):
+    return lcm(*(f.denominator for f in ref.values()))
+
+
+def _ref_power(ref, n):
+    return _ref({v: n * f for v, f in ref.items()})
+
+
+def _class(ref):
+    """The validated class of a reference map over Q, built from its
+    numerators over the lcm of its denominators by brauer._vector."""
+    order = _ref_order(ref)
+    nums = {v: f.numerator * (order // f.denominator) for v, f in ref.items()}
+    real = nums.pop(REAL_PLACE, 0)
+    return brauer._vector(order, real, sorted(nums.items()))._validate()
+
+
+def _class_K(K, real, primes):
+    """The validated class over K of real slots and {p: slots}, any values:
+    taken mod 1, places with every slot zero dropped, then built from the
+    numerators over the lcm of the denominators by brauer._vector_K."""
+    real, primes = tuple(map(mod1, real)), _ref_K(primes)
+    order = lcm(*(f.denominator for s in (real, *primes.values()) for f in s))
+
+    def nums(slots):
+        return tuple(f.numerator * (order // f.denominator) for f in slots)
+
+    return brauer._vector_K(K, order, nums(real),
+                            sorted((p, nums(s)) for p, s in primes.items()))._validate()
+
+
+def _view(u):
+    """The reference form of u, read through .real and .primes."""
+    assert type(u.real) is Fraction and u.real in (0, HALF)
+    assert all(type(f) is Fraction and 0 < f < 1 for _, f in u.primes)
+    ref = _ref({REAL_PLACE: u.real, **dict(u.primes)})
+    assert order(u) == index(u) == _ref_order(ref) and is_split(u) == (not ref)
+    return ref
+
+
+def _slots_K(u):
+    """{place: slot invariants} of a class over K, the real place first, read
+    from its numerators."""
+    return {REAL_PLACE: tuple(F(n, u.order) for n in u._real),
+            **{p: tuple(F(n, u.order) for n in s) for p, s in u._primes}}
+
+
+def _view_K(u):
+    """The reference form of u over K."""
+    slots = _slots_K(u)
+    assert all(0 <= f < 1 for s in slots.values() for f in s)
+    assert all(any(s) for v, s in slots.items() if v != REAL_PLACE)
+    ref = _ref_K(slots)
+    assert is_split_K(u) == (not ref)
+    return ref
 
 
 @settings(max_examples=100, deadline=None)
@@ -440,8 +426,9 @@ def test_json_matches_fraction_reference(u, K, Kx):
     back = from_json(json.loads(json.dumps(to_json(u))))
     assert back == u and hash(back) == hash(u)
     r = restriction(u, K)
-    want = {"d": K.d, "inf": [str(f) for f in r.real],
-            "primes": {str(p): [str(f) for f in s] for p, s in r.primes}}
+    slots = _slots_K(r)
+    want = {"d": K.d, "inf": [str(f) for f in slots.pop(REAL_PLACE)],
+            "primes": {str(p): [str(f) for f in s] for p, s in slots.items()}}
     assert json.dumps(to_json_K(r)) == json.dumps(want)
     back = from_json_K(json.loads(json.dumps(to_json_K(r))))
     assert back == r and hash(back) == hash(r)
@@ -451,8 +438,8 @@ def test_json_matches_fraction_reference(u, K, Kx):
 
 
 @settings(max_examples=100, deadline=None)
-@given(u=classes(), Kx=classes_K())
-def test_k_operations_match_fraction_reference(u, Kx):
+@given(u=classes(), w=classes(), Kx=classes_K())
+def test_k_operations_match_fraction_reference(u, w, Kx):
     K, x = Kx
     a, ref = _view(u), _view_K(x)
     want = {}
@@ -460,12 +447,15 @@ def test_k_operations_match_fraction_reference(u, Kx):
         split = splitting_in_quadratic(K, v) == SPLIT
         want[v] = (f, f) if split else (mod1(2 * f),)
     assert _view_K(restriction(u, K)) == _ref_K(want)
-    assert _view(corestriction(x)) == _ref({v: sum(s) for v, s in ref.items()})
+    # corestriction sums the slots above each place, over a field and over QxQ
+    for y in (x, restriction(u, K), split_pair_K(u, w)):
+        assert _view(corestriction(y)) == _ref({v: sum(s) for v, s in _view_K(y).items()})
     if K.is_split:
         c1, c2 = split_components(x)
         assert (_view(c1), _view(c2)) == tuple(
             _ref({v: s[i] for v, s in ref.items()}) for i in (0, 1))
-    again = invariant_vector_K(K, x.real, dict(x.primes))
+    slots = _slots_K(x)
+    again = _class_K(K, slots.pop(REAL_PLACE), slots)
     assert again == x and hash(again) == hash(x)
     assert (x == restriction(u, K)) == (ref == _view_K(restriction(u, K)))
 
@@ -553,8 +543,6 @@ def test_interned_reductions_match_fraction(n, d):
         got = brauer._fraction(n % d, d)
         assert got == want and type(got) is Fraction
         assert got.numerator == want.numerator and got.denominator == want.denominator
-    x = Fraction(n, d)
-    assert frac_mod1(x) == Fraction(x.numerator % x.denominator, x.denominator)
 
 
 def test_interning_stays_bounded_and_exact():
@@ -564,18 +552,22 @@ def test_interning_stays_bounded_and_exact():
     assert brauer._fraction.cache_info().currsize <= brauer._INTERNED
     for n in range(3 * brauer._INTERNED):
         assert from_json({"primes": {"7": f"{n}/2", "13": f"{n + 2}/2"}}) == \
-            invariant_vector(0, {7: F(n, 2), 13: F(n, 2)})
+            _class(_ref({7: F(n, 2), 13: F(n, 2)}))
     assert len(brauer._classes) <= brauer._INTERNED
 
 
 # ---------------------------------------------------------------------------
 # the JSON decoders against the Fraction route: parse_rational for every
-# value, then invariant_vector or invariant_vector_K
+# value, the place (and over K the slot count) of every entry, zero ones
+# included, then the class of the reference map, _class or _class_K
 
 
 def _fraction_route(obj):
     real = parse_rational(obj.get("inf", "0"))
-    return invariant_vector(real, primes_from_json(obj.get("primes", {}), parse_rational))
+    primes = primes_from_json(obj.get("primes", {}), parse_rational)
+    for p in sorted(primes):
+        brauer._check_place(p)
+    return _class(_ref({REAL_PLACE: real, **primes}))
 
 
 def _fraction_slots(slots):
@@ -586,9 +578,11 @@ def _fraction_slots(slots):
 
 def _fraction_route_K(obj):
     K = QuadField(obj.get("d"))
-    real = _fraction_slots(obj.get("inf", [])) or None
-    return invariant_vector_K(K, real,
-                              primes_from_json(obj.get("primes", {}), _fraction_slots))
+    real = _fraction_slots(obj.get("inf", [])) or (F(0),) * K.real_slots
+    primes = primes_from_json(obj.get("primes", {}), _fraction_slots)
+    for p, slots in sorted(primes.items()):
+        brauer._check_slots(K, p, slots)
+    return _class_K(K, real, primes)
 
 
 def _outcome(decode, obj):
@@ -776,70 +770,86 @@ def test_interned_decoders_keep_json_types_apart(case):
 @settings(max_examples=200, deadline=None)
 @given(u=classes())
 def test_decompose_degree6_refuses_exactly_orders_not_dividing_6(u):
-    if power(u, 6) != invariant_vector():
+    if power(u, 6) != ZERO:
         with pytest.raises(OrderViolation) as exc:
             decompose_degree6(u)
         assert str(exc.value) == "class does not have order dividing 6"
     else:
         C, D = decompose_degree6(u)
-        assert tensor(C, D) == u and power(C, 2) == power(D, 3) == invariant_vector()
+        assert tensor(C, D) == u and power(C, 2) == power(D, 3) == ZERO
 
 
 # ---------------------------------------------------------------------------
 # every validation path: its exception class and its exact message
 
-K2, KM1, KS = QuadField(2), QuadField(-1), QuadField.split()
-HALF = F(1, 2)
+K2 = QuadField(2)
+
+
+def _raw(order, real, primes):
+    """The class over Q with these numerators, taken as they are, then
+    validated: for the checks that no decoder reaches, since the decoders
+    sort the support and reduce every invariant."""
+    u = InvariantVector.__new__(InvariantVector)
+    u.order, u._real, u._primes = order, real, primes
+    return u._validate()
+
+
+def _raw_K(K, order, real, primes):
+    """_raw over K: real and each place's numerators as slot tuples."""
+    u = InvariantVectorK.__new__(InvariantVectorK)
+    u.K, u.order, u._real, u._primes = K, order, real, primes
+    return u._validate()
 
 
 @pytest.mark.parametrize("make, exc, message", [
-    (lambda: InvariantVector(F(1, 3), ()), RealPlaceOrder,
+    (lambda: from_json({"inf": "1/3"}), RealPlaceOrder,
      "real invariant must be 0 or 1/2, got 1/3"),
-    (lambda: InvariantVector(F(0), ((4, HALF), (7, HALF))), ValueError,
+    (lambda: from_json({"primes": {"4": "1/2", "7": "1/2"}}), ValueError,
      "not a place of Q: 4"),
-    (lambda: InvariantVector(F(0), ((7, HALF), (5, HALF))), ValueError,
+    (lambda: _raw(2, 0, ((7, 1), (5, 1))), ValueError,
      "prime support must be strictly sorted"),
-    (lambda: InvariantVector(F(0), ((5, F(3, 2)), (7, HALF))), ValueError,
+    (lambda: _raw(2, 0, ((5, 3), (7, 1))), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
-    (lambda: InvariantVector(F(0), ((5, F(0)),)), ValueError,
+    (lambda: _raw(1, 0, ((5, 0),)), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
-    (lambda: InvariantVector(F(0), ((5, F(1)),)), ValueError,
+    (lambda: _raw(1, 0, ((5, 1),)), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
-    (lambda: InvariantVector(F(0), ((5, F(-1, 2)), (7, HALF))), ValueError,
+    (lambda: _raw(2, 0, ((5, -1), (7, 1))), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
-    (lambda: invariant_vector(0, {7: F(1, 3), 13: F(1, 3)}), ReciprocityViolation,
+    (lambda: from_json({"primes": {"7": "1/3", "13": "1/3"}}), ReciprocityViolation,
      "local invariants sum to 2/3, not 0"),
-    (lambda: InvariantVectorK(K2, (F(0),), ()), ValueError,
+    (lambda: from_json_K({"d": 2, "inf": ["0"]}), ValueError,
      "wrong number of real slots for this field"),
-    (lambda: InvariantVectorK(KM1, (HALF,), ()), RealPlaceOrder,
+    (lambda: from_json_K({"d": -1, "inf": ["1/2"]}), RealPlaceOrder,
      "complex place carries no Brauer invariant"),
-    (lambda: InvariantVectorK(K2, (F(1, 3), F(2, 3)), ()), RealPlaceOrder,
+    (lambda: from_json_K({"d": 2, "inf": ["1/3", "2/3"]}), RealPlaceOrder,
      "real invariant must be 0 or 1/2"),
-    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((9, (HALF,)),)), ValueError,
+    (lambda: from_json_K({"d": 2, "primes": {"9": ["1/2"]}}), ValueError,
      "not a place of Q: 9"),
-    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((13, (HALF,)), (5, (HALF,)))),
+    (lambda: _raw_K(K2, 2, (0, 0), ((13, (1,)), (5, (1,)))),
      ValueError, "prime support must be strictly sorted"),
-    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((7, (HALF,)),)), ValueError,
+    (lambda: from_json_K({"d": 2, "primes": {"7": ["1/2"]}}), ValueError,
      "place 7 needs 2 slot(s)"),
-    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((5, (F(0),)),)), ValueError,
+    (lambda: _raw_K(K2, 1, (0, 0), ((5, (0,)),)), ValueError,
      "support entries must be nonzero somewhere"),
-    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((5, (F(3, 2),)), (13, (HALF,)))),
+    (lambda: _raw_K(K2, 2, (0, 0), ((5, (3,)), (13, (1,)))),
      ValueError, "invariants must be reduced"),
-    (lambda: InvariantVectorK(K2, (F(0), F(0)), ((5, (F(1),)),)), ValueError,
+    (lambda: _raw_K(K2, 1, (0, 0), ((5, (1,)),)), ValueError,
      "invariants must be reduced"),
-    (lambda: invariant_vector_K(K2, None, {5: F(1, 3)}), ReciprocityViolation,
+    (lambda: from_json_K({"d": 2, "primes": {"5": ["1/3"]}}), ReciprocityViolation,
      "invariants over K do not sum to 0"),
-    (lambda: invariant_vector_K(KS, None, {7: (HALF, F(0)), 11: (F(0), HALF)}),
+    (lambda: from_json_K({"d": None, "primes": {"7": ["1/2", "0"], "11": ["0", "1/2"]}}),
      ReciprocityViolation, "factor 0 of the split algebra violates reciprocity"),
-    (lambda: invariant_vector_K(KS, (HALF, HALF), {7: (HALF, F(0)), 11: (F(0), F(0))}),
+    (lambda: from_json_K({"d": None, "inf": ["1/2", "1/2"],
+                          "primes": {"7": ["1/2", "0"], "11": ["0", "0"]}}),
      ReciprocityViolation, "invariants over K do not sum to 0"),
-    (lambda: order3_class({REAL_PLACE: HALF, 7: HALF}), RealPlaceOrder,
-     "order-3 class cannot ramify at the real place"),
-    (lambda: order3_class({7: F(1, 6), 13: F(5, 6)}), OrderViolation,
+    (lambda: order3_class({"inf": "1/2", "7": "1/2"}), ValueError,
+     "invalid literal for int() with base 10: 'inf'"),
+    (lambda: order3_class({"7": "1/6", "13": "5/6"}), OrderViolation,
      "invariant 1/6 does not have order dividing 3"),
-    (lambda: decompose_degree6(invariant_vector(0, {5: F(1, 5), 11: F(4, 5)})),
+    (lambda: decompose_degree6(from_json({"primes": {"5": "1/5", "11": "4/5"}})),
      OrderViolation, "class does not have order dividing 6"),
-    (lambda: split_components(invariant_vector_K(K2)), ValueError,
+    (lambda: split_components(from_json_K({"d": 2})), ValueError,
      "class is not over the split algebra"),
     (lambda: QuadField(12), ValueError, "d must be a squarefree integer != 0, 1: 12"),
     (lambda: hilbert_symbol(0, 5, 7), ValueError,
@@ -882,16 +892,16 @@ def test_validation_path(make, exc, message):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: from_json({"primes": {"4": "0", "1": "3/3"}}), "not a place of Q: 1"),
-    (lambda: invariant_vector(0, {7: F(0), 9: F(1)}), "not a place of Q: 9"),
+    (lambda: from_json({"primes": {"7": "0", "9": "1"}}), "not a place of Q: 9"),
     (lambda: from_json_K({"d": 2, "primes": {"7": ["0", "0", "0"], "4": ["0"]}}),
      "not a place of Q: 4"),
-    (lambda: invariant_vector_K(KS, None, {4: (F(0), F(0))}), "not a place of Q: 4"),
+    (lambda: from_json_K({"d": None, "primes": {"4": ["0", "0"]}}), "not a place of Q: 4"),
     (lambda: from_json_K({"d": 2, "primes": {"7": ["0", "0", "0"]}}),
      "place 7 needs 2 slot(s)"),
     (lambda: from_json_K({"d": 2, "primes": {"7": []}}), "place 7 needs 2 slot(s)"),
-    (lambda: invariant_vector_K(K2, None, {5: (F(0), F(0))}), "place 5 needs 1 slot(s)"),
-], ids=["from_json", "invariant_vector", "from_json_K-place", "invariant_vector_K-place",
-        "from_json_K-slots", "from_json_K-empty", "invariant_vector_K-slots"])
+    (lambda: from_json_K({"d": 2, "primes": {"5": ["0", "0"]}}), "place 5 needs 1 slot(s)"),
+], ids=["from_json", "from_json-unit", "from_json_K-place", "from_json_K-split-place",
+        "from_json_K-slots", "from_json_K-empty", "from_json_K-inert-slots"])
 def test_zero_entries_are_checked_before_they_are_dropped(make, message):
     with pytest.raises(ValueError) as info:
         make()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,11 +71,10 @@ def _matrices(rows, cols):
 
 
 def _check_built(m):
-    """m holds tuple rows of ints of its shape, and equals the matrix the
-    checking constructor builds on its data.  A matrix with no columns may
-    leave its rows implicit, data (), as IntMat([], rows=n, cols=0) does."""
+    """m holds tuple rows of ints of its shape, one per row, and equals the
+    matrix the checking constructor builds on its data."""
     assert type(m.data) is tuple
-    assert len(m.data) == m.rows or (m.data == () and m.cols == 0)
+    assert len(m.data) == m.rows
     for row in m.data:
         assert type(row) is tuple and len(row) == m.cols
         assert all(type(x) is int for x in row)
@@ -91,6 +91,38 @@ def test_built_matrices_are_int_tuples_of_their_shape(data):
     for m in (A * B, 3 * A, A + A2, A - A2, -A, A.transpose(), IntMat.identity(r),
               IntMat.zeros(r, k), S, U, V, row_hnf(A), kernel_basis(A)):
         _check_built(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_equal_shapes_and_entries_compare_equal(data):
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    A = data.draw(_matrices(r, c))
+    rows = [list(row) for row in A.data]
+    for B in (IntMat(rows, rows=r, cols=c), IntMat.trusted(rows, r, c),
+              A.transpose().transpose(), A + IntMat.zeros(r, c), 1 * A):
+        assert B == A and hash(B) == hash(A)
+    # the r x 0 matrix, however it is built: the kernel of an invertible
+    # matrix, the constructor with no entries, r empty rows, a transpose
+    empty = IntMat.zeros(r, 0)
+    for B in (kernel_basis(IntMat.identity(r)), IntMat([], rows=r, cols=0),
+              IntMat([[]] * r), IntMat.zeros(0, r).transpose()):
+        assert B == empty and hash(B) == hash(empty)
+
+
+def test_no_entries_for_a_nonempty_shape_is_refused():
+    with pytest.raises(ValueError):
+        IntMat([], rows=2, cols=3)
+
+
+def test_non_int_scalar_is_refused():
+    A = IntMat([[1, 3]])
+    for s in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            A * s
+        with pytest.raises(TypeError):
+            s * A
+    assert 2 * A == A * 2 == IntMat([[2, 6]])
 
 
 def test_sum_of_different_shapes_is_refused():

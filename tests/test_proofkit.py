@@ -2,13 +2,12 @@ import copy
 import json
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
-from dp6kit.brauer import (QuadField, index, invariant_vector,
-                           invariant_vector_K, order, order3_class,
-                           quaternion_class, restriction, tensor)
+from dp6kit.brauer import (QuadField, from_json, from_json_K, index, order,
+                           order3_class, quaternion_class, restriction, tensor,
+                           to_json)
 from dp6kit.errors import InconsistentObservation, IndexMismatch, MalformedCase
 from dp6kit.proofkit import (AXIOMS, COMPUTATIONS, DEGREE6_WITNESS,
                              ConicBundle, DelPezzoRankOne, FormP1xP1,
@@ -19,16 +18,22 @@ from dp6kit.proofkit import (AXIOMS, COMPUTATIONS, DEGREE6_WITNESS,
                              verify_certificate, _axiom)
 from dp6kit.selftest import index6_corpus, random_surface_case
 
-F = Fraction
-
-STANDING = invariant_vector(0, {7: F(1, 6), 13: F(5, 6)})
+STANDING = from_json({"primes": {"7": "1/6", "13": "5/6"}})
+ZERO = from_json({})
+ORDER3 = {"7": "1/3", "13": "2/3"}
 
 
 def split_pair_K(c1, c2):
     """Class over K = F x F from its two factor classes."""
-    m1, m2 = dict(c1.primes), dict(c2.primes)
-    primes = {p: (m1.get(p, F(0)), m2.get(p, F(0))) for p in sorted(set(m1) | set(m2))}
-    return invariant_vector_K(QuadField.split(), (c1.real, c2.real), primes)
+    j1, j2 = to_json(c1), to_json(c2)
+    m1, m2 = j1["primes"], j2["primes"]
+    primes = {p: [m1.get(p, "0"), m2.get(p, "0")] for p in m1.keys() | m2.keys()}
+    return from_json_K({"d": None, "inf": [j1.get("inf", "0"), j2.get("inf", "0")],
+                        "primes": primes})
+
+
+def zero_K(K):
+    return from_json_K({"d": K.d})
 
 
 def test_witness_has_index_6():
@@ -37,11 +42,11 @@ def test_witness_has_index_6():
 
 
 def test_kernel_shapes_severi_brauer():
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    d = order3_class(ORDER3)
     shapes = kernel_shapes(SeveriBrauerSurface(d))
     assert [s.name for s in shapes] == ["Z/3"]
     assert shapes[0].generators[0] == ("cubic", d)
-    assert [s.name for s in kernel_shapes(SeveriBrauerSurface(invariant_vector()))] \
+    assert [s.name for s in kernel_shapes(SeveriBrauerSurface(ZERO))] \
         == ["0"]
     with pytest.raises(MalformedCase):
         kernel_shapes(SeveriBrauerSurface(quaternion_class(-1, -1)))
@@ -61,8 +66,7 @@ def test_kernel_shapes_quadric_surface_split():
     assert [s.name for s in shapes] == ["Z/2+Z/2"]
     shapes = kernel_shapes(FormP1xP1(QuadField.split(), split_pair_K(q1, q1)))
     assert [s.name for s in shapes] == ["Z/2"]
-    zero = invariant_vector()
-    shapes = kernel_shapes(FormP1xP1(QuadField.split(), split_pair_K(zero, zero)))
+    shapes = kernel_shapes(FormP1xP1(QuadField.split(), split_pair_K(ZERO, ZERO)))
     assert [s.name for s in shapes] == ["0"]
 
 
@@ -70,7 +74,7 @@ def test_kernel_shapes_conic_bundle():
     shapes = kernel_shapes(ConicBundle(quaternion_class(-1, -1)))
     assert [s.name for s in shapes] == ["Z/2", "Z/2+Z/2"]
     assert all(t == "quaternion" for s in shapes for t, _ in s.generators)
-    shapes = kernel_shapes(ConicBundle(invariant_vector()))
+    shapes = kernel_shapes(ConicBundle(ZERO))
     assert [s.name for s in shapes] == ["0", "Z/2"]
 
 
@@ -95,11 +99,11 @@ def test_kernel_shape_validation():
 
 def test_corollary_3or4():
     q = quaternion_class(-1, -1)
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    d = order3_class(ORDER3)
     res = corollary_3or4_check(q, d)
     assert not res.compatible and order(res.witness) == 6
     assert corollary_3or4_check(d, d).compatible
-    assert corollary_3or4_check(invariant_vector(), invariant_vector()).compatible
+    assert corollary_3or4_check(ZERO, ZERO).compatible
     assert corollary_3or4_check(q, q).compatible
     # products of quaternions stay 2-torsion of index at most 2 over Q
     # (period equals index), hence in the quaternion-like bucket
@@ -123,7 +127,7 @@ def test_replay_first_proof():
 
 
 def test_replay_first_proof_alternate_vector():
-    A = invariant_vector(0, {7: F(1, 6), 11: F(1, 6), 13: F(2, 3)})
+    A = from_json({"primes": {"7": "1/6", "11": "1/6", "13": "2/3"}})
     assert index(A) == 6
     cert = replay_first_proof(A)
     assert cert.contradiction and verify_certificate(cert)
@@ -133,7 +137,7 @@ def test_replay_rejects_wrong_index():
     with pytest.raises(IndexMismatch):
         replay_first_proof(quaternion_class(-1, -1))
     with pytest.raises(IndexMismatch):
-        replay_second_proof(order3_class({7: F(1, 3), 13: F(2, 3)}))
+        replay_second_proof(order3_class(ORDER3))
 
 
 def test_replay_second_proof():
@@ -301,24 +305,24 @@ def test_corollary_cdpgl():
 def test_lemma_number_check():
     Ksplit = QuadField.split()
     K2 = QuadField(2)
-    d = order3_class({7: F(1, 3), 13: F(2, 3)})
+    d = order3_class(ORDER3)
     b_nonsplit = restriction(d, K2)
     # n_S = 6 with split K is inconsistent
     with pytest.raises(InconsistentObservation):
         lemma_number_check(Ksplit, None, {"n_S": 6})
     # n_S = 6 with split B is inconsistent
     with pytest.raises(InconsistentObservation):
-        lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 6})
+        lemma_number_check(K2, zero_K(K2), {"n_S": 6})
     # nonsplit K and nonsplit B with n_S = 6: fine
     assert lemma_number_check(K2, b_nonsplit, {"n_S": 6}) == "consistent"
     # split B with n_S = 2: fine
-    assert lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 2}) == "consistent"
+    assert lemma_number_check(K2, zero_K(K2), {"n_S": 2}) == "consistent"
     # split B with n_S = 4 violates n_S | 2
     with pytest.raises(InconsistentObservation):
-        lemma_number_check(K2, invariant_vector_K(K2), {"n_S": 4})
+        lemma_number_check(K2, zero_K(K2), {"n_S": 4})
     # a rational point forces B split
     with pytest.raises(InconsistentObservation):
         lemma_number_check(K2, b_nonsplit, {"has_rational_point": True})
     # finite-field surface: a point exists and B = 0 is consistent
-    assert lemma_number_check(K2, invariant_vector_K(K2),
+    assert lemma_number_check(K2, zero_K(K2),
                               {"has_rational_point": True}) == "consistent"
