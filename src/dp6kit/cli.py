@@ -94,7 +94,7 @@ def _cmd_brauer(args):
                                     brauer.parse_rational(data["b"]))
         _emit({"class": brauer.to_json(u)})
     elif op == "order3":
-        u = brauer.order3_class(_class(data)["primes"])
+        u = brauer.order3_class(_class(data).get("primes", {}))
         _emit({"class": brauer.to_json(u)})
     elif op == "hilbert":
         _emit({"symbol": brauer.hilbert_symbol(brauer.parse_rational(data["a"]),

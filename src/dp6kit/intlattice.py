@@ -23,8 +23,9 @@ class IntMat:
 
     IntMat(data) is the checking constructor, for data from outside the
     package (a CLI lattice payload, a caller's rows): it converts every
-    entry with int() and refuses ragged rows.  IntMat.trusted(data, rows,
-    cols) takes rows of ints the package computed itself (products, sums,
+    entry with int() and refuses ragged rows, and a stated rows or cols
+    that disagrees with the entries.  IntMat.trusted(data, rows, cols)
+    takes rows of ints the package computed itself (products, sums,
     transposes, identities, normal forms, kernels, hexagon's action
     matrices) as they are, with their shape.  data always holds rows
     tuples, so an n x 0 matrix has n empty rows and equal matrices
@@ -40,6 +41,9 @@ class IntMat:
             self.cols = len(data[0])
             if any(len(r) != self.cols for r in data):
                 raise ValueError("ragged matrix")
+            if rows not in (None, self.rows) or cols not in (None, self.cols):
+                raise ValueError(f"{self.rows}x{self.cols} entries for a matrix "
+                                 f"stated as rows={rows}, cols={cols}")
         else:
             self.rows, self.cols = rows or 0, cols or 0
             if self.rows and self.cols:

@@ -128,8 +128,8 @@ AXIOMS = {
 # its arguments from a step's recorded JSON inputs.  A replay calls compute
 # on the classes it already holds and records their JSON forms as the
 # inputs; verify_certificate alone calls decode.  The two routes meet in the
-# canonical JSON of the result, which also checks the to_json/from_json
-# round trip of every recorded class.
+# result, compared as typed JSON values (_same_json), which also checks the
+# to_json/from_json round trip of every recorded class.
 
 
 def _decode_class(inputs):
@@ -308,9 +308,54 @@ def _axiom(statement, key):
     return Step(statement=statement, kind="AXIOM", axiom=key)
 
 
+@lru_cache(maxsize=None)
+def _fixed_steps():
+    """The VERIFIED steps whose inputs never change: the conic-bundle
+    filter, the forced degree and the index of the standing witness.  Like
+    the AXIOM steps, each is one shared frozen Step, built on first use;
+    verify_certificate still re-runs it in every certificate."""
+    return (
+        _verified("no positive integer is divisible by 6 and divides 4, so "
+                  "the conic bundle case is impossible", "divisibility_filter",
+                  {"multiple_of": 6, "dividing": 4}, 6, 4),
+        _verified("the only degree in 1..9 divisible by 6 is 6: the minimal "
+                  "model is a degree-6 del Pezzo surface", "degree_forced",
+                  {"multiple_of": 6, "min": 1, "max": 9}, 6, 1, 9),
+        _verified("a degree-6 division class exists: the standing witness "
+                  "has index 6", "index", {"class": to_json(DEGREE6_WITNESS)},
+                  DEGREE6_WITNESS),
+    )
+
+
+_JSON_LEAVES = (str, int, bool, type(None))
+
+
+def _same_json(a, b):
+    """a and b are the same JSON value, with the same type at every node:
+    dicts with the same keys, lists of the same length, equal str, int, bool
+    or None leaves.  On JSON values this holds exactly when their canonical
+    texts agree, and it is stricter than those texts on anything else (a
+    tuple is not a list).  Plain == is not enough: it matches 0 with false
+    and 6.0 with 6."""
+    t = type(a)
+    if t is not type(b):
+        return False
+    if t is dict:
+        if a.keys() != b.keys():
+            return False
+        for k, v in a.items():  # faster than all() over a generator here
+            if not _same_json(v, b[k]):
+                return False
+        return True
+    if t is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return t in _JSON_LEAVES and a == b
+
+
 def verify_certificate(cert):
     """Re-run every VERIFIED step from its recorded JSON inputs and compare
-    the canonical JSON of the result with the recorded one, bit for bit.
+    the result with the recorded one as typed JSON values (_same_json), no
+    less strict than comparing their canonical texts bit for bit.
 
     This is the one place a certificate's inputs are decoded; the replays
     computed on the classes they held.  A step whose inputs the decoders
@@ -324,7 +369,7 @@ def verify_certificate(cert):
             args = decode(step.inputs)
         except (Dp6kitError, ValueError):
             return False
-        if _canon(compute(*args)) != _canon(step.result):
+        if not _same_json(compute(*args), step.result):
             return False
     return True
 
@@ -546,6 +591,7 @@ def replay_first_proof(A):
     # each JSON input is built once and shared: no computation mutates its inputs
     algebra, resD, res2D = to_json(A), to_json_K(rD), to_json_K(r2D)
     observed = {"n_S": 6}
+    filter_step, degree_step, _ = _fixed_steps()
     steps = _common_head(A, algebra)
     steps += [
         _axiom("assume the splitting dimension is at most 2: the product of "
@@ -563,14 +609,10 @@ def replay_first_proof(A):
                "Pezzo with Picard rank 1", "iskovskikh_mori"),
         _axiom("a conic bundle over a conic has index dividing 4",
                "conic_bundle_quartic_point"),
-        _verified("no positive integer is divisible by 6 and divides 4, so "
-                  "the conic bundle case is impossible", "divisibility_filter",
-                  {"multiple_of": 6, "dividing": 4}, 6, 4),
+        filter_step,
         _axiom("for a del Pezzo surface the index divides the degree",
                "dp6_index_divides_degree"),
-        _verified("the only degree in 1..9 divisible by 6 is 6: the minimal "
-                  "model is a degree-6 del Pezzo surface", "degree_forced",
-                  {"multiple_of": 6, "min": 1, "max": 9}, 6, 1, 9),
+        degree_step,
         _axiom("the surface arises from a rank-9 algebra with unitary "
                "involution over a quadratic etale algebra and a cubic etale "
                "subalgebra of symmetric elements", "dp6_triples"),
@@ -648,13 +690,12 @@ DEGREE6_WITNESS = from_json({"primes": {"7": "1/6", "13": "5/6"}})
 def corollary_cdpgl(replay_cert):
     """Wrap a replay with the torsor correspondence and an existence witness
     to conclude on the projective linear group of rank 6."""
+    _, _, witness_step = _fixed_steps()
     steps = [
         _axiom("projective-linear torsors of rank 6 correspond to degree-6 "
                "central simple algebras with identical splitting behavior",
                "torsor_algebra"),
-        _verified("a degree-6 division class exists: the standing witness "
-                  "has index 6", "index", {"class": to_json(DEGREE6_WITNESS)},
-                  DEGREE6_WITNESS),
+        witness_step,
     ]
     steps += list(replay_cert.steps)
     if replay_cert.contradiction:

@@ -217,6 +217,17 @@ def test_zero_entries_are_checked_before_they_are_dropped(capsys, argv, message)
                                "message": message}
 
 
+# a class payload without "primes" is read as "primes": {}, by every op
+@pytest.mark.parametrize("op, stdout", [
+    ("order3", '{"class":{"primes":{}},"schema":"dp6kit/1"}'),
+    ("inverse", '{"class":{"primes":{}},"schema":"dp6kit/1"}'),
+    ("index", '{"index":1,"schema":"dp6kit/1"}'),
+    ("is-split", '{"schema":"dp6kit/1","split":true}'),
+], ids=["order3", "inverse", "index", "is-split"])
+def test_missing_primes_is_read_as_empty(capsys, op, stdout):
+    assert _run(capsys, ["brauer", op, "{}"]) == (0, stdout + "\n")
+
+
 MERSENNE_61 = str(2**61 - 1)
 
 

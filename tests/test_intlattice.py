@@ -115,6 +115,14 @@ def test_no_entries_for_a_nonempty_shape_is_refused():
         IntMat([], rows=2, cols=3)
 
 
+@pytest.mark.parametrize("shape", [dict(rows=3, cols=5), dict(rows=2),
+                                   dict(cols=1), dict(rows=0, cols=2)])
+def test_stated_shape_that_disagrees_with_entries_is_refused(shape):
+    with pytest.raises(ValueError):
+        IntMat([[1, 2]], **shape)
+    assert IntMat([[1, 2]], rows=1, cols=2) == IntMat([[1, 2]])
+
+
 def test_non_int_scalar_is_refused():
     A = IntMat([[1, 3]])
     for s in (Fraction(1, 2), 0.5):

@@ -4,18 +4,20 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dp6kit.brauer import (QuadField, from_json, from_json_K, index, order,
-                           order3_class, quaternion_class, restriction, tensor,
-                           to_json)
+from dp6kit.brauer import (QuadField, decompose_degree6, from_json, from_json_K,
+                           index, order, order3_class, power, quaternion_class,
+                           restriction, tensor, to_json)
 from dp6kit.errors import InconsistentObservation, IndexMismatch, MalformedCase
 from dp6kit.proofkit import (AXIOMS, COMPUTATIONS, DEGREE6_WITNESS,
                              ConicBundle, DelPezzoRankOne, FormP1xP1,
-                             KernelShape, MASTER_SHAPES, SeveriBrauerSurface,
-                             corollary_3or4_check, corollary_cdpgl,
-                             kernel_shapes, lemma_number_check, replay_first_proof,
-                             replay_second_proof, transcript,
-                             verify_certificate, _axiom)
+                             KernelShape, MASTER_SHAPES, ProofCertificate,
+                             SeveriBrauerSurface, Step, corollary_3or4_check,
+                             corollary_cdpgl, kernel_shapes, lemma_number_check,
+                             replay_first_proof, replay_second_proof, transcript,
+                             verify_certificate, _axiom, _canon,
+                             _replay_certificate, _same_json)
 from dp6kit.selftest import index6_corpus, random_surface_case
 
 STANDING = from_json({"primes": {"7": "1/6", "13": "5/6"}})
@@ -237,6 +239,121 @@ def test_certificate_input_tamper_detection(computation, change):
     assert not verify_certificate(_tamper_inputs(cert, computation, change))
     # the shared inputs of the original certificate are untouched
     assert verify_certificate(cert)
+
+
+# small alphabets and ranges, so that independent draws often collide
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text("ab", max_size=2),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=2), children, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_same_json_agrees_with_canonical_text(data):
+    a = data.draw(_json_values)
+    b = data.draw(_json_values | st.just(json.loads(_canon(a))))
+    assert _same_json(a, b) == (_canon(a) == _canon(b))
+
+
+@pytest.mark.parametrize("computed, recorded", [
+    ((1, 2), [1, 2]),
+    ({"C": {"primes": ("7",)}}, {"C": {"primes": ["7"]}}),
+    ({7: "1/2"}, {"7": "1/2"}),
+    (0, False),
+    (True, 1),
+    (6.0, 6),
+    ({"index": 6}, {"index": 6.0}),
+])
+def test_same_json_refuses_type_confusion(computed, recorded):
+    # each pair passes the canonical-text comparison or plain ==
+    assert _canon(computed) == _canon(recorded) or computed == recorded
+    assert not _same_json(computed, recorded)
+    assert not _same_json(recorded, computed)
+
+
+def _read_back(cert):
+    """The certificate rebuilt from its JSON text."""
+    data = json.loads(cert.to_json())
+    steps = tuple(Step(statement=s["statement"], kind=s["kind"],
+                       computation=s.get("computation"), inputs=s.get("inputs"),
+                       result=s.get("result"), axiom=s.get("axiom"))
+                  for s in data["steps"])
+    return ProofCertificate(title=data["title"], algebra=data["algebra"],
+                            steps=steps, contradiction=data["contradiction"],
+                            verdict=data["verdict"])
+
+
+def test_recorded_results_match_their_json_text():
+    certs = [replay(A) for A in index6_corpus(50)  # the selftest corpus
+             for replay in (replay_first_proof, replay_second_proof)]
+    for cert in certs + [corollary_cdpgl(cert) for cert in certs]:
+        for s in cert.steps:
+            if s.kind == "VERIFIED":
+                assert _same_json(s.result, json.loads(_canon(s.result)))
+        back = _read_back(cert)
+        assert back.to_json() == cert.to_json()
+        assert verify_certificate(back)
+
+
+def _tamper_result(cert, computation, result):
+    """cert with result recorded for its first step that runs computation."""
+    steps = list(cert.steps)
+    i = next(i for i, s in enumerate(steps) if s.computation == computation)
+    steps[i] = replace(steps[i], result=result)
+    return replace(cert, steps=tuple(steps))
+
+
+# each tampered result equals the true one under plain ==
+@pytest.mark.parametrize("replay, computation, result", [
+    (replay_first_proof, "is_split", {"split": 0}),
+    (replay_first_proof, "admits_unitary_involution", {"admits": 0}),
+    (replay_second_proof, "index", {"index": 6.0}),
+], ids=["split", "admits", "index"])
+def test_type_confused_result_does_not_verify(replay, computation, result):
+    cert = replay(STANDING)
+    assert verify_certificate(cert)
+    assert not verify_certificate(_tamper_result(cert, computation, result))
+
+
+def test_fixed_verified_steps_are_shared():
+    A = index6_corpus(1, seed=3)[0]
+    firsts = [replay_first_proof(B) for B in (STANDING, A)]
+    for computation in ("divisibility_filter", "degree_forced"):
+        a, b = ([s for s in cert.steps if s.computation == computation]
+                for cert in firsts)
+        assert len(a) == 1 and a[0] is b[0]
+    witness = [corollary_cdpgl(cert).steps[1]
+               for cert in (*firsts, replay_second_proof(A))]
+    assert witness[0].inputs == {"class": to_json(DEGREE6_WITNESS)}
+    assert all(s is witness[0] for s in witness)
+
+
+def test_verifying_twice_leaves_the_steps_unchanged():
+    certs = _all_certificates()
+    recorded = [(s.inputs, s.result) for cert in certs for s in cert.steps]
+    before = copy.deepcopy(recorded)
+    for _ in range(2):
+        assert all(verify_certificate(cert) for cert in certs)
+    assert recorded == before and _canon(recorded) == _canon(before)
+
+
+def test_replay_certificate_without_a_decisive_step_has_no_verdict():
+    cert = replay_first_proof(STANDING)
+    axioms = [s for s in cert.steps if s.kind == "AXIOM"]
+    bare = _replay_certificate("axioms only", cert.algebra, axioms,
+                               {"is_split": {"split": False}})
+    assert not bare.contradiction and bare.verdict.startswith("no verdict")
+
+
+def test_decompose_records_a_factorization_that_misses_the_input(monkeypatch):
+    from dp6kit import proofkit
+    compute = COMPUTATIONS["decompose_degree6"][1]
+    assert compute(STANDING)["tensor_recovers_input"] is True
+    monkeypatch.setattr(proofkit, "decompose_degree6",
+                        lambda u: (decompose_degree6(u)[0], power(u, 2)))
+    assert compute(STANDING)["tensor_recovers_input"] is False
 
 
 def test_replays_decode_nothing_and_verify_decodes_each_class_once(monkeypatch):
