@@ -1,17 +1,18 @@
-"""Brauer classes over Q (and over quadratic fields) as local invariant vectors.
+"""Brauer classes over Q and over quadratic fields as local invariant vectors.
 
-A class is a finitely supported map from places of Q to Q/Z whose invariants
-sum to zero, with real invariant 0 or 1/2.  Hilbert symbols use the standard
+A class is a finitely supported map from places to Q/Z whose invariants sum
+to zero, with real invariant 0 or 1/2.  Hilbert symbols use the standard
 closed formulas; restriction and corestriction to a quadratic field track
 places as (rational place, slot) pairs, never as ideals.
 
-A class is stored as integers over one denominator, its order: the invariant
-at each place is n/order with 0 <= n < order, and the class is kept reduced,
-so the gcd of the order and all numerators is 1.  The order is then the lcm
-of the local denominators, which over a number field is the Schur index of a
-division class (Albert-Brauer-Hasse-Noether); index() reads it, and
-certificates that rely on the identification record it as an axiom.  Every
-operation works on these integers.
+One class type serves Q and a quadratic field K: InvariantVector holds K
+(None over Q), an order and a support, the sorted (place, n) with invariant
+n/order, 0 < n < order; a place is a prime or _REAL (sorted first) over Q,
+and (such a place, slot) over K.  A class is kept reduced, so the gcd of the
+order and all numerators is 1.  The order is then the lcm of the local
+denominators, which over a number field is the Schur index of a division
+class (Albert-Brauer-Hasse-Noether); index() reads it, and certificates that
+rely on the identification record it as an axiom.
 
 There is one way into a class from outside data, and it is validated there:
 from_json and from_json_K decode a JSON payload, and quaternion_class and
@@ -46,6 +47,8 @@ from .errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
 from .fields import is_prime
 
 REAL_PLACE = "inf"
+# The real place in the support of a class: it sorts before every prime.
+_REAL = 0
 
 SPLIT = "split"
 INERT = "inert"
@@ -83,69 +86,91 @@ def _check_place(v):
 
 
 class InvariantVector:
-    """Brauer class over Q: invariant _real/order at the real place and
-    n/order at each (p, n) of _primes, sorted by p, nonzero n only."""
+    """Brauer class over Q (K is None) or over the quadratic field K, with
+    invariant n/order at each (place, n) of _support; see the module doc."""
 
-    __slots__ = ("order", "_real", "_primes")
+    __slots__ = ("K", "order", "_support")
 
     def _validate(self):
-        order, real = self.order, self._real
-        if real and 2 * real != order:
-            raise RealPlaceOrder(
-                f"real invariant must be 0 or 1/2, got {Fraction(real, order)}")
-        last = 0
-        total = real
-        for p, n in self._primes:
-            _check_place(p)
-            if not (p > last):
+        K, order = self.K, self.order
+        last = -1 if K is None else (-1,)  # below every place
+        total = 0
+        for place, n in self._support:
+            if K is None:
+                p = place
+                if p != _REAL:
+                    _check_place(p)
+            else:
+                p, slot = place
+                # _slot_count refuses p unless it is a prime or _REAL
+                if not 0 <= slot < _slot_count(K.d, p):
+                    raise ValueError(f"place {p or REAL_PLACE} has no slot {slot}")
+            if not place > last:
                 raise ValueError("prime support must be strictly sorted")
-            last = p
             if not 0 < n < order:
                 raise ValueError("invariants must be reduced, nonzero, in (0,1)")
+            if p == _REAL:
+                if K is not None and K.real_slots == 1:
+                    raise RealPlaceOrder("complex place carries no Brauer invariant")
+                if 2 * n != order:
+                    raise RealPlaceOrder("real invariant must be 0 or 1/2" + (
+                        f", got {_text(n, order)}" if K is None else ""))
+            last = place
             total += n
         if total % order:
             raise ReciprocityViolation(
-                f"local invariants sum to {Fraction(total % order, order)}, not 0")
+                f"local invariants sum to {_text(total % order, order)}, not 0"
+                if K is None else "invariants over K do not sum to 0")
+        # Br(F x F) = Br F x Br F; factor 1 is reciprocal if the total and factor 0 are
+        if K is not None and K.is_split and sum(
+                n for (_, slot), n in self._support if slot == 0) % order:
+            raise ReciprocityViolation("factor 0 of the split algebra violates reciprocity")
         return self
 
     @property
     def real(self):
-        return _fraction(self._real, self.order)
+        """The real invariant of a class over Q, a Fraction."""
+        support = self._support
+        return _fraction(support[0][1] if support and support[0][0] == _REAL else 0,
+                         self.order)
 
     @property
     def primes(self):
-        """((p, Fraction), ...) sorted by p, nonzero values only."""
-        return tuple((p, _fraction(n, self.order)) for p, n in self._primes)
+        """((p, Fraction), ...) of a class over Q, sorted by p, nonzero only."""
+        order = self.order
+        return tuple((p, _fraction(n, order)) for p, n in self._support if p != _REAL)
 
     def __eq__(self, other):
         if other.__class__ is not InvariantVector:
             return NotImplemented
-        return (self.order == other.order and self._real == other._real
-                and self._primes == other._primes)
+        return (self.K == other.K and self.order == other.order
+                and self._support == other._support)
 
     def __hash__(self):
-        return hash((self.order, self._real, self._primes))
+        return hash((self.K, self.order, self._support))
 
     def __repr__(self):
         order = self.order
-        parts = [f"inf:{_text(self._real, order)}"] if self._real else []
-        parts += [f"{p}:{_text(n, order)}" for p, n in self._primes]
-        return "Br{" + ", ".join(parts) + "}"
+        if self.K is None:
+            return "Br{" + ", ".join(f"{p or REAL_PLACE}:{_text(n, order)}"
+                                     for p, n in self._support) + "}"
+        parts = [f"{p or REAL_PLACE}:(" + ",".join(_text(n, order) for n in slots) + ")"
+                 for p, slots in _slot_lists(self).items() if any(slots)]
+        return f"Br_{self.K}{{" + ", ".join(parts) + "}"
 
 
-def _vector(order, real, primes):
-    """The class with invariant real/order at the real place and n/order at
-    each (p, n) of primes, sorted, 0 <= n < order: zeros dropped and
-    reduced, not validated: from_json, quaternion_class and order3_class
+def _vector(K, order, support):
+    """The class over K (None for Q) with invariant n/order at each
+    (place, n) of support, sorted, 0 <= n < order: zeros dropped and
+    reduced, not validated: the decoders, quaternion_class and order3_class
     call _validate(), which returns the class."""
-    primes = [(p, n) for p, n in primes if n]
-    g = gcd(order, real, *(n for _, n in primes))
+    support = [(v, n) for v, n in support if n]
+    g = gcd(order, *(n for _, n in support))
     if g > 1:
         order //= g
-        real //= g
-        primes = [(p, n // g) for p, n in primes]
+        support = [(v, n // g) for v, n in support]
     u = InvariantVector.__new__(InvariantVector)
-    u.order, u._real, u._primes = order, real, tuple(primes)
+    u.K, u.order, u._support = K, order, tuple(support)
     return u
 
 
@@ -153,10 +178,10 @@ def tensor(u, v):
     """Product in the Brauer group: pointwise addition in Q/Z."""
     order = lcm(u.order, v.order)
     a, b = order // u.order, order // v.order
-    primes = {p: n * a for p, n in u._primes}
-    for p, n in v._primes:
-        primes[p] = (primes.get(p, 0) + n * b) % order
-    return _vector(order, (u._real * a + v._real * b) % order, sorted(primes.items()))
+    support = {place: n * a for place, n in u._support}
+    for place, n in v._support:
+        support[place] = (support.get(place, 0) + n * b) % order
+    return _vector(u.K, order, sorted(support.items()))
 
 
 def inverse(u):
@@ -169,7 +194,7 @@ def is_split(u):
 
 def power(u, n):
     order = u.order
-    return _vector(order, u._real * n % order, [(p, m * n % order) for p, m in u._primes])
+    return _vector(u.K, order, [(place, m * n % order) for place, m in u._support])
 
 
 def order(u):
@@ -307,8 +332,9 @@ def quaternion_class(a, b):
     ai = _squareclass_int(a)
     bi = _squareclass_int(b)
     candidates = {2} | set(_factor(ai)) | set(_factor(bi))
-    primes = [(p, 1) for p in sorted(candidates) if hilbert_symbol(ai, bi, p) == -1]
-    return _vector(2, int(hilbert_symbol(ai, bi, REAL_PLACE) == -1), primes)._validate()
+    support = [(_REAL, int(hilbert_symbol(ai, bi, REAL_PLACE) == -1))]
+    support += [(p, 1) for p in sorted(candidates) if hilbert_symbol(ai, bi, p) == -1]
+    return _vector(None, 2, support)._validate()
 
 
 def order3_class(primes):
@@ -319,8 +345,10 @@ def order3_class(primes):
     for n, d in residues.values():
         if d not in (1, 3):
             raise OrderViolation(f"invariant {_text(n, d)} does not have order dividing 3")
-    entries = sorted((p, n * 3 // d) for p, (n, d) in residues.items())
-    return _vector(3, 0, entries)._validate()
+    support = sorted((p, n * 3 // d) for p, (n, d) in residues.items() if n)
+    for p, _ in support:
+        _check_place(p)  # so that no key is read as the real place
+    return _vector(None, 3, support)._validate()
 
 
 # ---------------------------------------------------------------------------
@@ -392,131 +420,65 @@ def splitting_in_quadratic(K, v):
 
 
 @lru_cache(maxsize=_INTERNED)
-def _slot_count(K, p):
-    """Invariant slots at the prime p of Q over K: 2 where p splits, else 1."""
-    return 2 if splitting_in_quadratic(K, p) == SPLIT else 1
-
-
-class InvariantVectorK:
-    """Brauer class over a quadratic field, places as (rational place, slot).
-
-    Split places carry two slots, inert and ramified places one.  The real
-    entry has two slots when K has two real embeddings (d > 0 or split K)
-    and a single forced-zero slot when the archimedean place is complex.
-    Each slot holds n for the invariant n/order: _real is a tuple of one or
-    two numerators, _primes ((p, (n0,) or (n0, n1)), ...) sorted by p, with
-    some slot nonzero.
-    """
-
-    __slots__ = ("K", "order", "_real", "_primes")
-
-    def _validate(self):
-        K, order, real = self.K, self.order, self._real
-        n_real = K.real_slots
-        if len(real) != n_real:
-            raise ValueError("wrong number of real slots for this field")
-        if n_real == 1:
-            if real[0]:
-                raise RealPlaceOrder("complex place carries no Brauer invariant")
-        elif any(n and 2 * n != order for n in real):
-            raise RealPlaceOrder("real invariant must be 0 or 1/2")
-        last = 0
-        total = sum(real)
-        for p, slots in self._primes:
-            _check_place(p)
-            if not p > last:
-                raise ValueError("prime support must be strictly sorted")
-            last = p
-            _check_slots(K, p, slots)
-            if not any(slots):
-                raise ValueError("support entries must be nonzero somewhere")
-            for n in slots:
-                if not 0 <= n < order:
-                    raise ValueError("invariants must be reduced")
-                total += n
-        if total % order:
-            raise ReciprocityViolation("invariants over K do not sum to 0")
-        if K.is_split:
-            # Br(F x F) = Br F x Br F: each factor is reciprocal on its own
-            for slot in (0, 1):
-                if (real[slot] + sum(s[slot] for _, s in self._primes)) % order:
-                    raise ReciprocityViolation(
-                        f"factor {slot} of the split algebra violates reciprocity")
-        return self
-
-    def __eq__(self, other):
-        if other.__class__ is not InvariantVectorK:
-            return NotImplemented
-        return (self.K == other.K and self.order == other.order
-                and self._real == other._real and self._primes == other._primes)
-
-    def __hash__(self):
-        return hash((self.K, self.order, self._real, self._primes))
-
-    def __repr__(self):
-        order = self.order
-
-        def text(slots):
-            return "(" + ",".join(_text(n, order) for n in slots) + ")"
-
-        parts = [f"inf:{text(self._real)}"] if any(self._real) else []
-        parts += [f"{p}:{text(slots)}" for p, slots in self._primes]
-        return f"Br_{self.K}{{" + ", ".join(parts) + "}"
-
-
-def _vector_K(K, order, real, primes):
-    """The class over K with slot numerators real and ((p, slots), ...)
-    over order, each in [0, order): places with all slots zero dropped and
-    reduced, not validated: from_json_K calls _validate(), which returns
-    the class."""
-    primes = [(p, slots) for p, slots in primes if any(slots)]
-    g = gcd(order, *real, *(n for _, slots in primes for n in slots))
-    if g > 1:
-        order //= g
-        real = tuple(n // g for n in real)
-        primes = [(p, tuple(n // g for n in slots)) for p, slots in primes]
-    u = InvariantVectorK.__new__(InvariantVectorK)
-    u.K, u.order, u._real, u._primes = K, order, real, tuple(primes)
-    return u
+def _slot_count(d, p):
+    """Slots over QuadField(d) at p, a prime or _REAL: 2 where p splits, else 1.
+    Keyed by d: a QuadField key would run __hash__ and __eq__ on each lookup."""
+    return 2 if splitting_in_quadratic(QuadField(d), p or REAL_PLACE) == SPLIT else 1
 
 
 def _check_slots(K, p, slots):
-    """Check that p is a place of Q with len(slots) slots over K."""
-    expected = _slot_count(K, p)
+    """Check that p is a prime place of Q with len(slots) slots over K."""
+    _check_place(p)
+    expected = _slot_count(K.d, p)
     if len(slots) != expected:
         raise ValueError(f"place {p} needs {expected} slot(s)")
+
+
+def _slot_lists(u):
+    """{p: [n at each slot]} of a class over K, sorted by p: every slot of
+    each place in the support, and the real place always."""
+    d = u.K.d
+    out = {_REAL: [0] * _slot_count(d, _REAL)}
+    for (p, slot), n in u._support:
+        slots = out.get(p)
+        if slots is None:
+            slots = out[p] = [0] * _slot_count(d, p)
+        slots[slot] = n
+    return out
 
 
 def split_components(u):
     """The two factor classes of a class over split K."""
     if not u.K.is_split:
         raise ValueError("class is not over the split algebra")
-    return tuple(_vector(u.order, u._real[slot], [(p, s[slot]) for p, s in u._primes])
+    return tuple(_vector(None, u.order, [(p, n) for (p, s), n in u._support if s == slot])
                  for slot in (0, 1))
 
 
-def is_split_K(u):
-    return u.order == 1
-
-
 def restriction(u, K):
-    """Base change of a class to K: local degree times the invariant.
-
-    Split places copy the invariant to both slots; inert and ramified places
-    have local degree 2.
-    """
-    order, real = u.order, u._real
-    real = (real, real) if K.real_slots == 2 else (2 * real % order,)
-    primes = [(p, (n, n) if _slot_count(K, p) == 2 else (2 * n % order,))
-              for p, n in u._primes]
-    return _vector_K(K, order, real, primes)
+    """Base change of a class over Q to K: local degree times the invariant.
+    Split places copy it to both slots; inert and ramified places, and the
+    real place when K is imaginary, have local degree 2."""
+    order = u.order
+    support = []
+    for p, n in u._support:
+        if _slot_count(K.d, p) == 2:
+            support += [((p, 0), n), ((p, 1), n)]
+        else:
+            support.append(((p, 0), 2 * n % order))
+    return _vector(K, order, support)
 
 
 def corestriction(u):
     """Sum of the invariants over the places above each rational place."""
     order = u.order
-    return _vector(order, sum(u._real) % order,
-                   [(p, sum(slots) % order) for p, slots in u._primes])
+    support = []
+    for (p, _), n in u._support:
+        if support and support[-1][0] == p:  # the slots of p are adjacent
+            support[-1] = (p, (support[-1][1] + n) % order)
+        else:
+            support.append((p, n))
+    return _vector(None, order, support)
 
 
 def admits_unitary_involution(u):
@@ -549,9 +511,10 @@ def decompose_degree6(u):
 
 
 def to_json(u):
-    out = {"primes": {str(p): _text(n, u.order) for p, n in u._primes}}
-    if u._real:
-        out["inf"] = _text(u._real, u.order)
+    order, support = u.order, u._support
+    out = {"primes": {str(p): _text(n, order) for p, n in support if p != _REAL}}
+    if support and support[0][0] == _REAL:
+        out["inf"] = _text(support[0][1], order)
     return out
 
 
@@ -640,22 +603,21 @@ def from_json(obj):
 
 
 def _from_json(obj):
-    real_n, real_d = _residue(obj.get("inf", "0"))
+    real = _residue(obj.get("inf", "0"))
     primes = sorted(primes_from_json(obj.get("primes", {}), _residue).items())
     for p, _ in primes:
         _check_place(p)
-    order = lcm(real_d, *(d for _, (_, d) in primes))
-    return _vector(order, real_n * (order // real_d),
-                   [(p, n * (order // d)) for p, (n, d) in primes])._validate()
+    entries = [(_REAL, real), *primes]
+    order = lcm(*(d for _, (_, d) in entries))
+    return _vector(None, order,
+                   [(v, n * (order // d)) for v, (n, d) in entries])._validate()
 
 
 def to_json_K(u):
-    order = u.order
-    return {
-        "d": u.K.d,
-        "inf": [_text(n, order) for n in u._real],
-        "primes": {str(p): [_text(n, order) for n in slots] for p, slots in u._primes},
-    }
+    order, slots = u.order, _slot_lists(u)
+    real = slots.pop(_REAL)
+    return {"d": u.K.d, "inf": [_text(n, order) for n in real],
+            "primes": {str(p): [_text(n, order) for n in s] for p, s in slots.items()}}
 
 
 def _slots_json(slots):
@@ -700,7 +662,9 @@ def _from_json_K(obj):
     primes = sorted(primes_from_json(obj.get("primes", {}), _slots_json).items())
     for p, slots in primes:
         _check_slots(K, p, slots)
-    order = lcm(*(d for _, d in real), *(d for _, slots in primes for _, d in slots))
-    return _vector_K(K, order, tuple(n * (order // d) for n, d in real),
-                     [(p, tuple(n * (order // d) for n, d in slots))
-                      for p, slots in primes])._validate()
+    if len(real) != K.real_slots:
+        raise ValueError("wrong number of real slots for this field")
+    entries = [(_REAL, real), *primes]
+    order = lcm(*(d for _, slots in entries for _, d in slots))
+    return _vector(K, order, [((v, i), n * (order // d)) for v, slots in entries
+                              for i, (n, d) in enumerate(slots)])._validate()

@@ -24,7 +24,7 @@ class IntMat:
     IntMat(data) is the checking constructor, for data from outside the
     package (a CLI lattice payload, a caller's rows): it converts every
     entry with int() and refuses ragged rows, and a stated rows or cols
-    that disagrees with the entries.  IntMat.trusted(data, rows, cols)
+    that is negative or disagrees with the entries.  IntMat.trusted(data, rows, cols)
     takes rows of ints the package computed itself (products, sums,
     transposes, identities, normal forms, kernels, hexagon's action
     matrices) as they are, with their shape.  data always holds rows
@@ -46,6 +46,8 @@ class IntMat:
                                  f"stated as rows={rows}, cols={cols}")
         else:
             self.rows, self.cols = rows or 0, cols or 0
+            if self.rows < 0 or self.cols < 0:
+                raise ValueError(f"negative shape rows={rows}, cols={cols}")
             if self.rows and self.cols:
                 raise ValueError(f"no entries for a {self.rows}x{self.cols} matrix")
             data = ((),) * self.rows

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .brauer import (InvariantVector, InvariantVectorK, QuadField,
-                     admits_unitary_involution, corestriction,
-                     decompose_degree6, from_json, from_json_K, index,
-                     is_split, is_split_K, order, power, restriction,
+from .brauer import (InvariantVector, QuadField, admits_unitary_involution,
+                     corestriction, decompose_degree6, from_json, from_json_K,
+                     index, is_split, order, power, restriction,
                      split_components, tensor, to_json, to_json_K)
 from .errors import (Dp6kitError, InconsistentObservation, IndexMismatch,
                      MalformedCase)
@@ -189,7 +188,7 @@ def lemma_number_check(K, B_class, observed):
     """
     n_s = observed.get("n_S")
     has_pt = observed.get("has_rational_point")
-    b_split = B_class is None or is_split_K(B_class)
+    b_split = B_class is None or is_split(B_class)
     if has_pt:
         n_s = 1 if n_s is None else n_s
         if not b_split:
@@ -443,7 +442,7 @@ class SeveriBrauerSurface:
 @dataclass(frozen=True)
 class FormP1xP1:
     K: QuadField
-    conic: InvariantVectorK  # 2-torsion class over K
+    conic: InvariantVector  # 2-torsion class over K
 
 
 @dataclass(frozen=True)

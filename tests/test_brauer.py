@@ -9,17 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from dp6kit import brauer
 from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT,
-                           InvariantVector, InvariantVectorK, QuadField,
+                           InvariantVector, QuadField,
                            admits_unitary_involution, chatelet_kernel,
                            corestriction, decompose_degree6, from_json,
                            from_json_K, hilbert_symbol, index, inverse,
-                           is_split, is_split_K, order, order3_class,
+                           is_split, order, order3_class,
                            parse_rational, power, primes_from_json,
                            quaternion_class, restriction, split_components,
                            splitting_in_quadratic, tensor, to_json, to_json_K)
 from dp6kit.errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
                            ReciprocityViolation)
 from dp6kit.fields import PRIME_BOUND
+from dp6kit.proofkit import DEGREE6_WITNESS
 from dp6kit.selftest import solvability_oracle
 
 F = Fraction
@@ -127,8 +128,8 @@ def test_splitting_in_quadratic():
 
 def test_restriction_examples():
     q = quaternion_class(-1, -1)
-    assert is_split_K(restriction(q, QuadField(-1)))
-    assert is_split_K(restriction(ZERO, QuadField(2)))
+    assert is_split(restriction(q, QuadField(-1)))
+    assert is_split(restriction(ZERO, QuadField(2)))
     d = order3_class(ORDER3)
     r = restriction(d, QuadField(2))
     assert to_json_K(r)["primes"] == {"7": ["1/3", "1/3"], "13": ["1/3"]}
@@ -220,6 +221,24 @@ def test_split_algebra_classes():
         from_json_K({"d": None, "primes": {"7": ["1/2", "0"], "11": ["0", "1/2"]}})
 
 
+def test_reprs():
+    u = from_json({"inf": "1/2", "primes": {"2": "1/2", "7": "1/6", "13": "5/6"}})
+    assert [repr(ZERO), repr(quaternion_class(-1, -1)), repr(DEGREE6_WITNESS), repr(u)] == [
+        "Br{}", "Br{inf:1/2, 2:1/2}", "Br{7:1/6, 13:5/6}", "Br{inf:1/2, 2:1/2, 7:1/6, 13:5/6}"]
+    assert [repr(restriction(u, K)) for K in (QuadField(2), QuadField(-1), QuadField.split())] \
+        == ["Br_Q(sqrt(2)){inf:(1/2,1/2), 7:(1/6,1/6), 13:(2/3)}",
+            "Br_Q(sqrt(-1)){7:(1/3), 13:(5/6,5/6)}",
+            "Br_QxQ{inf:(1/2,1/2), 2:(1/2,1/2), 7:(1/6,1/6), 13:(5/6,5/6)}"]
+    assert [repr(from_json_K(obj)) for obj in (
+        {"d": 5, "inf": ["1/2", "1/2"]},
+        {"d": 5, "inf": ["0", "0"], "primes": {"3": ["1/3"], "11": ["1/2", "1/6"]}},
+        {"d": 2, "inf": ["1/2", "0"], "primes": {"7": ["0", "1/2"]}},
+        {"d": -1})] == ["Br_Q(sqrt(5)){inf:(1/2,1/2)}",
+                        "Br_Q(sqrt(5)){3:(1/3), 11:(1/2,1/6)}",
+                        "Br_Q(sqrt(2)){inf:(1/2,0), 7:(0,1/2)}",
+                        "Br_Q(sqrt(-1)){}"]
+
+
 def test_json_roundtrip():
     u = from_json({"inf": "1/2", "primes": {"2": "1/2", "7": "1/6", "13": "5/6"}})
     assert brauer._from_json(to_json(u)) == u  # the uncached decoder
@@ -267,11 +286,12 @@ def classes(draw):
 
 
 @st.composite
-def classes_K(draw):
+def classes_K(draw, K=None):
     """(K, class over K): slot invariants of denominator <= 12 on SUPPORT,
     real slots 0 or 1/2 when K has real places, and each reciprocity sum
-    (one per factor over QxQ) closed in the first slot at CLOSING."""
-    K = draw(st.sampled_from(FIELDS))
+    (one per factor over QxQ) closed in the first slot at CLOSING.  K is
+    drawn from FIELDS unless it is given."""
+    K = draw(st.sampled_from(FIELDS)) if K is None else K
     n_real = K.real_slots
     real = [draw(st.sampled_from([F(0), HALF])) for _ in range(n_real)] \
         if n_real == 2 else [F(0)]
@@ -343,25 +363,23 @@ def _ref_power(ref, n):
 
 def _class(ref):
     """The validated class of a reference map over Q, built from its
-    numerators over the lcm of its denominators by brauer._vector."""
+    numerators over the lcm of its denominators by brauer._vector, the real
+    place keyed by brauer._REAL."""
     order = _ref_order(ref)
-    nums = {v: f.numerator * (order // f.denominator) for v, f in ref.items()}
-    real = nums.pop(REAL_PLACE, 0)
-    return brauer._vector(order, real, sorted(nums.items()))._validate()
+    support = sorted((brauer._REAL if v == REAL_PLACE else v,
+                      f.numerator * (order // f.denominator)) for v, f in ref.items())
+    return brauer._vector(None, order, support)._validate()
 
 
 def _class_K(K, real, primes):
     """The validated class over K of real slots and {p: slots}, any values:
-    taken mod 1, places with every slot zero dropped, then built from the
-    numerators over the lcm of the denominators by brauer._vector_K."""
-    real, primes = tuple(map(mod1, real)), _ref_K(primes)
-    order = lcm(*(f.denominator for s in (real, *primes.values()) for f in s))
-
-    def nums(slots):
-        return tuple(f.numerator * (order // f.denominator) for f in slots)
-
-    return brauer._vector_K(K, order, nums(real),
-                            sorted((p, nums(s)) for p, s in primes.items()))._validate()
+    taken mod 1, zero slots dropped, then built from the numerators over the
+    lcm of the denominators by brauer._vector, each slot keyed (p, slot)."""
+    slots = {brauer._REAL: tuple(map(mod1, real)), **_ref_K(primes)}
+    order = lcm(*(f.denominator for s in slots.values() for f in s))
+    support = sorted(((p, i), f.numerator * (order // f.denominator))
+                     for p, s in slots.items() for i, f in enumerate(s))
+    return brauer._vector(K, order, support)._validate()
 
 
 def _view(u):
@@ -374,10 +392,16 @@ def _view(u):
 
 
 def _slots_K(u):
-    """{place: slot invariants} of a class over K, the real place first, read
-    from its numerators."""
-    return {REAL_PLACE: tuple(F(n, u.order) for n in u._real),
-            **{p: tuple(F(n, u.order) for n in s) for p, s in u._primes}}
+    """{place: slot invariants} of a class over K, the real place first with
+    all of its slots, then each place of the support with all of its slots,
+    read from its numerators."""
+    slots = {REAL_PLACE: [F(0)] * u.K.real_slots}
+    for (p, i), n in u._support:
+        v = REAL_PLACE if p == brauer._REAL else p
+        if v not in slots:
+            slots[v] = [F(0)] * (2 if splitting_in_quadratic(u.K, p) == SPLIT else 1)
+        slots[v][i] = F(n, u.order)
+    return {v: tuple(s) for v, s in slots.items()}
 
 
 def _view_K(u):
@@ -386,7 +410,7 @@ def _view_K(u):
     assert all(0 <= f < 1 for s in slots.values() for f in s)
     assert all(any(s) for v, s in slots.items() if v != REAL_PLACE)
     ref = _ref_K(slots)
-    assert is_split_K(u) == (not ref)
+    assert is_split(u) == (not ref)
     return ref
 
 
@@ -495,6 +519,29 @@ def test_group_operations_keep_classes_valid(u, w, n, Kx, K_real, K_imaginary):
     if K.is_split:
         for c in split_components(x):
             _valid(c)
+    # the group operations over K
+    _valid(power(x, n))
+    _valid(inverse(x))
+    _valid(tensor(x, x))
+    _valid(tensor(x, restriction(u, K)))
+    for t in chatelet_kernel(x):
+        _valid(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=classes(), w=classes(), n=st.integers(-13, 13), Kx=classes_K(), data=st.data())
+def test_restriction_and_corestriction_are_homomorphisms(u, w, n, Kx, data):
+    K, x = Kx
+    _, y = data.draw(classes_K(K))
+    assert corestriction(tensor(x, y)) == tensor(corestriction(x), corestriction(y))
+    assert corestriction(power(x, n)) == power(corestriction(x), n)
+    assert restriction(tensor(u, w), K) == tensor(restriction(u, K), restriction(w, K))
+    assert restriction(power(u, n), K) == power(restriction(u, K), n)
+    # over QxQ the factors of a product are the products of the factors
+    pairs = [(split_pair_K(u, w), split_pair_K(w, u))] + ([(x, y)] if K.is_split else [])
+    for a, b in pairs:
+        assert split_components(tensor(a, b)) == tuple(
+            map(tensor, split_components(a), split_components(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +629,8 @@ def _fraction_route_K(obj):
     primes = primes_from_json(obj.get("primes", {}), _fraction_slots)
     for p, slots in sorted(primes.items()):
         brauer._check_slots(K, p, slots)
+    if len(real) != K.real_slots:
+        raise ValueError("wrong number of real slots for this field")
     return _class_K(K, real, primes)
 
 
@@ -785,20 +834,19 @@ def test_decompose_degree6_refuses_exactly_orders_not_dividing_6(u):
 K2 = QuadField(2)
 
 
-def _raw(order, real, primes):
-    """The class over Q with these numerators, taken as they are, then
+def _raw(K, order, support):
+    """The class over K (None for Q) with this support, taken as it is, then
     validated: for the checks that no decoder reaches, since the decoders
-    sort the support and reduce every invariant."""
+    check every place, sort the support and reduce every invariant."""
     u = InvariantVector.__new__(InvariantVector)
-    u.order, u._real, u._primes = order, real, primes
+    u.K, u.order, u._support = K, order, support
     return u._validate()
 
 
-def _raw_K(K, order, real, primes):
-    """_raw over K: real and each place's numerators as slot tuples."""
-    u = InvariantVectorK.__new__(InvariantVectorK)
-    u.K, u.order, u._real, u._primes = K, order, real, primes
-    return u._validate()
+def _two_faults(make, exc, message):
+    """A case whose payload has two faults, refused by the first check to
+    see one; its own id, so that it renames no case with the same message."""
+    return pytest.param(make, exc, message, id=f"two faults: {message}")
 
 
 @pytest.mark.parametrize("make, exc, message", [
@@ -806,15 +854,15 @@ def _raw_K(K, order, real, primes):
      "real invariant must be 0 or 1/2, got 1/3"),
     (lambda: from_json({"primes": {"4": "1/2", "7": "1/2"}}), ValueError,
      "not a place of Q: 4"),
-    (lambda: _raw(2, 0, ((7, 1), (5, 1))), ValueError,
+    (lambda: _raw(None, 2, ((7, 1), (5, 1))), ValueError,
      "prime support must be strictly sorted"),
-    (lambda: _raw(2, 0, ((5, 3), (7, 1))), ValueError,
+    (lambda: _raw(None, 2, ((5, 3), (7, 1))), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
-    (lambda: _raw(1, 0, ((5, 0),)), ValueError,
+    (lambda: _raw(None, 1, ((5, 0),)), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
-    (lambda: _raw(1, 0, ((5, 1),)), ValueError,
+    (lambda: _raw(None, 1, ((5, 1),)), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
-    (lambda: _raw(2, 0, ((5, -1), (7, 1))), ValueError,
+    (lambda: _raw(None, 2, ((5, -1), (7, 1))), ValueError,
      "invariants must be reduced, nonzero, in (0,1)"),
     (lambda: from_json({"primes": {"7": "1/3", "13": "1/3"}}), ReciprocityViolation,
      "local invariants sum to 2/3, not 0"),
@@ -826,16 +874,20 @@ def _raw_K(K, order, real, primes):
      "real invariant must be 0 or 1/2"),
     (lambda: from_json_K({"d": 2, "primes": {"9": ["1/2"]}}), ValueError,
      "not a place of Q: 9"),
-    (lambda: _raw_K(K2, 2, (0, 0), ((13, (1,)), (5, (1,)))),
+    (lambda: _raw(K2, 2, (((13, 0), 1), ((5, 0), 1))),
      ValueError, "prime support must be strictly sorted"),
     (lambda: from_json_K({"d": 2, "primes": {"7": ["1/2"]}}), ValueError,
      "place 7 needs 2 slot(s)"),
-    (lambda: _raw_K(K2, 1, (0, 0), ((5, (0,)),)), ValueError,
-     "support entries must be nonzero somewhere"),
-    (lambda: _raw_K(K2, 2, (0, 0), ((5, (3,)), (13, (1,)))),
-     ValueError, "invariants must be reduced"),
-    (lambda: _raw_K(K2, 1, (0, 0), ((5, (1,)),)), ValueError,
-     "invariants must be reduced"),
+    (lambda: _raw(K2, 1, (((5, 0), 0),)), ValueError,
+     "invariants must be reduced, nonzero, in (0,1)"),
+    (lambda: _raw(K2, 2, (((5, 0), 3), ((13, 0), 1))),
+     ValueError, "invariants must be reduced, nonzero, in (0,1)"),
+    (lambda: _raw(K2, 1, (((5, 0), 1),)), ValueError,
+     "invariants must be reduced, nonzero, in (0,1)"),
+    (lambda: _raw(K2, 2, (((5, 1), 1), ((13, 0), 1))), ValueError,
+     "place 5 has no slot 1"),
+    (lambda: _raw(QuadField(-1), 2, (((0, 1), 1), ((3, 0), 1))), ValueError,
+     "place inf has no slot 1"),
     (lambda: from_json_K({"d": 2, "primes": {"5": ["1/3"]}}), ReciprocityViolation,
      "invariants over K do not sum to 0"),
     (lambda: from_json_K({"d": None, "primes": {"7": ["1/2", "0"], "11": ["0", "1/2"]}}),
@@ -883,6 +935,19 @@ def _raw_K(K, order, real, primes):
      Dp6kitError, "prime key '05' is not the canonical decimal 5"),
     (lambda: primes_from_json({"7": "1/3", "007": "1/3"}, parse_rational),
      Dp6kitError, "prime key '007' is not the canonical decimal 7"),
+    (lambda: order3_class({"0": "1/3", "7": "2/3"}), ValueError, "not a place of Q: 0"),
+    _two_faults(lambda: from_json_K({"d": 2, "inf": ["0"], "primes": {"9": ["1/2"]}}),
+                ValueError, "not a place of Q: 9"),
+    _two_faults(lambda: from_json_K({"d": 2, "inf": ["0"], "primes": {"7": ["1/2"]}}),
+                ValueError, "place 7 needs 2 slot(s)"),
+    _two_faults(lambda: from_json_K({"d": 2, "inf": ["1/3"], "primes": {"5": ["1/3"]}}),
+                ValueError, "wrong number of real slots for this field"),
+    _two_faults(lambda: from_json_K({"d": 2, "inf": ["1/3", "2/3"], "primes": {"5": ["1/3"]}}),
+                RealPlaceOrder, "real invariant must be 0 or 1/2"),
+    _two_faults(lambda: from_json({"inf": "1/3", "primes": {"4": "1/2"}}),
+                ValueError, "not a place of Q: 4"),
+    _two_faults(lambda: order3_class({"7": "1/3", "4": "2/3"}),
+                ValueError, "not a place of Q: 4"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_validation_path(make, exc, message):
     with pytest.raises(exc) as info:

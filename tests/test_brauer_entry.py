@@ -1,7 +1,7 @@
 """Brauer classes enter the package one way: through brauer's decoders
 (from_json, from_json_K), quaternion_class and order3_class.  No module
-other than brauer calls the class constructors or names the unvalidated
-builders _vector and _vector_K."""
+other than brauer calls the class constructor or names the unvalidated
+builder _vector, and brauer has one class type, over Q and over K alike."""
 
 import ast
 from pathlib import Path
@@ -10,8 +10,8 @@ import dp6kit
 
 SRC = Path(dp6kit.__file__).parent
 
-CLASSES = {"InvariantVector", "InvariantVectorK"}
-BUILDERS = {"_vector", "_vector_K"}
+CLASSES = {"InvariantVector"}
+BUILDERS = {"_vector"}
 
 
 def _name(node):
@@ -52,9 +52,15 @@ def test_classes_enter_only_through_brauer():
 def test_way_in_is_reported():
     tree = ast.parse("from .brauer import InvariantVector, _vector\n"
                      "a = InvariantVector()\n"
-                     "b = brauer.InvariantVectorK.__new__(brauer.InvariantVectorK)\n"
-                     "c = brauer._vector_K(K, 1, (0, 0), ())\n"
+                     "b = brauer.InvariantVector.__new__(brauer.InvariantVector)\n"
+                     "c = brauer._vector(K, 1, ())\n"
                      "d: InvariantVector = from_json({})\n")
     assert _ways_in(tree) == ["_vector (line 1)", "InvariantVector( (line 2)",
-                              "brauer.InvariantVectorK.__new__( (line 3)",
-                              "_vector_K (line 4)"]
+                              "brauer.InvariantVector.__new__( (line 3)",
+                              "_vector (line 4)"]
+
+
+def test_brauer_has_one_class_type():
+    tree = ast.parse((SRC / "brauer.py").read_text())
+    assert {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} == \
+        {"QuadField", "InvariantVector"}

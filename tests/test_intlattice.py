@@ -115,6 +115,15 @@ def test_no_entries_for_a_nonempty_shape_is_refused():
         IntMat([], rows=2, cols=3)
 
 
+@pytest.mark.parametrize("shape", [dict(rows=-1, cols=0), dict(rows=0, cols=-2),
+                                   dict(rows=-1), dict(cols=-3)])
+def test_negative_stated_shape_is_refused(shape):
+    with pytest.raises(ValueError) as info:
+        IntMat([], **shape)
+    assert str(info.value) == (f"negative shape rows={shape.get('rows')}, "
+                               f"cols={shape.get('cols')}")
+
+
 @pytest.mark.parametrize("shape", [dict(rows=3, cols=5), dict(rows=2),
                                    dict(cols=1), dict(rows=0, cols=2)])
 def test_stated_shape_that_disagrees_with_entries_is_refused(shape):
