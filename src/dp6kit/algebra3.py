@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import DegenerateSubalgebra, FieldMismatch, InvariantViolation, NotSplitOverBase
 from .fields import (GF, embed, mat_det_field, mat_inv_field, mat_kernel, mat_solve,
-                     poly_is_squarefree, poly_roots, poly_trim, retract, rref)
+                     poly_is_squarefree, poly_roots, poly_trim, retract)
 
 SPLIT_EXCHANGE = "split_exchange"
 HERMITIAN = "hermitian"
@@ -264,12 +264,9 @@ class StructureAlgebra:
     def nrd_sym(self, x):
         return self._to_base(m3_det(x.data[0]))
 
-    def sym_coords(self, x):
-        """Coordinates of a symmetric element in the canonical 9-basis."""
-        return self.sym_matrix_coords(x.data[0])
-
     def sym_matrix_coords(self, m):
-        """sym_coords of the symmetric element whose first matrix is m."""
+        """Coordinates in the canonical 9-basis of the symmetric element
+        whose first matrix is m."""
         if self.kind == SPLIT_EXCHANGE:
             return tuple(m[i][j] for i in range(3) for j in range(3))
         ctx = self.ctx
@@ -333,7 +330,8 @@ class CubicSub:
     Monogenic subalgebras record their generator and its (squarefree) minimal
     polynomial; the fully split diagonal over a tiny field is not monogenic,
     so an explicit idempotent basis is also accepted.  The constructor checks
-    nothing: use cubic_from_generator or cubic_from_basis to validate.
+    nothing: cubic_from_generator validates a generator, and diagonal_cubic
+    builds the idempotent basis.
     """
 
     __slots__ = ("algebra", "basis", "generator", "minpoly")
@@ -348,12 +346,6 @@ class CubicSub:
         if self.generator is not None:
             return {"generator_minpoly": [str(c) for c in self.minpoly]}
         return {"basis": "idempotents"}
-
-
-def _sym_independent(A, elems):
-    rows = [list(A.sym_coords(e)) for e in elems]
-    _, pivots = rref(rows, A.field)
-    return len(pivots) == len(elems)
 
 
 def cubic_from_generator(A, u):
@@ -373,31 +365,6 @@ def cubic_from_generator(A, u):
     if not poly_is_squarefree(minpoly, f):
         raise DegenerateSubalgebra("minimal polynomial is not squarefree")
     return CubicSub(algebra=A, basis=(A.one, u, u * u), generator=u, minpoly=minpoly)
-
-
-def cubic_from_basis(A, elems):
-    """Validated constructor from an explicit 3-dimensional basis: it must
-    contain 1, be commutative, closed under multiplication, with nondegenerate
-    restricted trace form.  Each condition is checked, so it suits a basis
-    of unknown provenance; the standard twists build no such subalgebra."""
-    elems = tuple(elems)
-    if len(elems) != 3 or not _sym_independent(A, elems):
-        raise DegenerateSubalgebra("need three independent symmetric elements")
-    rows = [list(A.sym_coords(e)) for e in elems]
-    one = mat_solve([list(r) for r in zip(*rows)], list(A.sym_coords(A.one)), A.field)
-    if one is None:
-        raise DegenerateSubalgebra("subalgebra does not contain 1")
-    for x in elems:
-        for y in elems:
-            if x * y != y * x:
-                raise DegenerateSubalgebra("subalgebra is not commutative")
-            prod = list(A.sym_coords(x * y))
-            if mat_solve([list(r) for r in zip(*rows)], prod, A.field) is None:
-                raise DegenerateSubalgebra("subalgebra is not closed under products")
-    g = gram_matrix(A, elems)
-    if not mat_det_field(g, A.field):
-        raise DegenerateSubalgebra("restricted trace form is degenerate")
-    return CubicSub(algebra=A, basis=elems)
 
 
 def orth_complement(L):

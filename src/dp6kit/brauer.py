@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
+from .errors import (Dp6kitError, FieldMismatch, OrderViolation, RealPlaceOrder,
                      ReciprocityViolation)
 from .fields import is_prime
 
@@ -175,7 +175,10 @@ def _vector(K, order, support):
 
 
 def tensor(u, v):
-    """Product in the Brauer group: pointwise addition in Q/Z."""
+    """Product in the Brauer group: pointwise addition in Q/Z.  Both classes
+    must be over the same field."""
+    if u.K is not v.K and u.K != v.K:
+        raise FieldMismatch(f"tensor of classes over {u.K or 'Q'} and {v.K or 'Q'}")
     order = lcm(u.order, v.order)
     a, b = order // u.order, order // v.order
     support = {place: n * a for place, n in u._support}
@@ -511,6 +514,8 @@ def decompose_degree6(u):
 
 
 def to_json(u):
+    if u.K is not None:
+        raise FieldMismatch(f"to_json takes a class over Q, not over {u.K}: use to_json_K")
     order, support = u.order, u._support
     out = {"primes": {str(p): _text(n, order) for p, n in support if p != _REAL}}
     if support and support[0][0] == _REAL:
@@ -550,6 +555,8 @@ def _residue(x):
 def primes_from_json(primes, parse):
     """{p: parse(value)} from a JSON "primes" object.  Each key must be the
     canonical decimal of its integer, so no prime is named by two keys."""
+    if not isinstance(primes, dict):
+        raise Dp6kitError(f'"primes" must be a JSON object, got {primes!r}')
     out = {}
     for key, value in primes.items():
         p = int(key)
@@ -602,8 +609,15 @@ def from_json(obj):
     return _interned(_from_json, _json_key(obj), obj)
 
 
+def _payload(obj):
+    """A class payload, which must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise Dp6kitError(f"class payload must be a JSON object, got {obj!r}")
+    return obj
+
+
 def _from_json(obj):
-    real = _residue(obj.get("inf", "0"))
+    real = _residue(_payload(obj).get("inf", "0"))
     primes = sorted(primes_from_json(obj.get("primes", {}), _residue).items())
     for p, _ in primes:
         _check_place(p)
@@ -657,7 +671,7 @@ def from_json_K(obj):
 
 
 def _from_json_K(obj):
-    K = QuadField(obj.get("d"))
+    K = QuadField(_payload(obj).get("d"))
     real = _slots_json(obj.get("inf", [])) or [(0, 1)] * K.real_slots
     primes = sorted(primes_from_json(obj.get("primes", {}), _slots_json).items())
     for p, slots in primes:

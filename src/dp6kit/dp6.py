@@ -31,7 +31,11 @@ from .errors import (Dp6kitError, EnumerationBudgetExceeded, InvariantViolation,
 from .fields import (GF, embed, format_element, is_prime, mat_kernel, mat_solve,
                      poly_is_squarefree, poly_roots, rref)
 
-DEFAULT_BUDGET = 600_000
+# The most points of P^6(F_{q^k}) that any count over F_{q^k} accepts, so
+# that the enumerator and the fibration accept the same inputs.
+P6_BUDGET = 600_000
+# The largest q^k at which split_model_points enumerates P^2 x P^2.
+SPLIT_MODEL_BUDGET = 9
 
 
 class DP6Surface:
@@ -90,10 +94,9 @@ class DP6Surface:
         ctx = self.algebra.ctx
         return embed(ctx.embed_base(c) if ctx else c, field)
 
-    def evaluate(self, coords, field=None):
-        """Values of the nine quadrics at a point, over the base field or an
-        extension (coefficients embedded by embed_base)."""
-        field = field or self.field
+    def evaluate(self, coords, field):
+        """Values of the nine quadrics at a point over field, the base field
+        or an extension (coefficients embedded by embed_base)."""
         out = []
         for form in self.quadrics:
             acc = field.zero
@@ -304,7 +307,7 @@ def _label_hexagon(lines, field):
 
 def frobenius_on_lines(surface):
     """Hexagon element induced by the q-power Frobenius on the lines."""
-    from .hexagon import HexAut
+    from .hexagon import aut_from_images
     lr = find_lines(surface)
     q = surface.field.size
     mapping = {}
@@ -315,23 +318,7 @@ def frobenius_on_lines(surface):
         if len(hits) != 1:
             raise NotAnAutomorphism("Frobenius image is not one of the six lines")
         mapping[lbl] = hits[0]
-    swap = mapping["E1"][0] == "F"
-    perm = [None, None, None]
-    for i in range(3):
-        img_e = mapping[f"E{i + 1}"]
-        img_f = mapping[f"F{i + 1}"]
-        if swap:
-            if img_e[0] != "F" or img_f[0] != "E":
-                raise NotAnAutomorphism("triangles are not exchanged consistently")
-        else:
-            if img_e[0] != "E" or img_f[0] != "F":
-                raise NotAnAutomorphism("triangles are not preserved consistently")
-        if img_e[1] != img_f[1]:
-            raise NotAnAutomorphism("opposite pairs are not respected")
-        perm[i] = int(img_e[1]) - 1
-    if sorted(perm) != [0, 1, 2]:
-        raise NotAnAutomorphism("index map is not a permutation")
-    return HexAut(swap, tuple(perm))
+    return aut_from_images(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +371,24 @@ class PointCountRecord:
                 f"predicted={self.predicted})")
 
 
-def _counting_fields(surface, k, budget):
+def _counting_fields(surface, k):
     """(ext, E) for counting over ext = F_{q^k}: the point matrices live over
-    E, which must also contain K.  k >= 1 and the budget on |P^6(ext)| are
+    E, which must also contain K.  k >= 1 and P6_BUDGET on |P^6(ext)| are
     checked before either field is built."""
     F = surface.field
     if k < 1:
         raise Dp6kitError(f"k must be >= 1, got {k}")
     Qp = F.size ** k
     total_pts = projective_count(Qp)
-    if total_pts > budget:
+    if total_pts > P6_BUDGET:
         raise EnumerationBudgetExceeded(
-            f"|P^6(F_{Qp})| = {total_pts} exceeds the budget {budget}")
+            f"|P^6(F_{Qp})| = {total_pts} exceeds the budget {P6_BUDGET}")
     ext = GF(F.p, F.k * k)
     E = GF(F.p, F.k * lcm(k, 2)) if surface.algebra.kind == HERMITIAN else ext
     return ext, E
 
 
-def _rank_one_blocks(surface, k, budget):
+def _rank_one_blocks(surface, k):
     """Walk P^6(F_{q^k}) once, one block per leading coordinate, through
     exact integer multiplication tables.
 
@@ -414,7 +401,7 @@ def _rank_one_blocks(surface, k, budget):
     first needs it, on the indices still in play.
     """
     import numpy as np
-    ext, E = _counting_fields(surface, k, budget)
+    ext, E = _counting_fields(surface, k)
     Qp = ext.size
     sig = _sigma_matrices(surface, E)
     emb = _embed_table(ext, E)
@@ -463,20 +450,20 @@ def _rank_one_indices(Qp, lead, entries, emb, tables):
     return idx
 
 
-def raw_point_count(surface, k=1, budget=DEFAULT_BUDGET):
+def raw_point_count(surface, k):
     """Exact number of points of the surface over F_{q^k} by enumeration of
     P^6: the independent oracle for fibration_point_count."""
-    return sum(int(mask.sum()) for _, _, mask in _rank_one_blocks(surface, k, budget))
+    return sum(int(mask.sum()) for _, _, mask in _rank_one_blocks(surface, k))
 
 
-def surface_points(surface, k=1, budget=DEFAULT_BUDGET):
+def surface_points(surface, k):
     """Explicit list of projective points over F_{q^k} (normalized leading 1),
     in code order; the same enumeration as raw_point_count, decoded.
 
     Used for point-set work (line membership, Segre comparison).
     """
     pts = []
-    for ext, lead, mask in _rank_one_blocks(surface, k, budget):
+    for ext, lead, mask in _rank_one_blocks(surface, k):
         Qp = ext.size
         head = [ext.zero] * lead + [ext.one]
         for idx in mask.nonzero()[0].tolist():
@@ -485,7 +472,7 @@ def surface_points(surface, k=1, budget=DEFAULT_BUDGET):
     return pts
 
 
-def fibration_point_count(surface, k=1, budget=DEFAULT_BUDGET):
+def fibration_point_count(surface, k):
     """Exact number of points of the surface over F_{q^k}, fibred over P^2.
 
     The seven coordinate matrices span a subspace W of M3(E) cut out by two
@@ -500,11 +487,11 @@ def fibration_point_count(surface, k=1, budget=DEFAULT_BUDGET):
       lambda x sigma(x)^T in W, sigma(z) = z^Q, one for each [x] in P^2(E)
       with x^T L1 sigma(x) = x^T L2 sigma(x) = 0.
 
-    The budget on |P^6(F_Q)| is the same as raw_point_count's, so the two
-    counters accept the same inputs.  Neither the lines nor the Frobenius
-    are used, so the count stays independent of the hexagon prediction.
+    P6_BUDGET bounds |P^6(F_Q)| here too, so the two counters accept the
+    same inputs.  Neither the lines nor the Frobenius are used, so the count
+    stays independent of the hexagon prediction.
     """
-    ext, E = _counting_fields(surface, k, budget)
+    ext, E = _counting_fields(surface, k)
     Q = ext.size
     rows = [[m[r][c] for r in range(3) for c in range(3)]
             for m in _sigma_matrices(surface, E)]
@@ -548,10 +535,10 @@ def _hermitian_zero_count(E, Q, forms):
     return count
 
 
-def count_points(surface, k=1, budget=DEFAULT_BUDGET):
+def count_points(surface, k):
     """PointCountRecord with the exact count from fibration_point_count and
     the hexagon prediction q^{2k} + q^k tr(phi^k | Pic) + 1."""
-    raw = fibration_point_count(surface, k, budget)
+    raw = fibration_point_count(surface, k)
     phi = frobenius_on_lines(surface)
     q = surface.field.size
     predicted = predicted_count(q, k, phi)
@@ -566,14 +553,14 @@ def predicted_count(q, k, phi):
     return q ** (2 * k) + q ** k * pic_trace(power) + 1
 
 
-def zeta_check(surface, budget=DEFAULT_BUDGET):
-    """Point counts against the hexagon prediction for every k in budget."""
-    ks = []
-    k = 1
-    while projective_count(surface.field.size ** k) <= budget:
-        ks.append(k)
-        k += 1
-    return [count_points(surface, k, budget) for k in ks]
+def zeta_check(surface):
+    """Point counts against the hexagon prediction for k = 1, 2, ... while
+    |P^6(F_{q^k})| is within P6_BUDGET.  k = 1 is always counted, so a
+    surface over the budget is refused, not passed with no records."""
+    records = [count_points(surface, 1)]
+    while projective_count(surface.field.size ** (len(records) + 1)) <= P6_BUDGET:
+        records.append(count_points(surface, len(records) + 1))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +599,14 @@ def _proj_plane(field):
     return pts
 
 
-def split_model_points(q, k=1, budget=9):
+def split_model_points(q, k=1):
     """#S(F_{q^k}) for the biprojective model x0 y0 = x1 y1 = x2 y2, by
-    direct double enumeration of P^2 x P^2 (at most 91^2 pairs within the
-    budget): the brute-force oracle for the split count."""
+    direct double enumeration of P^2 x P^2 (at most 91^2 pairs within
+    SPLIT_MODEL_BUDGET): the brute-force oracle for the split count."""
     p, e = _parse_prime_power(q)
-    if q ** k > budget:
-        raise EnumerationBudgetExceeded(f"q^k = {q ** k} exceeds budget {budget}")
+    if q ** k > SPLIT_MODEL_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"q^k = {q ** k} exceeds budget {SPLIT_MODEL_BUDGET}")
     plane = _proj_plane(GF(p, e * k))
     count = 0
     for x in plane:
@@ -666,7 +654,7 @@ def _proj_normalize(coords):
 # torus orbit count and the splitting-implication check
 
 
-def torus_count_check(surface, budget=DEFAULT_BUDGET):
+def torus_count_check(surface):
     """|U(F_q)| against |det(q I - phi | T^)| for the complement U of the
     lines; torsors under a torus over a finite field are trivial, so the
     two numbers must agree exactly."""
@@ -674,7 +662,7 @@ def torus_count_check(surface, budget=DEFAULT_BUDGET):
     from .intlattice import IntMat
     F = surface.field
     q = F.size
-    pts = surface_points(surface, 1, budget)
+    pts = surface_points(surface, 1)
     lr = find_lines(surface)
     big = lr.field
     on_lines = 0

@@ -38,7 +38,7 @@ class NotSplitOverBase(Dp6kitError):
 
 
 class EnumerationBudgetExceeded(Dp6kitError):
-    """Point enumeration would exceed the configured budget."""
+    """Point enumeration would exceed the fixed point-count budget."""
 
 
 class WrongLineCount(Dp6kitError):

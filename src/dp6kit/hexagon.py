@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import Dp6kitError
+from .errors import Dp6kitError, NotAnAutomorphism
 
 LINE_LABELS = ("E1", "E2", "E3", "F1", "F2", "F3")
 
@@ -111,10 +111,20 @@ ALL_AUTS = tuple(HexAut(s, p)
                  for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
 
 _AUT_BY_LABEL = {g.label: g for g in ALL_AUTS}
+_AUT_BY_IMAGES = {tuple(g.perm_word()): g for g in ALL_AUTS}
 
 
 def aut_from_label(label):
     return _AUT_BY_LABEL[label]
+
+
+def aut_from_images(mapping):
+    """The automorphism sending each line label to mapping[label]; a
+    permutation of the six lines that is no automorphism is refused."""
+    g = _AUT_BY_IMAGES.get(tuple(mapping[l] for l in LINE_LABELS))
+    if g is None:
+        raise NotAnAutomorphism(f"line images {mapping} are not a hexagon automorphism")
+    return g
 
 
 def _pic_columns(g):
@@ -200,9 +210,8 @@ def divisor_matrix():
     return mat_from_columns([list(line_class(l)) for l in LINE_LABELS], 4)
 
 
-def divisor_map(subgroup=None):
+def divisor_map(G):
     from .intlattice import LatticeMap
-    G = subgroup if subgroup is not None else hexagon_group()
     return LatticeMap(perm_kl().restrict(G), pic_lattice().restrict(G),
                       divisor_matrix())
 
@@ -243,10 +252,10 @@ def _zero_lattice(G):
     return GLattice(0, G, {g: IntMat.trusted((), 0, 0) for g in G.labels})
 
 
-def first_sequence(subgroup=None):
-    """0 -> T^ -> Z[KL/F] -> Pic -> 0 as a chain of maps with zero caps."""
+def first_sequence(G):
+    """0 -> T^ -> Z[KL/F] -> Pic -> 0 over the subgroup G, as a chain of
+    maps with zero caps."""
     from .intlattice import IntMat, LatticeMap
-    G = subgroup if subgroup is not None else hexagon_group()
     that, incl = t_hat(G)
     zero = _zero_lattice(G)
     div = divisor_map(G)
@@ -269,10 +278,9 @@ def pair_triangle_matrix():
     return IntMat(rows)
 
 
-def second_sequence(subgroup=None):
-    """0 -> T^ -> Z[KL/F] -> Z[L/F] + Z[K/F] -> Z -> 0."""
+def second_sequence(G):
+    """0 -> T^ -> Z[KL/F] -> Z[L/F] + Z[K/F] -> Z -> 0 over the subgroup G."""
     from .intlattice import GLattice, IntMat, LatticeMap
-    G = subgroup if subgroup is not None else hexagon_group()
     that, incl = t_hat(G)
     zero = _zero_lattice(G)
     lk = perm_l().restrict(G).direct_sum(perm_k().restrict(G))

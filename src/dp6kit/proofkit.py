@@ -357,16 +357,20 @@ def verify_certificate(cert):
     less strict than comparing their canonical texts bit for bit.
 
     This is the one place a certificate's inputs are decoded; the replays
-    computed on the classes they held.  A step whose inputs the decoders
-    refuse (a tampered class that breaks reciprocity, say) does not verify.
+    computed on the classes they held.  A step with an unknown computation,
+    inputs that are no JSON object, or inputs the decoders refuse (a missing
+    key, or a tampered class that breaks reciprocity, say) does not verify.
     """
     for step in cert.steps:
         if step.kind != "VERIFIED":
             continue
-        decode, compute = COMPUTATIONS[step.computation]
+        entry = COMPUTATIONS.get(step.computation)
+        if entry is None or not isinstance(step.inputs, dict):
+            return False
+        decode, compute = entry
         try:
             args = decode(step.inputs)
-        except (Dp6kitError, ValueError):
+        except (Dp6kitError, KeyError, ValueError):
             return False
         if not _same_json(compute(*args), step.result):
             return False

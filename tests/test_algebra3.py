@@ -3,16 +3,14 @@ import random
 
 import pytest
 
-from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem,
-                             _sym_independent, build_hermitian,
+from dp6kit.algebra3 import (HERMITIAN, SPLIT_EXCHANGE, AlgElem, build_hermitian,
                              build_split_exchange, companion_matrix,
-                             cubic_from_basis, cubic_from_generator,
-                             diagonal_cubic, gram_matrix,
+                             cubic_from_generator, diagonal_cubic, gram_matrix,
                              hermitian_cubic_generator, m3_from_entries,
                              m3_trace, m3_transpose, m3_unit, orth_complement,
                              split_exchange_sym, split_normalize, trace_form)
 from dp6kit.errors import DegenerateSubalgebra, NotSplitOverBase
-from dp6kit.fields import GF, mat_det_field, poly_is_squarefree, poly_roots
+from dp6kit.fields import GF, mat_det_field, poly_is_squarefree, poly_roots, rref
 
 
 def adjugate(a):
@@ -137,7 +135,7 @@ def test_closed_forms_match_algebra_arithmetic(A):
         cx, cy = ([_rand_base(A, rng) for _ in range(9)] for _ in range(2))
         x, y = A.sym_from_coords(cx), A.sym_from_coords(cy)
         assert x == _scale_and_add(A, cx) and y == _scale_and_add(A, cy)
-        assert A.sym_coords(x) == tuple(cx)
+        assert A.sym_matrix_coords(x.data[0]) == tuple(cx)
         assert trace_form(A, x, y) == A.trd_sym(x * y)
         assert A.s_sym(x) == A._to_base(m3_trace(adjugate(x.data[0])))
 
@@ -266,7 +264,8 @@ def test_squarefree_charpoly_implies_independent_powers():
         except DegenerateSubalgebra:
             continue
         accepted += 1
-        assert _sym_independent(B, [B.one, u, u * u])
+        rows = [list(B.sym_matrix_coords(e.data[0])) for e in (B.one, u, u * u)]
+        assert len(rref(rows, B.field)[1]) == 3
         assert L.basis == (B.one, u, u * u)
     assert accepted
 
@@ -279,22 +278,13 @@ def test_hermitian_degree_two_generator_rejected():
         cubic_from_generator(B, e33)
 
 
-def test_cubic_from_basis_diagonal_f2():
+def test_diagonal_cubic_f2():
     A = build_split_exchange(GF(2))
     L = diagonal_cubic(A)
     assert L.generator is None  # the split cubic over F_2 is not monogenic
     assert len(L.basis) == 3
     g = gram_matrix(A, L.basis)
     assert mat_det_field(g, GF(2))
-
-
-def test_cubic_from_basis_validation():
-    F7 = GF(7)
-    A = build_split_exchange(F7)
-    e01 = split_exchange_sym(A, m3_unit(0, 1, F7.one, F7.zero))
-    e10 = split_exchange_sym(A, m3_unit(1, 0, F7.one, F7.zero))
-    with pytest.raises(DegenerateSubalgebra):
-        cubic_from_basis(A, (A.one, e01, e10))  # not commutative/closed
 
 
 def test_split_normalize_identity_case():

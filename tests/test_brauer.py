@@ -17,7 +17,7 @@ from dp6kit.brauer import (INERT, RAMIFIED, REAL_PLACE, SPLIT,
                            parse_rational, power, primes_from_json,
                            quaternion_class, restriction, split_components,
                            splitting_in_quadratic, tensor, to_json, to_json_K)
-from dp6kit.errors import (Dp6kitError, OrderViolation, RealPlaceOrder,
+from dp6kit.errors import (Dp6kitError, FieldMismatch, OrderViolation, RealPlaceOrder,
                            ReciprocityViolation)
 from dp6kit.fields import PRIME_BOUND
 from dp6kit.proofkit import DEGREE6_WITNESS
@@ -948,6 +948,21 @@ def _two_faults(make, exc, message):
                 ValueError, "not a place of Q: 4"),
     _two_faults(lambda: order3_class({"7": "1/3", "4": "2/3"}),
                 ValueError, "not a place of Q: 4"),
+    (lambda: from_json([]), Dp6kitError, "class payload must be a JSON object, got []"),
+    (lambda: from_json_K("0"), Dp6kitError, "class payload must be a JSON object, got '0'"),
+    (lambda: from_json({"primes": []}), Dp6kitError,
+     '"primes" must be a JSON object, got []'),
+    (lambda: from_json_K({"d": 2, "primes": [["7", "1/2"]]}), Dp6kitError,
+     '"primes" must be a JSON object, got [[\'7\', \'1/2\']]'),
+    (lambda: tensor(from_json_K({"d": 5, "inf": ["1/2", "1/2"]}),
+                    from_json_K({"d": 2, "inf": ["1/2", "1/2"]})),
+     FieldMismatch, "tensor of classes over Q(sqrt(5)) and Q(sqrt(2))"),
+    (lambda: tensor(quaternion_class(-1, -1), from_json_K({"d": 2, "inf": ["1/2", "1/2"]})),
+     FieldMismatch, "tensor of classes over Q and Q(sqrt(2))"),
+    (lambda: tensor(from_json_K({"d": None}), from_json_K({"d": -1})),
+     FieldMismatch, "tensor of classes over QxQ and Q(sqrt(-1))"),
+    (lambda: to_json(from_json_K({"d": 2, "inf": ["1/2", "1/2"]})), FieldMismatch,
+     "to_json takes a class over Q, not over Q(sqrt(2)): use to_json_K"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_validation_path(make, exc, message):
     with pytest.raises(exc) as info:

@@ -289,10 +289,18 @@ def test_place_at_the_primality_bound_is_refused(capsys, argv):
 
 
 def test_surface_count_over_budget(capsys):
-    code, out = _run(capsys, ["surface", "count", "--model", "split", "--q", "2",
-                              "--k", "24"])
-    assert code == 1
-    assert json.loads(out)["error"] == "EnumerationBudgetExceeded"
+    # check-zeta counts k = 1 at least, so a q over the budget is refused, not
+    # passed with no records
+    for argv, field, points in (
+            (["count", "--model", "split", "--q", "2", "--k", "24"], 2 ** 24,
+             (2 ** 168 - 1) // (2 ** 24 - 1)),
+            (["count", "--model", "ksplit-l3", "--q", "64"], 64, 69810262081),
+            (["check-zeta", "--model", "kinert-l3", "--q", "11"], 11, 1948717)):
+        code, out = _run(capsys, ["surface", *argv])
+        assert code == 1
+        assert json.loads(out) == {
+            "schema": "dp6kit/1", "error": "EnumerationBudgetExceeded",
+            "message": f"|P^6(F_{field})| = {points} exceeds the budget 600000"}
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

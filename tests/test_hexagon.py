@@ -1,16 +1,19 @@
 import json
 
+import pytest
+
 from lattice_checks import check_action, check_equivariant, check_group
 
 from dp6kit import hexagon, intlattice
 from dp6kit.hexagon import (ALL_AUTS, K_CLASS, LINE_LABELS, HexAut,
-                            all_subgroup_reports, aut_from_label,
+                            all_subgroup_reports, aut_from_images, aut_from_label,
                             divisor_map, divisor_matrix, first_sequence,
                             hex_action, hexagon_group, is_K_divisible,
                             line_class, pair_triangle_matrix, perm_k,
                             perm_kl, perm_l, pic_lattice, pic_trace,
                             second_sequence, stable_iso_lattices,
                             stable_iso_witness, subgroups, t_hat)
+from dp6kit.errors import NotAnAutomorphism
 from dp6kit.intlattice import (IntMat, fixed_submodule, is_exact,
                                smith_normal_form)
 
@@ -230,3 +233,16 @@ def test_perm_word_serialization():
     assert s.perm_word() == ["F1", "F2", "F3", "E1", "E2", "E3"]
     rot = HexAut(False, (1, 2, 0))
     assert rot.perm_word() == ["E2", "E3", "E1", "F2", "F3", "F1"]
+
+
+def test_aut_from_images_round_trips():
+    for g in ALL_AUTS:
+        assert aut_from_images(dict(zip(LINE_LABELS, g.perm_word()))) is g
+
+
+def test_aut_from_images_refuses_a_non_automorphism():
+    # a permutation of the lines that moves E1 and E2 but not F1 and F2
+    mapping = dict(zip(LINE_LABELS, LINE_LABELS))
+    mapping["E1"], mapping["E2"] = "E2", "E1"
+    with pytest.raises(NotAnAutomorphism):
+        aut_from_images(mapping)

@@ -8,7 +8,8 @@ KEEP, each with the reason it stays.
 
 A second scan looks at calls: a parameter with a default that no call in
 the package sets is dead too, unless KEEP_PARAMETERS names it with its
-reason.
+reason.  So is a default that every call in the package sets, which no
+caller relies on, unless KEEP_DEFAULTS names it with its reason.
 
 A third scan looks at class attributes: each non-dunder name a class body
 assigns or annotates (``x = ...``, a dataclass field ``x: int``), and each
@@ -31,7 +32,6 @@ KEEP = {
     "__version__": "the package version, read by packaging tools",
     "build_surface": "the benchmark counts dp6.twists_built through it",
     "raw_point_count": "the independent P^6 oracle for every point count",
-    "cubic_from_basis": "a validated constructor from an explicit basis",
     "parse_element": "inverts format_element, for re-checking certificates offline",
     "to_json": "serialises a ProofCertificate, for re-checking it offline",
     "poly_mul": "the polynomial product, for a gcd-based root finder",
@@ -43,15 +43,15 @@ KEEP_PARAMETERS = {
     "cli.main.argv": "tests and perfbench/cli_shim.py call main(argv) in-process",
     "dp6.find_lines.m": "the only way to find the lines over a larger field, "
                         "which reaches the embedding of coefficients through K",
-    "dp6.raw_point_count.k": "the P^6 oracle checks the fibration count over "
-                             "extensions F_{q^k} too",
-    "dp6.raw_point_count.budget": "the enumeration budgets are to be reworked together",
     "dp6.split_model_points.k": "the biprojective oracle counts over extensions "
                                 "F_{q^k} too",
-    "dp6.split_model_points.budget": "the enumeration budgets are to be reworked together",
-    "dp6.zeta_check.budget": "the enumeration budgets are to be reworked together",
-    "dp6.torus_count_check.budget": "the enumeration budgets are to be reworked together",
     "selftest.index6_corpus.seed": "the tests draw corpora apart from the selftest's",
+}
+
+# defaulted parameters that every call in the package sets, kept on purpose:
+# "module.function.parameter" -> reason
+KEEP_DEFAULTS = {
+    "dp6.verify_split_equivalence.k": "perfbench/worker.py calls it without k",
 }
 
 
@@ -128,14 +128,15 @@ def _defaulted(node):
             yield None, arg.arg
 
 
-def unset_parameters(sources):
-    """Defaulted parameters that no call in sources (a {module: text} map)
-    sets, as sorted "module.function.parameter" strings.
+def _parameter_calls(sources):
+    """("module.function.parameter", sets) for each defaulted parameter of
+    sources (a {module: text} map), where sets holds, for each call of the
+    function's name in sources, whether that call sets the parameter.
 
     Calls are matched by name, like the definition scan.  A call with *args
-    or **kwargs sets every parameter, and so does any use of the name other
-    than a call or the class of an isinstance test (a function passed as a
-    value can be called with anything)."""
+    or **kwargs sets every parameter.  A function whose name has any use
+    other than a call or the class of an isinstance test is skipped: passed
+    as a value, it can be called with anything."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     calls, escaped = {}, set()
     for tree in trees.values():
@@ -153,17 +154,30 @@ def unset_parameters(sources):
         for name, node in _uses(tree):
             if id(node) not in callees and not isinstance(node.ctx, ast.Store):
                 escaped.add(name)
-    found = []
     for module, tree in trees.items():
         for name, function, bound in _functions(tree):
             if name in escaped:
                 continue
             for position, parameter in _defaulted(function):
-                if not any(starred or parameter in keywords
-                           or (position is not None and position < bound + count)
-                           for starred, count, keywords in calls.get(name, ())):
-                    found.append(f"{module}.{name}.{parameter}")
-    return sorted(found)
+                yield f"{module}.{name}.{parameter}", [
+                    starred or parameter in keywords
+                    or (position is not None and position < bound + count)
+                    for starred, count, keywords in calls.get(name, ())]
+
+
+def unset_parameters(sources):
+    """Defaulted parameters that no call in sources (a {module: text} map)
+    sets, as sorted "module.function.parameter" strings; see
+    _parameter_calls for how calls are matched."""
+    return sorted(key for key, sets in _parameter_calls(sources) if not any(sets))
+
+
+def unrelied_defaults(sources):
+    """Defaulted parameters that are called in sources (a {module: text}
+    map) and set by every such call, so that no call relies on the
+    default, as sorted "module.function.parameter" strings; calls are
+    matched as in unset_parameters."""
+    return sorted(key for key, sets in _parameter_calls(sources) if sets and all(sets))
 
 
 def _assigned_attributes(tree):
@@ -220,6 +234,11 @@ def test_every_unset_parameter_is_kept():
     assert unset_parameters(sources) == sorted(KEEP_PARAMETERS)
 
 
+def test_every_default_is_relied_on_or_kept():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unrelied_defaults(sources) == sorted(KEEP_DEFAULTS)
+
+
 def test_every_class_attribute_is_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_attributes(sources) == []
@@ -245,6 +264,19 @@ def test_scan_reports_unset_parameters():
         "b": "from .a import C, k\n\ndef h(**kw):\n    return k(**kw), C(), C().m(n=1)\n",
     }
     assert unset_parameters(sources) == ["a.C.v", "a.f.w", "a.f.z"]
+
+
+def test_scan_reports_unrelied_defaults():
+    sources = {
+        "a": "def f(x, y=1, z=2, *, w=3):\n    return f(0, 1, w=4) + f(0, 2, 3, w=5)\n\n"
+             "def g(x=0):\n    return g\n\n"
+             "def k(x=0):\n    return x\n\n"
+             "def u(x=0):\n    return x\n\n"
+             "class C:\n    def __init__(self, v=0):\n        self.v = v\n"
+             "    def m(self, n=0):\n        return isinstance(self, C)\n",
+        "b": "from .a import C, k\n\ndef h(**kw):\n    return k(**kw), C(v=1), C(2).m(n=1)\n",
+    }
+    assert unrelied_defaults(sources) == ["a.C.v", "a.f.w", "a.f.y", "a.k.x", "a.m.n"]
 
 
 def test_scan_reports_unread_attributes():

@@ -317,6 +317,23 @@ def test_type_confused_result_does_not_verify(replay, computation, result):
     assert not verify_certificate(_tamper_result(cert, computation, result))
 
 
+# each malformed step raised from verify_certificate instead of failing it
+@pytest.mark.parametrize("fields", [
+    {"computation": "no_such_computation"},
+    {"inputs": [{"primes": {"7": "1/6", "13": "5/6"}}]},
+    {"inputs": {}},
+    {"inputs": {"class": []}},
+    {"inputs": {"class": {"primes": []}}},
+], ids=["unknown-computation", "list-inputs", "no-class", "list-class", "list-primes"])
+def test_malformed_step_does_not_verify(fields):
+    cert = replay_second_proof(STANDING)
+    steps = list(cert.steps)
+    i = next(i for i, s in enumerate(steps) if s.computation == "index")
+    steps[i] = replace(steps[i], **fields)
+    assert verify_certificate(cert)
+    assert verify_certificate(replace(cert, steps=tuple(steps))) is False
+
+
 def test_fixed_verified_steps_are_shared():
     A = index6_corpus(1, seed=3)[0]
     firsts = [replay_first_proof(B) for B in (STANDING, A)]
