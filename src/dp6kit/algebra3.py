@@ -1,24 +1,22 @@
-"""Rank-9 algebras with unitary involution over finite fields.
+"""Rank-9 algebras with unitary involution over finite fields, through their
+symmetric elements.
 
-Both models are M3 over a quadratic etale K, and an element is the tuple of
-its 3x3 matrices, one per simple component:
+Both models are M3 over a quadratic etale K.  The surface reads only the
+9-dimensional F-space of symmetric elements, and an element of it is one
+3x3 matrix:
 
-* split exchange (K = F x F): pairs (a, b) over F with involution
-  (a, b) -> (b^t, a^t); the symmetric elements are the pairs (a, a^t) and
-  identify with M3(F);
-* hermitian (K a field): 1-tuples (m,) over K with the conjugate-transpose
-  involution; the symmetric elements are the Hermitian matrices, a
-  9-dimensional F-space.
+* split exchange (K = F x F): M3(F) x M3(F) with involution
+  (a, b) -> (b^t, a^t); the symmetric elements are the pairs (a, a^t),
+  stored as the matrix a over F;
+* hermitian (K a field): M3(K) with the conjugate-transpose involution;
+  the symmetric elements are the Hermitian matrices over K.
 
-Arithmetic is component by component.  The first matrix carries the
-degree-3 structure on the symmetric space: reduced trace, the quadratic
-coefficient and reduced norm.  The adjoint x# = x^2 - Trd(x) x + S(x),
-with x x# = Nrd(x), is the adjugate of the first matrix; dp6 expands it
-into the surface's quadrics.  Both models are matrix
-algebras with a transpose-type involution, so associativity and the
-involution being a unitary anti-automorphism of order two hold by
-construction; tests/test_algebra3.py checks them on both models, and
-construction only builds the bases.
+The matrix carries the degree-3 structure on the symmetric space: reduced
+trace, the quadratic coefficient and reduced norm.  The adjoint
+x# = x^2 - Trd(x) x + S(x), with x x# = Nrd(x), is the adjugate of the
+matrix; dp6 expands it into the surface's quadrics.  Every matrix the
+module builds is symmetric by construction (a matrix over F, or a Hermitian
+matrix over K); tests/test_algebra3.py checks that on the standard twists.
 """
 
 from __future__ import annotations
@@ -85,30 +83,6 @@ def m3_mul(a, b):
                        for j in range(3)) for i in range(3))
 
 
-def m3_add(a, b):
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(3)) for i in range(3))
-
-
-def m3_sub(a, b):
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(3)) for i in range(3))
-
-
-def m3_neg(a):
-    return tuple(tuple(-a[i][j] for j in range(3)) for i in range(3))
-
-
-def m3_scale(c, a):
-    return tuple(tuple(c * a[i][j] for j in range(3)) for i in range(3))
-
-
-def m3_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-
-
-def m3_map(f, a):
-    return tuple(tuple(f(a[i][j]) for j in range(3)) for i in range(3))
-
-
 def m3_trace(a):
     return a[0][0] + a[1][1] + a[2][2]
 
@@ -127,79 +101,17 @@ def m3_unit(i, j, one, zero):
     return m3_from_entries({(i, j): one}, zero)
 
 
-def m3_eq_zero(a):
-    return not any(a[i][j] for i in range(3) for j in range(3))
-
-
 # ---------------------------------------------------------------------------
 # the two models
 
 
-class AlgElem:
-    """Element of a StructureAlgebra: data is a tuple of 3x3 matrices, one per
-    simple component -- (a, b) over F for the exchange model, (m,) over K for
-    the Hermitian model.  The first matrix carries the degree-3 structure.
-    Arithmetic is component by component; elements are immutable."""
-
-    __slots__ = ("algebra", "data")
-
-    def __init__(self, algebra, data):
-        self.algebra = algebra
-        self.data = data
-
-    def _check(self, other):
-        if not isinstance(other, AlgElem) or other.algebra is not self.algebra:
-            raise FieldMismatch("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgElem(self.algebra, tuple(map(m3_add, self.data, other.data)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgElem(self.algebra, tuple(map(m3_sub, self.data, other.data)))
-
-    def __neg__(self):
-        return AlgElem(self.algebra, tuple(map(m3_neg, self.data)))
-
-    def __mul__(self, other):
-        self._check(other)
-        return AlgElem(self.algebra, tuple(map(m3_mul, self.data, other.data)))
-
-    def scale(self, c):
-        """Scalar multiplication by a base-field element (embedded into K
-        first in the Hermitian model)."""
-        A = self.algebra
-        c = A.ctx.embed_base(c) if A.ctx else c
-        return AlgElem(A, tuple(m3_scale(c, m) for m in self.data))
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgElem) and other.algebra is self.algebra
-                and other.data == self.data)
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.data))
-
-    def __bool__(self):
-        return not all(map(m3_eq_zero, self.data))
-
-    def __pow__(self, n):
-        out = self.algebra.one
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __repr__(self):
-        return f"AlgElem({self.data})"
-
-
 class StructureAlgebra:
-    """One of the two rank-9 models with its unitary involution.
+    """One of the two rank-9 models, through its symmetric space.
 
     Use build_split_exchange / build_hermitian; the constructor builds the
-    standard basis of matrix units, the unit and the canonical basis of the
-    9-dimensional symmetric space.  ring is the coefficient ring of the
-    component matrices: F for the exchange model, the K context otherwise.
+    unit and the canonical basis of the 9-dimensional symmetric space, each
+    a 3x3 matrix over ring: F for the exchange model, the K context
+    otherwise.
     """
 
     def __init__(self, kind, field, ctx=None):
@@ -207,66 +119,43 @@ class StructureAlgebra:
         self.field = field
         self.ctx = ctx
         self.ring = ctx or field
-        n = 2 if kind == SPLIT_EXCHANGE else 1
         z, o = self.ring.zero, self.ring.one
-        zero3 = m3_from_entries({}, z)
-        self.one = AlgElem(self, (m3_from_entries({(i, i): o for i in range(3)}, z),) * n)
-        self.basis = tuple(
-            AlgElem(self, tuple(m3_unit(i, j, o, z) if t == side else zero3
-                                for t in range(n)))
-            for side in range(n) for i in range(3) for j in range(3))
+        self.one = m3_from_entries({(i, i): o for i in range(3)}, z)
         self.sym_basis = self._make_sym_basis()
 
-    # the involution
-    def involution(self, x):
-        if self.kind == SPLIT_EXCHANGE:
-            a, b = x.data
-            return AlgElem(self, (m3_transpose(b), m3_transpose(a)))
-        return AlgElem(self, (m3_transpose(m3_map(self.ctx.conj, x.data[0])),))
-
-    def is_symmetric(self, x):
-        return self.involution(x) == x
-
     def _make_sym_basis(self):
-        z, o = self.field.zero, self.field.one
         if self.kind == SPLIT_EXCHANGE:
-            out = []
-            for i in range(3):
-                for j in range(3):
-                    u = m3_unit(i, j, o, z)
-                    out.append(AlgElem(self, (u, m3_transpose(u))))
-            return tuple(out)
+            z, o = self.field.zero, self.field.one
+            return tuple(m3_unit(i, j, o, z) for i in range(3) for j in range(3))
         ctx = self.ctx
         kz, ko = ctx.zero, ctx.one
         delta, deltac = ctx.delta, ctx.conj(ctx.delta)
-        out = [AlgElem(self, (m3_unit(i, i, ko, kz),)) for i in range(3)]
+        out = [m3_unit(i, i, ko, kz) for i in range(3)]
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            out.append(AlgElem(self, (m3_from_entries({(i, j): ko, (j, i): ko}, kz),)))
-            out.append(AlgElem(self, (m3_from_entries({(i, j): delta, (j, i): deltac}, kz),)))
+            out.append(m3_from_entries({(i, j): ko, (j, i): ko}, kz))
+            out.append(m3_from_entries({(i, j): delta, (j, i): deltac}, kz))
         return tuple(out)
 
     # ------------------------------------------------------------------
-    # the degree-3 structure on symmetric elements, read off x.data[0]
+    # the degree-3 structure on symmetric elements
 
     def _to_base(self, value):
         return self.ctx.retract_base(value) if self.ctx else value
 
     def trd_sym(self, x):
-        return self._to_base(m3_trace(x.data[0]))
+        return self._to_base(m3_trace(x))
 
-    def s_sym(self, x):
+    def s_sym(self, a):
         # the trace of the adjugate: the sum of the principal 2x2 minors
-        a = x.data[0]
         return self._to_base(a[0][0] * a[1][1] - a[0][1] * a[1][0]
                              + a[0][0] * a[2][2] - a[0][2] * a[2][0]
                              + a[1][1] * a[2][2] - a[1][2] * a[2][1])
 
     def nrd_sym(self, x):
-        return self._to_base(m3_det(x.data[0]))
+        return self._to_base(m3_det(x))
 
     def sym_matrix_coords(self, m):
-        """Coordinates in the canonical 9-basis of the symmetric element
-        whose first matrix is m."""
+        """Coordinates of the symmetric element m in the canonical 9-basis."""
         if self.kind == SPLIT_EXCHANGE:
             return tuple(m[i][j] for i in range(3) for j in range(3))
         ctx = self.ctx
@@ -279,14 +168,11 @@ class StructureAlgebra:
         return tuple(out)
 
     def sym_from_coords(self, coords):
-        """The symmetric element sum c_k e_k over the canonical 9-basis, formed
-        as one matrix: each entry sums only the basis entries that are nonzero
-        there."""
+        """The symmetric element sum c_k e_k over the canonical 9-basis: each
+        entry sums only the basis entries that are nonzero there."""
         cs = [self.ctx.embed_base(c) for c in coords] if self.ctx else coords
-        es = [b.data[0] for b in self.sym_basis]
-        m = tuple(tuple(sum((c * e[i][j] for c, e in zip(cs, es) if e[i][j]),
-                            self.ring.zero) for j in range(3)) for i in range(3))
-        return AlgElem(self, (m, m3_transpose(m)) if self.kind == SPLIT_EXCHANGE else (m,))
+        return tuple(tuple(sum((c * e[i][j] for c, e in zip(cs, self.sym_basis) if e[i][j]),
+                               self.ring.zero) for j in range(3)) for i in range(3))
 
     def descriptor(self):
         # serialized surfaces record the Hermitian model's field as "finite",
@@ -297,7 +183,8 @@ class StructureAlgebra:
 
 @lru_cache(maxsize=None)
 def build_split_exchange(field):
-    """(M3(F) x M3(F), exchange involution); Sym identified with M3(F)."""
+    """(M3(F) x M3(F), exchange involution); the symmetric element (a, a^t)
+    is the matrix a over F."""
     return StructureAlgebra(SPLIT_EXCHANGE, field)
 
 
@@ -314,9 +201,8 @@ def build_hermitian(field):
 
 def trace_form(A, x, y):
     """b(x, y) = Trd(xy), symmetric and F-valued on symmetric elements: the
-    trace of the product of the first matrices, without forming it."""
-    a, b = x.data[0], y.data[0]
-    return A._to_base(sum((a[i][j] * b[j][i] for i in range(3) for j in range(3)),
+    trace of the matrix product, without forming it."""
+    return A._to_base(sum((x[i][j] * y[j][i] for i in range(3) for j in range(3)),
                           A.ring.zero))
 
 
@@ -325,7 +211,8 @@ def gram_matrix(A, elems):
 
 
 class CubicSub:
-    """Cubic etale F-subalgebra of symmetric elements, with a chosen basis.
+    """Cubic etale F-subalgebra of symmetric elements, with a chosen basis of
+    3x3 matrices.
 
     Monogenic subalgebras record their generator and its (squarefree) minimal
     polynomial; the fully split diagonal over a tiny field is not monogenic,
@@ -351,8 +238,6 @@ class CubicSub:
 def cubic_from_generator(A, u):
     """L = span(1, u, u^2); etale exactly when the minimal polynomial of u is
     squarefree of degree 3."""
-    if not A.is_symmetric(u):
-        raise DegenerateSubalgebra("generator is not a symmetric element")
     t = A.trd_sym(u)
     s = A.s_sym(u)
     n = A.nrd_sym(u)
@@ -364,7 +249,7 @@ def cubic_from_generator(A, u):
     # generator of degree < 3 has a repeated root and fails here.
     if not poly_is_squarefree(minpoly, f):
         raise DegenerateSubalgebra("minimal polynomial is not squarefree")
-    return CubicSub(algebra=A, basis=(A.one, u, u * u), generator=u, minpoly=minpoly)
+    return CubicSub(algebra=A, basis=(A.one, u, m3_mul(u, u)), generator=u, minpoly=minpoly)
 
 
 def orth_complement(L):
@@ -388,8 +273,7 @@ def orth_complement(L):
 
 
 class SplitCertificate:
-    """Conjugator c with c m c^{-1} diagonal for each matrix m of the family;
-    on the exchange model this is conjugation by (c, (c^{-1})^t)."""
+    """Conjugator c with c m c^{-1} diagonal for each matrix m of the family."""
 
     __slots__ = ("conjugator", "inverse")
 
@@ -442,10 +326,10 @@ def split_normalize(mats, field):
     """Change of basis simultaneously diagonalizing commuting 3x3 matrices.
 
     mats are the matrices over field of a basis of a cubic etale algebra,
-    e.g. the first components of a basis of L after base change to a field
-    that splits it.  NotSplitOverBase if the family does not split into three
-    common eigenlines over field.  Deterministic eigenvalue ordering makes
-    the certificate reproducible.  Column-vector convention throughout.
+    e.g. a basis of L after base change to a field that splits it.
+    NotSplitOverBase if the family does not split into three common
+    eigenlines over field.  Deterministic eigenvalue ordering makes the
+    certificate reproducible.  Column-vector convention throughout.
     """
     # refine the full space into common eigenlines, one basis matrix at a time
     spaces = [[[field.one if i == j else field.zero for i in range(3)]
@@ -517,11 +401,6 @@ def companion_matrix(coeffs, field):
     return ((z, z, -c0), (o, z, -c1), (z, o, -c2))
 
 
-def split_exchange_sym(A, m):
-    """Symmetric element of the exchange model from a 3x3 matrix over F."""
-    return AlgElem(A, (m, m3_transpose(m)))
-
-
 def diagonal_cubic(A):
     """The diagonal subalgebra: monogenic when the field has three distinct
     elements forming a squarefree cubic, idempotent basis otherwise.
@@ -532,13 +411,13 @@ def diagonal_cubic(A):
     Trd(e_i e_j) = delta_ij makes the restricted Gram matrix the identity.
     So they span a cubic etale subalgebra isomorphic to F x F x F."""
     f, r = A.field, A.ring
-    units = [AlgElem(A, (m3_unit(i, i, r.one, r.zero),) * len(A.one.data))
-             for i in range(3)]
     if f.size >= 3:
         vals = [f.from_code(c) for c in range(3)]
-        gen = units[0].scale(vals[0]) + units[1].scale(vals[1]) + units[2].scale(vals[2])
-        return cubic_from_generator(A, gen)
-    return CubicSub(A, tuple(units))
+        if A.ctx:
+            vals = [A.ctx.embed_base(v) for v in vals]
+        return cubic_from_generator(A, m3_from_entries({(i, i): vals[i] for i in range(3)},
+                                                       r.zero))
+    return CubicSub(A, tuple(m3_unit(i, i, r.one, r.zero) for i in range(3)))
 
 
 def hermitian_cubic_generator(A, root_counts):
@@ -585,7 +464,7 @@ def hermitian_cubic_generator(A, root_counts):
         entries[(0, 1)], entries[(1, 0)] = off[0], ctx.conj(off[0])
         entries[(0, 2)], entries[(2, 0)] = off[1], ctx.conj(off[1])
         entries[(1, 2)], entries[(2, 1)] = off[2], ctx.conj(off[2])
-        u = AlgElem(A, (m3_from_entries(entries, ctx.zero),))
+        u = m3_from_entries(entries, ctx.zero)
         try:
             L = cubic_from_generator(A, u)
         except DegenerateSubalgebra:

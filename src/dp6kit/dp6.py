@@ -6,10 +6,10 @@ the equations are the nine components of the adjoint map x -> x#, which cuts
 out exactly the projectivized rank-one symmetric elements.
 
 Lines are not searched for: over a splitting field both K and L split, the
-first component matrices are transported into M3 of that field, the basis
-matrices of L are conjugated to the diagonal, and the six known lines of the split model are pulled back through the exact
-coordinate change.  The induced Frobenius permutation of the lines is the
-hexagon element that drives every point-count prediction.
+matrices are transported into M3 of that field, L's basis is conjugated to
+the diagonal, and the six known lines of the split model are pulled back
+through the exact coordinate change.  The induced Frobenius permutation of
+the lines is the hexagon element that drives every point-count prediction.
 
 Points are counted without enumerating P^6: a rank-one matrix is x y^T, so
 the surface fibres over P^2 (fibration_point_count).  The enumeration of
@@ -24,8 +24,7 @@ from math import lcm
 
 from .algebra3 import (HERMITIAN, SPLIT_EXCHANGE, build_hermitian, build_split_exchange,
                        companion_matrix, cubic_from_generator, diagonal_cubic,
-                       hermitian_cubic_generator, orth_complement, split_exchange_sym,
-                       split_normalize)
+                       hermitian_cubic_generator, orth_complement, split_normalize)
 from .errors import (Dp6kitError, EnumerationBudgetExceeded, InvariantViolation,
                      NotAnAutomorphism, WrongLineCount)
 from .fields import (GF, embed, format_element, is_prime, mat_kernel, mat_solve,
@@ -56,16 +55,15 @@ class DP6Surface:
 
     def _quadrics(self):
         """Nine quadratic forms: coordinates of (sum c_i b_i)# in the
-        symmetric basis.  On the first matrices m_i of the coordinate basis
-        x# is the adjugate.  Most entries of the m_i are zero, so each entry
+        symmetric basis.  On the matrices m_i of the coordinate basis x# is
+        the adjugate.  Most entries of the m_i are zero, so each entry
         of sum c_i m_i is a linear form in c with few terms; each cofactor is
         expanded as products of two such forms, and only pairs of nonzero
         entries are multiplied."""
         A = self.algebra
         zero = A.ring.zero
-        mats = [b.data[0] for b in self.coord_basis]
-        lin = [[[(i, m[r][c]) for i, m in enumerate(mats) if m[r][c]] for c in range(3)]
-               for r in range(3)]
+        lin = [[[(i, m[r][c]) for i, m in enumerate(self.coord_basis) if m[r][c]]
+                for c in range(3)] for r in range(3)]
         coef = {}  # (i, j) with i <= j -> the c_i c_j coefficients of the adjugate
         for r in range(3):
             r1, r2 = [t for t in range(3) if t != r]
@@ -140,10 +138,10 @@ def _embed_matrix(m, big):
 
 
 def _sigma_matrices(surface, big):
-    """Images of the coordinate basis in M3(big) under the first projection:
-    the F-entries (exchange model) or K-entries (Hermitian model, which needs
-    [big : F] even so K embeds) of each basis element's first matrix."""
-    return [_embed_matrix(b.data[0], big) for b in surface.coord_basis]
+    """Images of the coordinate basis in M3(big): the F-entries (exchange
+    model) or K-entries (Hermitian model, which needs [big : F] even so K
+    embeds) of each basis element's matrix."""
+    return [_embed_matrix(b, big) for b in surface.coord_basis]
 
 
 def expected_frobenius_type(surface):
@@ -231,8 +229,7 @@ def find_lines(surface, m=None):
     big = GF(F.p, F.k * m)
     sig = _sigma_matrices(surface, big)
     # conjugate the transported L to the diagonal subalgebra
-    cert = split_normalize([_embed_matrix(b.data[0], big) for b in surface.cubic.basis],
-                           big)
+    cert = split_normalize([_embed_matrix(b, big) for b in surface.cubic.basis], big)
     # psi: coordinates -> normalized matrices (9 x 7 over big)
     images = [cert.apply_matrix(mm) for mm in sig]
     psi_rows = [[images[j][r][c] for j in range(7)]
@@ -599,6 +596,16 @@ def _proj_plane(field):
     return pts
 
 
+def _split_model_pairs(field):
+    """The pairs (x, y) in P^2 x P^2 over field with x0 y0 = x1 y1 = x2 y2:
+    the points of the biprojective split model, by walking every pair."""
+    plane = _proj_plane(field)
+    for x in plane:
+        for y in plane:
+            if x[0] * y[0] == x[1] * y[1] == x[2] * y[2]:
+                yield x, y
+
+
 def split_model_points(q, k=1):
     """#S(F_{q^k}) for the biprojective model x0 y0 = x1 y1 = x2 y2, by
     direct double enumeration of P^2 x P^2 (at most 91^2 pairs within
@@ -607,13 +614,7 @@ def split_model_points(q, k=1):
     if q ** k > SPLIT_MODEL_BUDGET:
         raise EnumerationBudgetExceeded(
             f"q^k = {q ** k} exceeds budget {SPLIT_MODEL_BUDGET}")
-    plane = _proj_plane(GF(p, e * k))
-    count = 0
-    for x in plane:
-        for y in plane:
-            if (x[0] * y[0] == x[1] * y[1]) and (x[1] * y[1] == x[2] * y[2]):
-                count += 1
-    return count
+    return sum(1 for _ in _split_model_pairs(GF(p, e * k)))
 
 
 def verify_split_equivalence(surface, k=1):
@@ -624,23 +625,17 @@ def verify_split_equivalence(surface, k=1):
     pts = surface_points(surface, k)
     F = surface.field
     ext = GF(F.p, F.k * k)
-    normalized = set()
-    for ptup in pts:
-        normalized.add(_proj_normalize(ptup))
+    normalized = {_proj_normalize(ptup) for ptup in pts}
     # Segre images of the biprojective model, in surface coordinates
     sig = _sigma_matrices(surface, ext)
     psi_rows = [[sig[j][r][c] for j in range(7)] for r in range(3) for c in range(3)]
-    plane = _proj_plane(ext)
     segre = set()
-    for x in plane:
-        for y in plane:
-            if not ((x[0] * y[0] == x[1] * y[1]) and (x[1] * y[1] == x[2] * y[2])):
-                continue
-            target = [x[r] * y[c] for r in range(3) for c in range(3)]
-            sol = mat_solve([list(r) for r in psi_rows], target, ext)
-            if sol is None:
-                return False
-            segre.add(_proj_normalize(tuple(sol)))
+    for x, y in _split_model_pairs(ext):
+        target = [x[r] * y[c] for r in range(3) for c in range(3)]
+        sol = mat_solve(psi_rows, target, ext)
+        if sol is None:
+            return False
+        segre.add(_proj_normalize(tuple(sol)))
     return segre == normalized and len(segre) == len(pts)
 
 
@@ -708,8 +703,7 @@ def standard_twists(field):
     A = build_split_exchange(field)
     out["split"] = build_surface(A, diagonal_cubic(A))
     for name, want in (("ksplit-l21", 1), ("ksplit-l3", 0)):
-        c0, c1, c2 = _cubic_with_root_count(field, want)
-        u = split_exchange_sym(A, companion_matrix((c0, c1, c2), field))
+        u = companion_matrix(_cubic_with_root_count(field, want), field)
         out[name] = build_surface(A, cubic_from_generator(A, u))
     B = build_hermitian(field)
     out["kinert-lsplit"] = build_surface(B, diagonal_cubic(B))

@@ -209,8 +209,15 @@ def lemma_number_check(K, B_class, observed):
 
 def _decode_lemma_number_check(inputs):
     B = inputs.get("classK")
-    return (QuadField(inputs["d"]), None if B is None else from_json_K(B),
-            inputs["observed"])
+    observed = inputs["observed"]
+    if not isinstance(observed, dict):
+        raise Dp6kitError("observed must be an object")
+    n_s, has_pt = observed.get("n_S"), observed.get("has_rational_point")
+    if n_s is not None and (type(n_s) is not int or n_s < 1):
+        raise Dp6kitError("observed n_S must be an integer >= 1")
+    if has_pt is not None and type(has_pt) is not bool:
+        raise Dp6kitError("observed has_rational_point must be a boolean")
+    return (QuadField(inputs["d"]), None if B is None else from_json_K(B), observed)
 
 
 def _comp_lemma_number_check(K, B, observed):
@@ -230,12 +237,27 @@ def _comp_corollary_3or4(A, A2):
     return out
 
 
+def _decode_degrees(*keys):
+    """Decoder of the integer inputs under keys, each refused unless an int
+    (not a bool) in 1..9: the range of del Pezzo degrees, which holds every
+    value a replay records and bounds the recomputation's ranges."""
+    get = itemgetter(*keys)
+
+    def decode(inputs):
+        values = get(inputs)
+        for v in values:
+            if type(v) is not int or not 1 <= v <= 9:
+                raise Dp6kitError(f"{', '.join(keys)} must be integers in 1..9")
+        return values
+    return decode
+
+
 COMPUTATIONS = {
     "index": (_decode_class, _comp_index),
     "decompose_degree6": (_decode_class, _comp_decompose),
-    "divisibility_filter": (itemgetter("multiple_of", "dividing"),
+    "divisibility_filter": (_decode_degrees("multiple_of", "dividing"),
                             _comp_divisibility_filter),
-    "degree_forced": (itemgetter("multiple_of", "min", "max"), _comp_degree_forced),
+    "degree_forced": (_decode_degrees("multiple_of", "min", "max"), _comp_degree_forced),
     "corestriction": (_decode_class_K, _comp_corestriction),
     "admits_unitary_involution": (_decode_class_K, _comp_admits_involution),
     "is_split": (_decode_class, _comp_is_split),
@@ -359,20 +381,22 @@ def verify_certificate(cert):
     This is the one place a certificate's inputs are decoded; the replays
     computed on the classes they held.  A step with an unknown computation,
     inputs that are no JSON object, or inputs the decoders refuse (a missing
-    key, or a tampered class that breaks reciprocity, say) does not verify.
+    key, a degree outside 1..9, or a tampered class that breaks reciprocity,
+    say) does not verify, nor does a step whose recomputation refuses them
+    (an observation that lemma_number_check finds inconsistent).
     """
     for step in cert.steps:
         if step.kind != "VERIFIED":
             continue
-        entry = COMPUTATIONS.get(step.computation)
-        if entry is None or not isinstance(step.inputs, dict):
+        entry = isinstance(step.computation, str) and COMPUTATIONS.get(step.computation)
+        if not entry or not isinstance(step.inputs, dict):
             return False
         decode, compute = entry
         try:
-            args = decode(step.inputs)
+            result = compute(*decode(step.inputs))
         except (Dp6kitError, KeyError, ValueError):
             return False
-        if not _same_json(compute(*args), step.result):
+        if not _same_json(result, step.result):
             return False
     return True
 

@@ -416,6 +416,25 @@ def test_surface_stdout_matches_recorded_digest(capsys):
     assert digest.hexdigest() == _SURFACE_STDOUT_SHA256
 
 
+# sha256 of `surface build` stdout for every twist at larger q, emitted in
+# process from one standard_twists call per q (the CLI builds all six for each
+# command).  Update it only together with a declared stdout change.
+_LARGE_Q = (7, 8, 9, 11, 16, 25, 27, 32, 49, 64)
+_LARGE_Q_BUILD_SHA256 = "233a902ab24129bbe3138ff1116db7a0824609564ba58f49c92c96b6a7a3bee8"
+
+
+def test_large_q_build_stdout_matches_recorded_digest(capsys):
+    from dp6kit.cli import _emit
+    from dp6kit.fields import GF
+    digest = hashlib.sha256()
+    for q in _LARGE_Q:
+        twists = dp6.standard_twists(GF(*dp6._parse_prime_power(q)))
+        for name in dp6.TWIST_NAMES:
+            _emit(twists[name].descriptor_json())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _LARGE_Q_BUILD_SHA256
+
+
 # sha256 of the exit codes and concatenated stdout of these commands: the
 # Q-side twin of the surface digest above.  It pins the replays (JSON,
 # corollary, transcript) on three index-6 classes and every brauer op,

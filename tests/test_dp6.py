@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dp6kit.algebra3 import (HERMITIAN, build_hermitian, build_split_exchange,
-                             companion_matrix, cubic_from_generator, diagonal_cubic,
-                             m3_eq_zero, split_exchange_sym)
+                             companion_matrix, cubic_from_generator, diagonal_cubic)
 from dp6kit import dp6
 from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
                         fibration_point_count, find_lines, frobenius_on_lines,
@@ -22,7 +21,7 @@ from dp6kit.hexagon import HexAut
 
 def adjugate(a):
     """Classical adjugate of a 3x3 matrix, by cofactors: the adjoint x# of
-    a symmetric element is the adjugate of its first matrix."""
+    a symmetric element is the adjugate of its matrix."""
     def cof(r, c):
         r1, r2 = [t for t in range(3) if t != r]
         c1, c2 = [t for t in range(3) if t != c]
@@ -64,8 +63,7 @@ def _cofactor_expansion_quadrics(surface):
     entry linear forms (split model: entries are base-field valued)."""
     field = surface.field
     forms = [[{} for _ in range(3)] for _ in range(3)]
-    for j, b in enumerate(surface.coord_basis):
-        m = b.data[0]
+    for j, m in enumerate(surface.coord_basis):
         for r in range(3):
             for c in range(3):
                 if m[r][c]:
@@ -103,25 +101,28 @@ def test_quadrics_match_cofactor_oracle_split_F7():
 def test_quadrics_match_cofactor_oracle_companion_F3():
     A = build_split_exchange(GF(3))
     cm = companion_matrix(tuple(GF(3).from_int(c) for c in (1, 2, 0)), GF(3))
-    L = cubic_from_generator(A, split_exchange_sym(A, cm))
+    L = cubic_from_generator(A, cm)
     s = build_surface(A, L)
     assert [dict(f) for f in s.quadrics] == _cofactor_expansion_quadrics(s)
 
 
 def _polarized_adjoint_quadrics(surface):
     """Independent oracle: the quadrics through the polarization of the
-    adjoint on algebra elements, (b_i + b_j)# - b_i# - b_j# for i < j."""
+    adjoint on symmetric elements, (b_i + b_j)# - b_i# - b_j# for i < j."""
     A = surface.algebra
     basis = surface.coord_basis
 
     def sharp(x):
-        return A.sym_matrix_coords(adjugate(x.data[0]))
+        return A.sym_matrix_coords(adjugate(x))
+
+    def add(a, b):
+        return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
     forms = [{} for _ in range(9)]
     for i in range(7):
         for j in range(i, 7):
             x = sharp(basis[i]) if i == j else [
-                a - b - c for a, b, c in zip(sharp(basis[i] + basis[j]),
+                a - b - c for a, b, c in zip(sharp(add(basis[i], basis[j])),
                                              sharp(basis[i]), sharp(basis[j]))]
             for ell, c in enumerate(x):
                 if c:
@@ -142,19 +143,19 @@ def test_quadrics_pointwise_hermitian(twists2):
     for _ in range(50):
         coords = [GF(2).from_code(rng.randrange(2)) for _ in range(7)]
         direct = s.evaluate(coords, s.field)
-        x = A.one - A.one
-        for c, b in zip(coords, s.coord_basis):
-            x = x + b.scale(c)
-        expected = list(A.sym_matrix_coords(adjugate(x.data[0])))
+        # sum c_k b_k, entry by entry, with each c_k embedded into K
+        cs = [A.ctx.embed_base(c) for c in coords]
+        x = tuple(tuple(sum((c * b[r][t] for c, b in zip(cs, s.coord_basis)), A.ring.zero)
+                        for t in range(3)) for r in range(3))
+        expected = list(A.sym_matrix_coords(adjugate(x)))
         assert direct == expected
 
 
 def test_quadrics_vanish_on_rank_one_images():
-    A = build_split_exchange(GF(3))
     one, zero = GF(3).one, GF(3).zero
     u, w = (one, one, zero), (zero, one, one)
-    el = split_exchange_sym(A, tuple(tuple(u[i] * w[j] for j in range(3)) for i in range(3)))
-    assert m3_eq_zero(adjugate(el.data[0]))
+    el = tuple(tuple(u[i] * w[j] for j in range(3)) for i in range(3))
+    assert not any(x for row in adjugate(el) for x in row)
 
 
 def test_split_model_points_small():

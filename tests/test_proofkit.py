@@ -324,7 +324,9 @@ def test_type_confused_result_does_not_verify(replay, computation, result):
     {"inputs": {}},
     {"inputs": {"class": []}},
     {"inputs": {"class": {"primes": []}}},
-], ids=["unknown-computation", "list-inputs", "no-class", "list-class", "list-primes"])
+    {"computation": ["index"]},
+], ids=["unknown-computation", "list-inputs", "no-class", "list-class", "list-primes",
+        "list-computation"])
 def test_malformed_step_does_not_verify(fields):
     cert = replay_second_proof(STANDING)
     steps = list(cert.steps)
@@ -332,6 +334,32 @@ def test_malformed_step_does_not_verify(fields):
     steps[i] = replace(steps[i], **fields)
     assert verify_certificate(cert)
     assert verify_certificate(replace(cert, steps=tuple(steps))) is False
+
+
+# each tampered input raised from verify_certificate instead of failing it,
+# or verified: max 10 leaves the solutions unchanged, a true dividing reads
+# as 1, n_S 0 or true passes every implication on a nonsplit K, and max
+# 10**12 built the whole range before comparing
+@pytest.mark.parametrize("computation, key, value", [
+    ("divisibility_filter", "multiple_of", 0),
+    ("divisibility_filter", "dividing", "4"),
+    ("divisibility_filter", "dividing", True),
+    ("degree_forced", "multiple_of", 0),
+    ("degree_forced", "max", 10),
+    ("degree_forced", "max", 10 ** 12),
+    ("lemma_number_check", "observed", []),
+    ("lemma_number_check", "observed", {"n_S": 0}),
+    ("lemma_number_check", "observed", {"n_S": True}),
+    ("lemma_number_check", "observed", {"has_rational_point": 1}),
+    ("lemma_number_check", "observed", {"has_rational_point": True}),
+], ids=["zero-multiple", "text-dividing", "bool-dividing", "zero-degree-multiple",
+        "max-10", "huge-max", "list-observed", "zero-n_S", "bool-n_S",
+        "int-point", "inconsistent-point"])
+def test_tampered_input_does_not_verify(computation, key, value):
+    cert = replay_first_proof(STANDING)
+    assert verify_certificate(cert)
+    tampered = _tamper_inputs(cert, computation, lambda inputs: inputs.update({key: value}))
+    assert verify_certificate(tampered) is False
 
 
 def test_fixed_verified_steps_are_shared():
