@@ -17,6 +17,11 @@ x# = x^2 - Trd(x) x + S(x), with x x# = Nrd(x), is the adjugate of the
 matrix; dp6 expands it into the surface's quadrics.  Every matrix the
 module builds is symmetric by construction (a matrix over F, or a Hermitian
 matrix over K); tests/test_algebra3.py checks that on the standard twists.
+
+The same cubic, det(t - x) = t^3 - Trd t^2 + S t - Nrd (m3_char_cubic), is
+the minimal polynomial of a generator of a cubic etale subalgebra L, and
+over a field that splits L, split_normalize diagonalizes that generator by
+its eigenlines: the conjugator then diagonalizes all of L = F[u].
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DegenerateSubalgebra, FieldMismatch, InvariantViolation, NotSplitOverBase
-from .fields import (GF, embed, mat_det_field, mat_inv_field, mat_kernel, mat_solve,
-                     poly_is_squarefree, poly_roots, poly_trim, retract)
+from .fields import (GF, embed, mat_det_field, mat_inv_field, mat_kernel,
+                     poly_is_squarefree, poly_roots, retract)
 
 SPLIT_EXCHANGE = "split_exchange"
 HERMITIAN = "hermitian"
@@ -93,6 +98,15 @@ def m3_det(a):
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
+def m3_char_cubic(a, one):
+    """det(t - a) = t^3 - Trd t^2 + S t - Nrd, as coefficients c0..c3; S is
+    the trace of the adjugate, the sum of the principal 2x2 minors."""
+    s = (a[0][0] * a[1][1] - a[0][1] * a[1][0]
+         + a[0][0] * a[2][2] - a[0][2] * a[2][0]
+         + a[1][1] * a[2][2] - a[1][2] * a[2][1])
+    return (-m3_det(a), s, -m3_trace(a), one)
+
+
 def m3_from_entries(entries, zero):
     return tuple(tuple(entries.get((i, j), zero) for j in range(3)) for i in range(3))
 
@@ -141,18 +155,6 @@ class StructureAlgebra:
 
     def _to_base(self, value):
         return self.ctx.retract_base(value) if self.ctx else value
-
-    def trd_sym(self, x):
-        return self._to_base(m3_trace(x))
-
-    def s_sym(self, a):
-        # the trace of the adjugate: the sum of the principal 2x2 minors
-        return self._to_base(a[0][0] * a[1][1] - a[0][1] * a[1][0]
-                             + a[0][0] * a[2][2] - a[0][2] * a[2][0]
-                             + a[1][1] * a[2][2] - a[1][2] * a[2][1])
-
-    def nrd_sym(self, x):
-        return self._to_base(m3_det(x))
 
     def sym_matrix_coords(self, m):
         """Coordinates of the symmetric element m in the canonical 9-basis."""
@@ -238,16 +240,12 @@ class CubicSub:
 def cubic_from_generator(A, u):
     """L = span(1, u, u^2); etale exactly when the minimal polynomial of u is
     squarefree of degree 3."""
-    t = A.trd_sym(u)
-    s = A.s_sym(u)
-    n = A.nrd_sym(u)
-    f = A.field
-    minpoly = poly_trim([-n, s, -t, f.one])
+    minpoly = tuple(A._to_base(c) for c in m3_char_cubic(u, A.ring.one))
     # the minimal polynomial divides the characteristic cubic and has all its
     # roots; over a perfect field (every finite field is) a squarefree cubic
     # therefore is the minimal polynomial, so 1, u, u^2 are independent.  A
     # generator of degree < 3 has a repeated root and fails here.
-    if not poly_is_squarefree(minpoly, f):
+    if not poly_is_squarefree(minpoly, A.field):
         raise DegenerateSubalgebra("minimal polynomial is not squarefree")
     return CubicSub(algebra=A, basis=(A.one, u, m3_mul(u, u)), generator=u, minpoly=minpoly)
 
@@ -269,16 +267,18 @@ def orth_complement(L):
 
 
 # ---------------------------------------------------------------------------
-# split normalization: conjugating a split commuting family to the diagonal
+# split normalization: diagonalizing a split generator
 
 
 class SplitCertificate:
-    """Conjugator c with c m c^{-1} diagonal for each matrix m of the family."""
+    """Conjugator c with c u c^{-1} diagonal for the split generator u, and
+    so c m c^{-1} diagonal for every m in F[u]; verify checks the given
+    matrices."""
 
     __slots__ = ("conjugator", "inverse")
 
     def __init__(self, conjugator, inverse):
-        self.conjugator = conjugator  # 3x3 over the field of the family
+        self.conjugator = conjugator  # 3x3 over the field of the matrices
         self.inverse = inverse
 
     def apply_matrix(self, m):
@@ -294,98 +294,34 @@ class SplitCertificate:
         return True
 
 
-def _sq_mul(a, b, n, field):
-    return [[sum((a[i][t] * b[t][j] for t in range(n)), field.zero)
-             for j in range(n)] for i in range(n)]
+def split_normalize(u, field):
+    """Change of basis diagonalizing a 3x3 matrix u over field, e.g. a
+    generator of L after base change to a field that splits it; it then
+    diagonalizes all of L = F[u].
 
-
-def _minpoly_square(R, n, field):
-    """Minimal polynomial of an n x n matrix by first dependency of powers."""
-    eye = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    powers = [eye]
-    for _ in range(n):
-        powers.append(_sq_mul(powers[-1], R, n, field))
-    flat = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
-    for deg in range(1, n + 1):
-        cols = [list(r) for r in zip(*flat[:deg])]
-        sol = mat_solve(cols, flat[deg], field)
-        if sol is not None:
-            return poly_trim(list(-c for c in sol) + [field.one])
-    raise InvariantViolation("matrix with no minimal polynomial")
-
-
-def _split_roots(f, field):
-    roots = poly_roots(f, field)
-    if len(roots) != len(f) - 1:
-        raise NotSplitOverBase(
-            "minimal polynomial has an irreducible factor over the base field")
-    return roots
-
-
-def split_normalize(mats, field):
-    """Change of basis simultaneously diagonalizing commuting 3x3 matrices.
-
-    mats are the matrices over field of a basis of a cubic etale algebra,
-    e.g. a basis of L after base change to a field that splits it.
-    NotSplitOverBase if the family does not split into three common
-    eigenlines over field.  Deterministic eigenvalue ordering makes the
-    certificate reproducible.  Column-vector convention throughout.
+    The eigenvalues are the roots of u's characteristic cubic over field, in
+    code order, and each eigenline is the kernel of u - lambda, scaled so its
+    first nonzero entry is 1: the certificate is reproducible.
+    NotSplitOverBase unless the cubic has three distinct roots over field.
+    Column-vector convention throughout.
     """
-    # refine the full space into common eigenlines, one basis matrix at a time
-    spaces = [[[field.one if i == j else field.zero for i in range(3)]
-               for j in range(3)]]  # each space: list of column vectors
-    for m in mats:
-        new_spaces = []
-        for cols in spaces:
-            n = len(cols)
-            if n == 1:
-                new_spaces.append(cols)
-                continue
-            # restriction R of m to the span: m . cols[j] = sum_i R[i][j] cols[i]
-            bmat = [[cols[j][i] for j in range(n)] for i in range(3)]
-            R_cols = []
-            for v in cols:
-                img = [sum((m[i][t] * v[t] for t in range(3)), field.zero)
-                       for i in range(3)]
-                sol = mat_solve(bmat, img, field)
-                if sol is None:
-                    raise InvariantViolation("subspace not invariant under L")
-                R_cols.append(sol)
-            R = [[R_cols[j][i] for j in range(n)] for i in range(n)]
-            for lam in _split_roots(_minpoly_square(R, n, field), field):
-                shifted = [[R[i][j] - (lam if i == j else field.zero)
-                            for j in range(n)] for i in range(n)]
-                vecs = [[sum((kv[t] * cols[t][i] for t in range(n)), field.zero)
-                         for i in range(3)]
-                        for kv in mat_kernel(shifted, n, field)]
-                new_spaces.append(vecs)
-        spaces = new_spaces
-        if all(len(s) == 1 for s in spaces):
-            break
-    if len(spaces) != 3 or any(len(s) != 1 for s in spaces):
-        raise NotSplitOverBase("could not split into three common eigenlines")
-    # order eigenlines deterministically by their joint eigenvalue word
-    keyed = []
-    for s in spaces:
-        v = s[0]
-        pivot = next(i for i in range(3) if v[i])
-        pinv = field.one / v[pivot]
-        v = [x * pinv for x in v]
-        key = []
-        for m in mats:
-            img = [sum((m[i][t] * v[t] for t in range(3)), field.zero)
+    roots = poly_roots(m3_char_cubic(u, field.one), field)
+    if len(roots) != 3:
+        raise NotSplitOverBase(
+            "characteristic cubic does not have three distinct roots over the base field")
+    P_cols = []
+    for lam in roots:
+        shifted = [[u[i][j] - lam if i == j else u[i][j] for j in range(3)]
                    for i in range(3)]
-            key.append(img[pivot].code)
-        keyed.append((tuple(key), v))
-    keyed.sort(key=lambda kv: kv[0])
-    P_cols = [v for _, v in keyed]
+        # a simple eigenvalue has a one-dimensional eigenspace
+        v, = mat_kernel(shifted, 3, field)
+        pinv = next(x for x in v if x).inverse()
+        P_cols.append([x * pinv for x in v])
     P = tuple(tuple(P_cols[j][i] for j in range(3)) for i in range(3))
-    P_inv_rows = mat_inv_field([list(r) for r in P], field)
-    if P_inv_rows is None:
-        raise NotSplitOverBase("eigenvectors are not independent")
-    c = tuple(tuple(r) for r in P_inv_rows)
+    # eigenlines of distinct eigenvalues are independent, so P is invertible
+    c = tuple(tuple(r) for r in mat_inv_field([list(r) for r in P], field))
     cert = SplitCertificate(conjugator=c, inverse=P)
-    if not cert.verify(mats):
+    if not cert.verify([u]):
         raise InvariantViolation("normalization certificate failed verification")
     return cert
 

@@ -6,8 +6,8 @@ the equations are the nine components of the adjoint map x -> x#, which cuts
 out exactly the projectivized rank-one symmetric elements.
 
 Lines are not searched for: over a splitting field both K and L split, the
-matrices are transported into M3 of that field, L's basis is conjugated to
-the diagonal, and the six known lines of the split model are pulled back
+matrices are transported into M3 of that field, L's generator is
+diagonalized, and the six known lines of the split model are pulled back
 through the exact coordinate change.  The induced Frobenius permutation of
 the lines is the hexagon element that drives every point-count prediction.
 
@@ -216,9 +216,10 @@ class LinesResult:
 def find_lines(surface, m=None):
     """The six lines over the splitting field, labeled by the hexagon.
 
-    Pull-back route: transport to M3 over F_{q^m}, conjugate L to the
-    diagonal, express the six split-model lines in surface coordinates, and
-    solve the exact linear systems back.
+    Pull-back route: transport to M3 over F_{q^m}, diagonalize L's
+    generator (an L without one is diagonal already), express the six
+    split-model lines in surface coordinates, and solve the exact linear
+    systems back, once per off-diagonal matrix unit.
     """
     if surface._lines_cache is not None and m is None:
         return surface._lines_cache
@@ -227,27 +228,28 @@ def find_lines(surface, m=None):
         m = split_m
     F = surface.field
     big = GF(F.p, F.k * m)
-    sig = _sigma_matrices(surface, big)
-    # conjugate the transported L to the diagonal subalgebra
-    cert = split_normalize([_embed_matrix(b, big) for b in surface.cubic.basis], big)
+    images = _sigma_matrices(surface, big)
+    u = surface.cubic.generator
+    if u is not None:
+        # diagonalizing the transported generator diagonalizes all of L; an L
+        # without one is the diagonal idempotents, diagonal already
+        cert = split_normalize(_embed_matrix(u, big), big)
+        images = [cert.apply_matrix(mm) for mm in images]
     # psi: coordinates -> normalized matrices (9 x 7 over big)
-    images = [cert.apply_matrix(mm) for mm in sig]
     psi_rows = [[images[j][r][c] for j in range(7)]
                 for r in range(3) for c in range(3)]
-    _, pivots = rref([list(r) for r in psi_rows], big)
+    _, pivots = rref(psi_rows, big)
     if len(pivots) != 7:
         raise WrongLineCount("coordinate map must be injective")
-    lines = []
-    for gens in _SPLIT_LINES:
-        sol_rows = []
-        for (r, c) in gens:
-            target = [big.one if (rr, cc) == (r, c) else big.zero
-                      for rr in range(3) for cc in range(3)]
-            x = mat_solve([list(r_) for r_ in psi_rows], target, big)
-            if x is None:
-                raise WrongLineCount("split-model line not in the coordinate image")
-            sol_rows.append(x)
-        lines.append(LineOnSurface(_echelon_line(sol_rows, big), big))
+    # each off-diagonal matrix unit spans the point where a row line meets a
+    # column line: pull each back once
+    units = {(r, c): mat_solve(psi_rows, [big.one if k == 3 * r + c else big.zero
+                                          for k in range(9)], big)
+             for r, c in product(range(3), repeat=2) if r != c}
+    if any(x is None for x in units.values()):
+        raise WrongLineCount("split-model line not in the coordinate image")
+    lines = [LineOnSurface(_echelon_line([units[g] for g in gens], big), big)
+             for gens in _SPLIT_LINES]
     if len(set(lines)) != 6:
         raise WrongLineCount(f"expected 6 distinct lines, got {len(set(lines))}")
     # verify every equation vanishes identically on every line (symbolically)

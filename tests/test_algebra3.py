@@ -8,9 +8,9 @@ import pytest
 import dp6kit
 from dp6kit.algebra3 import (HERMITIAN, build_hermitian, build_split_exchange,
                              companion_matrix, cubic_from_generator, diagonal_cubic,
-                             gram_matrix, hermitian_cubic_generator, m3_from_entries,
-                             m3_mul, m3_trace, m3_unit, orth_complement, split_normalize,
-                             trace_form)
+                             gram_matrix, hermitian_cubic_generator, m3_char_cubic,
+                             m3_from_entries, m3_mul, m3_trace, m3_unit, orth_complement,
+                             split_normalize, trace_form)
 from dp6kit.dp6 import _parse_prime_power, standard_twists
 from dp6kit.errors import DegenerateSubalgebra, NotSplitOverBase
 from dp6kit.fields import GF, mat_det_field, poly_is_squarefree, poly_roots, rref
@@ -50,6 +50,12 @@ def _is_zero(a):
 
 def _conj_transpose(B, a):
     return tuple(tuple(B.ctx.conj(a[j][i]) for j in range(3)) for i in range(3))
+
+
+def _trd_s_nrd(A, x):
+    """Trd, S and Nrd of x, read off its characteristic cubic over F."""
+    c0, c1, c2, _ = (A._to_base(c) for c in m3_char_cubic(x, A.ring.one))
+    return -c2, c1, -c0
 
 
 def _rand_matrix(field, rng):
@@ -108,8 +114,8 @@ def test_closed_forms_match_algebra_arithmetic(A):
         x, y = A.sym_from_coords(cx), A.sym_from_coords(cy)
         assert x == _scale_and_add(A, cx) and y == _scale_and_add(A, cy)
         assert A.sym_matrix_coords(x) == tuple(cx)
-        assert trace_form(A, x, y) == A.trd_sym(m3_mul(x, y))
-        assert A.s_sym(x) == A._to_base(m3_trace(adjugate(x)))
+        assert trace_form(A, x, y) == _trd_s_nrd(A, m3_mul(x, y))[0]
+        assert _trd_s_nrd(A, x)[1] == A._to_base(m3_trace(adjugate(x)))
 
 
 def test_trace_form_examples():
@@ -159,7 +165,7 @@ def test_adjoint_sharp_examples():
     F7 = GF(7)
     A = build_split_exchange(F7)
     assert adjugate(A.one) == A.one
-    assert (A.trd_sym(A.one), A.s_sym(A.one), A.nrd_sym(A.one)) == (3, 3, 1)
+    assert _trd_s_nrd(A, A.one) == (3, 3, 1)
     e11 = m3_unit(0, 0, F7.one, F7.zero)
     assert _is_zero(adjugate(e11))  # adjugate of a rank-one diagonal
 
@@ -170,7 +176,7 @@ def test_adjoint_matches_cofactor_oracle():
     for _ in range(100):
         x = _rand_matrix(GF(7), rng)
         xs = adjugate(x)
-        t, s, n = A.trd_sym(x), A.s_sym(x), A.nrd_sym(x)
+        t, s, n = _trd_s_nrd(A, x)
         # Cayley-Hamilton shape and the norm identity
         assert xs == _add(_sub(m3_mul(x, x), _scale(A, t, x)), _scale(A, s, A.one))
         assert m3_mul(x, xs) == _scale(A, n, A.one)
@@ -189,7 +195,7 @@ def test_adjoint_hermitian_random():
                         for j in range(3)) for i in range(3))
         assert _conj_transpose(B, x) == x
         xs = adjugate(x)
-        t, s, n = B.trd_sym(x), B.s_sym(x), B.nrd_sym(x)
+        t, s, n = _trd_s_nrd(B, x)
         assert _conj_transpose(B, xs) == xs
         assert m3_mul(x, xs) == _scale(B, n, B.one)
         assert m3_mul(xs, x) == _scale(B, n, B.one)
@@ -259,9 +265,8 @@ def test_split_normalize_identity_case():
     F7 = GF(7)
     A = build_split_exchange(F7)
     L = diagonal_cubic(A)
-    mats = list(L.basis)
-    cert = split_normalize(mats, F7)
-    assert cert.verify(mats)
+    cert = split_normalize(L.generator, F7)
+    assert cert.verify(L.basis)
     # an already-diagonal algebra needs only a permutation, det +-1
     rows = [[c for c in row] for row in cert.conjugator]
     assert mat_det_field(rows, F7) in (F7.one, -F7.one)
@@ -271,9 +276,8 @@ def test_split_normalize_companion_F7():
     F7 = GF(7)
     A = build_split_exchange(F7)
     L = cubic_from_generator(A, _companion_123(F7))
-    mats = list(L.basis)
-    cert = split_normalize(mats, F7)
-    assert cert.verify(mats)
+    cert = split_normalize(L.generator, F7)
+    assert cert.verify(L.basis)
 
 
 def test_split_normalize_not_split_over_base():
@@ -281,16 +285,31 @@ def test_split_normalize_not_split_over_base():
     cm = companion_matrix((GF(2).one, GF(2).one, GF(2).zero), GF(2))  # t^3+t+1
     L = cubic_from_generator(A, cm)
     with pytest.raises(NotSplitOverBase):
-        split_normalize(list(L.basis), GF(2))
+        split_normalize(L.generator, GF(2))
     # over F_8 the same cubic splits
     from dp6kit.fields import embed
     F8 = GF(2, 3)
     A8 = build_split_exchange(F8)
     cm8 = tuple(tuple(embed(x, F8) for x in row) for row in cm)
     L8 = cubic_from_generator(A8, cm8)
-    mats8 = list(L8.basis)
-    assert split_normalize(mats8, F8).verify(mats8)
+    assert split_normalize(L8.generator, F8).verify(L8.basis)
 
+
+
+@pytest.mark.parametrize("cubic, nroots", [("repeated root", 2), ("one root", 1),
+                                           ("no root", 0)])
+def test_split_normalize_needs_three_distinct_roots(cubic, nroots):
+    F7 = GF(7)
+    f = F7.from_int
+    u = {"repeated root": m3_from_entries({(0, 0): f(1), (1, 1): f(1), (2, 2): f(2)},
+                                          F7.zero),
+         # (t - 1)(t^2 - 3), and 3 is not a square mod 7
+         "one root": companion_matrix((f(3), f(-3), f(-1)), F7),
+         # t^3 - 2, and 2 is not a cube mod 7
+         "no root": companion_matrix((f(-2), f(0), f(0)), F7)}[cubic]
+    assert len(poly_roots(m3_char_cubic(u, F7.one), F7)) == nroots
+    with pytest.raises(NotSplitOverBase):
+        split_normalize(u, F7)
 
 def test_rank_one_symmetric_elements():
     """u w^T for a line u in V and a line w in the dual: its adjoint
@@ -358,7 +377,7 @@ def test_zero_root_search_skips_only_candidates_with_a_root(p, k):
     B = build_hermitian(f)
     for code in range(q ** 5 + q ** 3):
         diag, u = _candidate_at(B, code)
-        charpoly = [-B.nrd_sym(u), B.s_sym(u), -B.trd_sym(u), f.one]
+        charpoly = [B._to_base(c) for c in m3_char_cubic(u, B.ring.one)]
         roots = poly_roots(charpoly, f)
         # index 2 decouples below q^5, index 1 on [q^5, q^5 + q^3)
         assert diag[2 if code < q ** 5 else 1] in roots

@@ -349,6 +349,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["brauer", "norm", "{}"], "invalid choice: 'norm'"),
+    (["lattice", "lll", "[[1]]"], "invalid choice: 'lll'"),
+    (["surface", "points", "--q", "2"], "invalid choice: 'points'"),
+    (["replay", "--proof", "third", "--algebra", "{}"], "invalid choice: 'third'"),
+    # hexagon takes no positional action
+    (["hexagon", "report"], "unrecognized arguments: report"),
+], ids=["brauer", "lattice", "surface", "replay", "hexagon"])
+def test_unknown_choice_is_a_usage_error(capsys, argv, refusal):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and refusal in captured.err
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["surface", "check-zeta", "--model", "kinert-l21", "--q", "2"]
     _, first = _run(capsys, argv)
@@ -433,6 +449,30 @@ def test_large_q_build_stdout_matches_recorded_digest(capsys):
             _emit(twists[name].descriptor_json())
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == _LARGE_Q_BUILD_SHA256
+
+
+# sha256 of the concatenated stdout of `surface lines` and `surface frobenius`
+# at q = 7, 8, 9 for every twist but kinert-l3, whose line field GF(q^6) takes
+# seconds to build.  The commands run through main with standard_twists
+# cached, so each q builds its twists once.  Update it only together with a
+# declared stdout change.
+_LARGE_Q_LINES_COMMANDS = [["surface", action, "--model", model, "--q", str(q)]
+                           for q in (7, 8, 9)
+                           for model in dp6.TWIST_NAMES if model != "kinert-l3"
+                           for action in ("lines", "frobenius")]
+_LARGE_Q_LINES_SHA256 = "ad43286fd0ed53fec0dbd63e16c1b1b3f34f7cfd74efda6d210ccf3ff945fc89"
+
+
+def test_large_q_lines_stdout_matches_recorded_digest(capsys, monkeypatch):
+    from functools import lru_cache
+    monkeypatch.setattr(dp6, "standard_twists", lru_cache(maxsize=None)(dp6.standard_twists))
+    digest = hashlib.sha256()
+    for argv in _LARGE_Q_LINES_COMMANDS:
+        code, out = _run(capsys, argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert len(_LARGE_Q_LINES_COMMANDS) == 30
+    assert digest.hexdigest() == _LARGE_Q_LINES_SHA256
 
 
 # sha256 of the exit codes and concatenated stdout of these commands: the

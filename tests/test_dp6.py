@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dp6kit.algebra3 import (HERMITIAN, build_hermitian, build_split_exchange,
-                             companion_matrix, cubic_from_generator, diagonal_cubic)
-from dp6kit import dp6
+                             companion_matrix, cubic_from_generator, diagonal_cubic,
+                             split_normalize)
+from dp6kit import algebra3, dp6, fields
 from dp6kit.dp6 import (TWIST_NAMES, build_surface, count_points, expected_frobenius_type,
                         fibration_point_count, find_lines, frobenius_on_lines,
                         predicted_count, raw_point_count, split_model_points,
@@ -349,6 +350,51 @@ def test_find_lines_does_not_rebuild_the_algebra(monkeypatch):
     lr = find_lines(s)
     assert set(lr.lines) == {"E1", "E2", "E3", "F1", "F2", "F3"}
 
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_generator_certificate_diagonalizes_L_on_the_line_field(q):
+    F = GF(*dp6._parse_prime_power(q))
+    twists = standard_twists(F)
+    assert {name for name, s in twists.items() if s.cubic.generator is None} == \
+        ({"split", "kinert-lsplit"} if q == 2 else set())
+    for name, surface in twists.items():
+        big = GF(F.p, F.k * splitting_degree(surface))
+        basis = [dp6._embed_matrix(b, big) for b in surface.cubic.basis]
+        u = surface.cubic.generator
+        if u is None:
+            # the diagonal idempotents, which find_lines does not conjugate
+            assert not any(m[i][j] for m in basis for i in range(3) for j in range(3)
+                           if i != j), name
+        else:
+            assert split_normalize(dp6._embed_matrix(u, big), big).verify(basis), name
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_find_lines_scans_the_line_field_once(q, monkeypatch):
+    """The roots of L's generator's cubic are the one exhaustive root search
+    over the line field; an L without a generator needs none.  Twists split
+    over the base field are skipped: there the line field is also the field
+    over which L's Galois type is read."""
+    scanned = []
+
+    def counting_roots(f, field):
+        scanned.append(field)
+        return fields.poly_roots(f, field)
+
+    F = GF(*dp6._parse_prime_power(q))
+    twists = standard_twists(F)
+    for module in (algebra3, dp6):
+        monkeypatch.setattr(module, "poly_roots", counting_roots)
+    for name, surface in twists.items():
+        m = splitting_degree(surface)
+        if m == 1:
+            continue
+        big = GF(F.p, F.k * m)
+        scanned.clear()
+        find_lines(surface)
+        assert sum(field is big for field in scanned) == \
+            (surface.cubic.generator is not None), name
 
 def test_frobenius_examples(twists2):
     assert frobenius_on_lines(twists2["split"]) == HexAut.identity()
